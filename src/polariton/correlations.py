@@ -233,11 +233,17 @@ def classify_dynamics(curve: G2TauCurve, p: SystemParams,
     return DynamicsLabel(case, statistics, bunching)
 
 
+def sign_pattern(values: Sequence[float]) -> tuple[tuple[int, ...], str]:
+    """Signs of log g for each correlation value g, and their '+'/'-'/'0' string."""
+    signs = tuple(int(np.sign(v - 1.0)) for v in values)
+    return signs, "".join("+" if s > 0 else "-" if s < 0 else "0" for s in signs)
+
+
 def g234_signature(rho: DensityMatrix, mode: ModeLike) -> G234Signature:
     """Signs of log g^(k)(0) for k = 2, 3, 4 for one mode."""
     points = [g_k_zero(rho, mode, k) for k in (2, 3, 4)]
     values = tuple(pt.value for pt in points)
-    signs = tuple(int(np.sign(v - 1.0)) for v in values)
+    signs, _ = sign_pattern(values)
     boundary = tuple(abs(v - 1.0) <= POISSONIAN_BAND for v in values)
     return G234Signature(signs, boundary, values)
 

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .correlations import classify_dynamics, classify_statistics, g2_tau, g_k_zero
+from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
+                           sign_pattern)
 from .errors import ParameterError, PolaritonError
 from .hilbert import TruncationConfig
 from .lindblad import build_liouvillian, steady_state
@@ -218,9 +219,7 @@ def _sweep_point(args) -> dict:
         row["boundary"] = stat.boundary
     for mode in ("a", "b", "c"):
         if mode in modes and all((k, mode) in values for k in (2, 3, 4)):
-            signs = tuple(int(np.sign(values[(k, mode)] - 1.0)) for k in (2, 3, 4))
-            row[f"g234_{mode}"] = "".join(
-                "+" if s > 0 else "-" if s < 0 else "0" for s in signs)
+            _, row[f"g234_{mode}"] = sign_pattern([values[(k, mode)] for k in (2, 3, 4)])
     if cell_errors:
         row["error"] = "; ".join(cell_errors)
     return row
@@ -233,14 +232,43 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return max(1, int(env)) if env.isdigit() and env else 1
 
 
+def _openblas_functions(name: str) -> list:
+    """The ``openblas_<name>`` function of every OpenBLAS library mapped into
+    this process; empty where /proc/self/maps does not exist."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line and ".so" in line})
+    except OSError:
+        return []
+    found = []
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                found.append(fn)
+                break
+    return found
+
+
 def _limit_worker_blas():
-    # one BLAS thread per worker process; the factorizations are
-    # memory-bound and oversubscription only adds switching overhead
+    # one BLAS thread per worker process: the workers already occupy the
+    # cores, and extra BLAS threads only spin and switch
     try:
         import threadpoolctl
+    except ImportError:
+        import ctypes
+        for fn in _openblas_functions("set_num_threads"):
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+    else:
         threadpoolctl.threadpool_limits(1)
-    except Exception:
-        pass
 
 
 def _map_points(worker, work_items: list, threads: Optional[int]) -> list:

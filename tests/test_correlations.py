@@ -9,7 +9,7 @@ from polariton import (DensityMatrix, FockLabel, InsufficientDataError,
                        hybrid_moments_from_local,
                        hybrid_mode_operator, preset_params, qubit_lowering,
                        steady_state, solve_point)
-from polariton.correlations import G2TauCurve
+from polariton.correlations import G2TauCurve, sign_pattern
 from helpers import coherent_vector, random_composite_density
 
 CFG = TruncationConfig(2, 2)
@@ -166,6 +166,12 @@ def test_g234_signatures():
     rho_coh = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
     sig = g234_signature(rho_coh, "a")
     assert all(sig.boundary)
+
+
+def test_sign_pattern_string():
+    # the g234_<mode> column of sweep tables
+    assert sign_pattern([0.5, 1.0, 2.0]) == ((-1, 0, 1), "-0+")
+    assert sign_pattern([3.0, 0.9, 1.1]) == ((1, -1, 1), "+-+")
 
 
 def test_hybrid_moments_identities_random_states():

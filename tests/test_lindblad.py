@@ -1,12 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
-from polariton import (DensityMatrix, FockLabel, NonUniqueSteadyStateError,
-                       ParameterError, QOperator, SteadyStateError, SystemParams,
-                       TruncationConfig, basis_state, build_liouvillian, evolve,
-                       g_k_zero, hamiltonian_qd_driven, hamiltonian_smr_driven,
-                       hybrid_mode_operator, steady_state)
-from polariton.lindblad import Liouvillian
+from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel,
+                       NonUniqueSteadyStateError, ParameterError, QOperator,
+                       SteadyStateError, SystemParams, TruncationConfig, basis_state,
+                       build_liouvillian, bundle_params, evolve, g_k_zero,
+                       hamiltonian_qd_driven, hamiltonian_smr_driven,
+                       hybrid_mode_operator, preset_params, steady_state)
+from polariton.lindblad import Liouvillian, _lu_steady_state, _sum_jump_orders
 from helpers import random_composite_density, random_params
 
 CFG = TruncationConfig(2, 2)
@@ -62,12 +66,59 @@ def test_non_hermitian_hamiltonian_rejected():
         build_liouvillian(bad, p)
 
 
-def test_undriven_steady_state_is_ground():
+def test_undriven_steady_state_is_ground(caplog):
     p = SystemParams(delta_a=1.0, delta_b=-1.0, delta_q=2.0, g=1.5, f=2.0,
                      kappa_a=1.0, kappa_b=0.5, gamma=1.0)
-    rho = steady_state(make_L(p))
+    # the dark vacuum is an undamped eigenstate of H_eff: the LU fallback runs
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        rho = steady_state(make_L(p))
+    assert "via LU (undamped pair" in caplog.text
     expected = density_from_label(0, 0, "g")
     assert np.linalg.norm(rho.matrix - expected.matrix) < 1e-10
+
+
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_jump_free_path_matches_lu(bundle, caplog):
+    p, driven = bundle_params(bundle)
+    L = make_L(p, TruncationConfig(3, 3), "a" if driven == "SMR" else "b")
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        rho = steady_state(L)
+    assert "via jump-free" in caplog.text
+    lu, _ = _lu_steady_state(L, check_unique=True)
+    assert np.linalg.norm(rho.matrix - lu.matrix) <= 1e-10 * np.linalg.norm(lu.matrix)
+    for mode in "abcd":
+        assert g_k_zero(rho, mode, 2).value == pytest.approx(
+            g_k_zero(lu, mode, 2).value, rel=1e-10)
+
+
+def refined_lu_state(L: Liouvillian) -> np.ndarray:
+    """Sparse LU of L with the trace row, plus two steps of iterative
+    refinement, which give the smallest populations their relative accuracy."""
+    d = L.dim
+    M = L.matrix.tolil()
+    M[0, :] = 0.0
+    M[0, np.arange(d) * (d + 1)] = 1.0
+    M = M.tocsc()
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    lu = splu(M)
+    x = lu.solve(rhs)
+    for _ in range(2):
+        x = x - lu.solve(M @ x - rhs)
+    return x.reshape(d, d)
+
+
+def test_jump_free_resolves_four_boson_moments():
+    # A2 at g = 1, cutoff 4: without the defect correction the sum leaves an
+    # error near machine epsilon on every entry, and g4 is off by 3e-9
+    p = preset_params("A2", g=1.0)
+    L = make_L(p, TruncationConfig(4, 4), driven="b")
+    rho = steady_state(L)
+    ref = DensityMatrix(refined_lu_state(L), L.dims)
+    for mode in "abcd":
+        for k in (2, 3, 4):
+            assert g_k_zero(rho, mode, k).value == pytest.approx(
+                g_k_zero(ref, mode, k).value, rel=1e-10)
 
 
 def test_linear_cavity_closed_form():
@@ -98,8 +149,22 @@ def test_degenerate_steady_state_detected():
     # conserved, so the null space is at least two-dimensional
     p = SystemParams(delta_a=1.0, delta_b=2.0, g=0.0, f=1.0,
                      kappa_a=1.0, kappa_b=1.0, gamma=0.0)
+    L = make_L(p)
+    assert _sum_jump_orders(L, check_unique=True)[3] == "undamped pair of H_eff eigenstates"
     with pytest.raises(NonUniqueSteadyStateError):
-        steady_state(make_L(p))
+        steady_state(L)
+
+
+def test_driven_degenerate_steady_state_detected():
+    # as above with the photon driven: every pair of H_eff eigenstates is
+    # damped, so only the second start of the jump-order sum shows that the
+    # qubit populations are conserved
+    p = SystemParams(delta_a=1.0, delta_b=2.0, g=0.0, f=1.0, eta_a=0.5,
+                     kappa_a=1.0, kappa_b=1.0, gamma=0.0)
+    L = make_L(p)
+    assert _sum_jump_orders(L, check_unique=True)[3] == "starts reach different steady states"
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(L)
 
 
 def test_no_zero_mode_raises_convergence_error():

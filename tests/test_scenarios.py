@@ -1,3 +1,6 @@
+import ctypes
+from multiprocessing import Pool
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
                        SystemParams, TruncationConfig, bundle_params,
                        compare_oracle, g_k_zero, preset_params, run_sweep,
                        solve_point)
+from polariton.scenarios import _limit_worker_blas, _openblas_functions
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -161,3 +165,19 @@ def test_run_sweep_rejects_omega_m():
     spec = SweepSpec(swept="omega_m", preset="A1", values=(1560.0, 1561.0))
     with pytest.raises(ParameterError):
         run_sweep(spec)
+
+
+def _openblas_thread_counts() -> list[int]:
+    counts = []
+    for fn in _openblas_functions("get_num_threads"):
+        fn.argtypes, fn.restype = [], ctypes.c_int
+        counts.append(fn())
+    return counts
+
+
+def test_pool_workers_run_one_blas_thread():
+    if not _openblas_thread_counts():
+        pytest.skip("no OpenBLAS library is mapped into this process")
+    with Pool(processes=1, initializer=_limit_worker_blas) as pool:
+        counts = pool.apply(_openblas_thread_counts)
+    assert counts and all(n == 1 for n in counts)
