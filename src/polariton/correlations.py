@@ -122,8 +122,7 @@ def _resolve_mode(mode: ModeLike, dims: tuple[int, ...]) -> tuple[str, QOperator
     if isinstance(mode, QOperator):
         return "custom", mode
     sel = ModeSelector(mode)
-    cfg = TruncationConfig(n_a_max=dims[0] - 1, n_b_max=dims[1] - 1)
-    return sel.value, hybrid_mode_operator(sel, cfg)
+    return sel.value, hybrid_mode_operator(sel, TruncationConfig.from_dims(dims))
 
 
 def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> CorrelationPoint:
@@ -255,7 +254,7 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     occupation from four local moments and the two-boson moment from nine,
     using f_kl = a'^k a^l and g_mn = b'^m b^n.  Both identities are exact.
     """
-    cfg = TruncationConfig(n_a_max=rho.dims[0] - 1, n_b_max=rho.dims[1] - 1)
+    cfg = TruncationConfig.from_dims(rho.dims)
     a = hybrid_mode_operator(ModeSelector.A, cfg).matrix
     b = hybrid_mode_operator(ModeSelector.B, cfg).matrix
     ad, bd = a.conj().T, b.conj().T

@@ -41,6 +41,11 @@ class TruncationConfig:
         if self.qubit_dim != 2:
             raise DimensionError(f"qubit_dim is fixed at 2, got {self.qubit_dim}")
 
+    @classmethod
+    def from_dims(cls, dims: tuple[int, ...]) -> "TruncationConfig":
+        """Cutoffs of a composite space with subsystem dims (photon, phonon, qubit)."""
+        return cls(n_a_max=dims[0] - 1, n_b_max=dims[1] - 1)
+
     @property
     def dims(self) -> tuple[int, int, int]:
         """Subsystem dimensions [photon, phonon, qubit]."""

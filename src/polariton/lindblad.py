@@ -18,7 +18,8 @@ entrywise division there and a sweep costs a few dense d x d products.
 Where the sum is unsafe (an undamped pair of H_eff eigenstates, an
 ill-conditioned eigenbasis, slow or no convergence, or a failed residual
 check) the solve falls back to a sparse LU of the vectorised Liouvillian
-with one row replaced by the trace constraint.
+with one row replaced by the trace constraint, refined twice with its own
+factor.
 """
 
 from __future__ import annotations
@@ -142,33 +143,49 @@ class Liouvillian:
         return (self.matrix @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(d, d)
 
 
-def _dissipator(O: sp.csr_matrix, I: sp.csr_matrix) -> sp.csr_matrix:
-    OdO = (O.conj().T @ O).tocsr()
-    return sp.kron(O, O.conj()) - 0.5 * (sp.kron(OdO, I) + sp.kron(I, OdO.T))
+def _effective_hamiltonian(H: QOperator,
+                           collapse_ops: Sequence[tuple[float, QOperator]]) -> np.ndarray:
+    """H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution."""
+    return H.matrix - 0.5j * sum(rate * J.matrix.conj().T @ J.matrix
+                                 for rate, J in collapse_ops if rate > 0)
+
+
+def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzeros of kron(A, B), B square."""
+    ai, aj = np.nonzero(A)
+    bi, bj = np.nonzero(B)
+    d = B.shape[0]
+    return ((ai[:, None] * d + bi).ravel(), (aj[:, None] * d + bj).ravel(),
+            np.outer(A[ai, aj], B[bi, bj]).ravel())
 
 
 def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
     """Assemble the Lindblad superoperator for H with decay channels
     sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(gamma) sigma_-.
+
+    The matrix is written in one pass as
+    L = -i(H_eff (x) I - I (x) H_eff*) + sum_k kappa_k J_k (x) J_k*,
+    from the nonzeros of H_eff and of each J_k; coinciding entries are summed.
     """
     herm_defect = np.linalg.norm(H.matrix - H.matrix.conj().T)
     if herm_defect > 1e-12 * max(1.0, H.norm()):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
     if len(H.dims) != 3 or H.dims[2] != 2:
         raise ParameterError(f"expected composite dims (photon, phonon, qubit), got {H.dims}")
-    cfg = TruncationConfig(n_a_max=H.dims[0] - 1, n_b_max=H.dims[1] - 1)
-    a, b, sm = _bare_ops(cfg)
-    I = sp.identity(H.dim, format="csr", dtype=complex)
-    Hs = sp.csr_matrix(H.matrix)
-    L = (-1j * (sp.kron(Hs, I) - sp.kron(I, Hs.T))).tocsr()
+    a, b, sm = _bare_ops(TruncationConfig.from_dims(H.dims))
     collapse = []
     for rate, op in ((p.kappa_a, a), (p.kappa_b, b), (p.gamma, sm)):
         if rate < 0:
             raise ParameterError(f"negative decay rate {rate}")
         collapse.append((float(rate), op))
-        if rate > 0:
-            L = L + rate * _dissipator(sp.csr_matrix(op.matrix), I)
-    return Liouvillian(L.tocsr(), H.dims, H, tuple(collapse))
+    H_eff = _effective_hamiltonian(H, collapse)
+    eye = np.eye(H.dim)
+    terms = [_kron_entries(-1j * H_eff, eye), _kron_entries(eye, 1j * H_eff.conj())]
+    terms += [_kron_entries(rate * J.matrix, J.matrix.conj()) for rate, J in collapse if rate > 0]
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(H.dim ** 2,) * 2)
+    L.eliminate_zeros()
+    return Liouvillian(L, H.dims, H, tuple(collapse))
 
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
@@ -200,7 +217,7 @@ def _sum_jump_orders(L: Liouvillian, check_unique: bool
     None, sweeps, last contraction ratio, reason for None).
     """
     jumps = [(rate, op.matrix) for rate, op in L.collapse_ops if rate > 0]
-    H_eff = L.hamiltonian.matrix - 0.5j * sum(rate * J.conj().T @ J for rate, J in jumps)
+    H_eff = _effective_hamiltonian(L.hamiltonian, L.collapse_ops)
     try:
         lam, V = np.linalg.eig(H_eff)
         V_inv = np.linalg.inv(V)
@@ -277,8 +294,11 @@ def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, fl
 def _lu_steady_state(L: Liouvillian, check_unique: bool) -> tuple[DensityMatrix, float]:
     """Sparse LU of L with its first row replaced by the trace constraint.
 
-    A tiny pivot or a failed solve triggers an explicit count of near-zero
-    modes, so a degenerate null space raises NonUniqueSteadyStateError.
+    Two steps of iterative refinement with the same factor give the
+    smallest populations their relative accuracy.  A zero column (an
+    undamped coherence that nothing feeds), a tiny pivot or a failed solve
+    triggers an explicit count of near-zero modes, so a degenerate null
+    space raises NonUniqueSteadyStateError.
     """
     d = L.dim
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
@@ -286,14 +306,20 @@ def _lu_steady_state(L: Liouvillian, check_unique: bool) -> tuple[DensityMatrix,
     M = sp.vstack([trace_row, L.matrix[1:]], format="csc")
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    suspicious, result = False, None
-    try:
-        lu = spla.splu(M)
-        udiag = np.abs(lu.U.diagonal())
-        suspicious = udiag.min() <= 1e-12 * udiag.max()
-        result = _accept(L, lu.solve(rhs).reshape(d, d))
-    except RuntimeError:
-        suspicious = True
+    suspicious, result = True, None
+    # a zero column makes M exactly singular, and SuperLU prints BLAS
+    # argument errors to stdout on its way to saying so: do not factor it
+    if np.diff(M.indptr).min() > 0:
+        try:
+            lu = spla.splu(M)
+            udiag = np.abs(lu.U.diagonal())
+            suspicious = udiag.min() <= 1e-12 * udiag.max()
+            x = lu.solve(rhs)
+            for _ in range(2):
+                x -= lu.solve(M @ x - rhs)
+            result = _accept(L, x.reshape(d, d))
+        except RuntimeError:
+            suspicious = True
     if result is None or (suspicious and check_unique):
         n_zero, _ = _count_zero_modes(L)
         if n_zero >= 2:

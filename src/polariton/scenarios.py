@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -232,9 +232,9 @@ def _resolve_threads(threads: Optional[int]) -> int:
     return max(1, int(env)) if env.isdigit() and env else 1
 
 
-def _openblas_functions(name: str) -> list:
-    """The ``openblas_<name>`` function of every OpenBLAS library mapped into
-    this process; empty where /proc/self/maps does not exist."""
+def _openblas_thread_controls() -> list[tuple]:
+    """The (get, set) thread-count functions of every OpenBLAS library
+    mapped into this process; empty where /proc/self/maps does not exist."""
     import ctypes
     try:
         with open("/proc/self/maps") as fh:
@@ -248,34 +248,43 @@ def _openblas_functions(name: str) -> list:
             handle = ctypes.CDLL(lib)
         except OSError:  # a mapping whose file is gone
             continue
-        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
-                       f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                found.append(fn)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(handle, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
                 break
     return found
 
 
-def _limit_worker_blas():
-    # one BLAS thread per worker process: the workers already occupy the
-    # cores, and extra BLAS threads only spin and switch
+def _cap_blas_threads() -> Callable[[], None]:
+    """Cap BLAS at one thread; return a function that restores the previous
+    counts."""
     try:
         import threadpoolctl
     except ImportError:
-        import ctypes
-        for fn in _openblas_functions("set_num_threads"):
-            fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(1)
-    else:
-        threadpoolctl.threadpool_limits(1)
+        controls = _openblas_thread_controls()
+        before = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(1)
+
+        def restore():
+            for (_, set_threads), n in zip(controls, before):
+                set_threads(n)
+        return restore
+    return threadpoolctl.threadpool_limits(1).restore_original_limits
 
 
 def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
     n = _resolve_threads(threads)
     if n == 1 or len(work_items) <= 1:
         return [worker(item) for item in work_items]
-    with Pool(processes=min(n, len(work_items)), initializer=_limit_worker_blas) as pool:
+    # one BLAS thread per worker process: the workers already occupy the
+    # cores, and extra BLAS threads only spin and switch
+    with Pool(processes=min(n, len(work_items)), initializer=_cap_blas_threads) as pool:
         return pool.map(worker, work_items)
 
 
@@ -386,16 +395,24 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
 def g2tau_point(p: SystemParams, cfg: TruncationConfig, driven_mode: str,
                 tau_grid: Sequence[float], modes: Sequence[str] = ("a", "b", "c"),
                 tau_unit: str = "inv_gamma") -> dict[str, dict]:
-    """Delay-time curves and dynamics labels for one operating point."""
-    rho, L = solve_point(p, cfg, driven_mode)
+    """Delay-time curves and dynamics labels for one operating point.
+
+    The point runs with one BLAS thread: a second one makes it no faster
+    and only spins, nearly doubling its CPU time.
+    """
     out: dict[str, dict] = {}
-    for mode in modes:
-        curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
-        try:
-            label = classify_dynamics(curve, p)
-        except PolaritonError:
-            label = None
-        out[mode] = {"curve": curve, "dynamics": label}
+    restore_blas_threads = _cap_blas_threads()
+    try:
+        rho, L = solve_point(p, cfg, driven_mode)
+        for mode in modes:
+            curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
+            try:
+                label = classify_dynamics(curve, p)
+            except PolaritonError:
+                label = None
+            out[mode] = {"curve": curve, "dynamics": label}
+    finally:
+        restore_blas_threads()
     return out
 
 

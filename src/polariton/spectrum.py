@@ -44,7 +44,7 @@ class ResonanceDistances:
 def _cfg_of(H: QOperator) -> TruncationConfig:
     if len(H.dims) != 3 or H.dims[2] != 2:
         raise ParameterError(f"expected composite dims (photon, phonon, qubit), got {H.dims}")
-    return TruncationConfig(n_a_max=H.dims[0] - 1, n_b_max=H.dims[1] - 1)
+    return TruncationConfig.from_dims(H.dims)
 
 
 def manifold_spectrum(H: QOperator, n: int, with_vectors: bool = False) -> ManifoldSpectrum:

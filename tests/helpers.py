@@ -1,9 +1,10 @@
 """Shared test utilities."""
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from polariton import (DensityMatrix, SystemParams, TruncationConfig,
+from polariton import (DensityMatrix, QOperator, SystemParams, TruncationConfig,
                        closed_form_double, closed_form_single)
 
 
@@ -18,6 +19,37 @@ def random_density(rng: np.random.Generator, dim: int,
 
 def random_composite_density(rng: np.random.Generator, cfg: TruncationConfig) -> DensityMatrix:
     return random_density(rng, cfg.dim, cfg.dims)
+
+
+def kron_liouvillian(H: QOperator, p: SystemParams) -> sp.csr_matrix:
+    """Reference Lindblad superoperator from the textbook kron construction.
+
+    -i(H (x) I - I (x) H^T) + kappa D[J] for each channel, with
+    D[J] = J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2 under the row-major vec,
+    and the photon, phonon and qubit lowering operators built here.
+    """
+    da, db, dq = H.dims
+
+    def lowering(n: int) -> sp.csr_matrix:
+        return sp.diags(np.sqrt(np.arange(1.0, n)), 1, format="csr")
+
+    def composite(photon, phonon, qubit) -> sp.csr_matrix:
+        return sp.kron(sp.kron(photon, phonon), qubit, format="csr")
+
+    Ia, Ib, Iq = sp.identity(da), sp.identity(db), sp.identity(dq)
+    channels = ((p.kappa_a, composite(lowering(da), Ib, Iq)),
+                (p.kappa_b, composite(Ia, lowering(db), Iq)),
+                (p.gamma, composite(Ia, Ib, lowering(dq))))
+    I = sp.identity(H.dim, format="csr")
+    Hs = sp.csr_matrix(H.matrix)
+    L = -1j * (sp.kron(Hs, I) - sp.kron(I, Hs.T))
+    for rate, J in channels:
+        if rate > 0:
+            JdJ = (J.conj().T @ J).tocsr()
+            L = L + rate * (sp.kron(J, J.conj()) - 0.5 * (sp.kron(JdJ, I) + sp.kron(I, JdJ.T)))
+    L = L.tocsr()
+    L.eliminate_zeros()
+    return L
 
 
 def random_params(rng: np.random.Generator, driven: str = "b") -> SystemParams:

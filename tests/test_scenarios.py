@@ -1,4 +1,3 @@
-import ctypes
 from multiprocessing import Pool
 
 import numpy as np
@@ -8,7 +7,8 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
                        SystemParams, TruncationConfig, bundle_params,
                        compare_oracle, g_k_zero, preset_params, run_sweep,
                        solve_point)
-from polariton.scenarios import _limit_worker_blas, _openblas_functions
+from polariton import scenarios
+from polariton.scenarios import _cap_blas_threads, _openblas_thread_controls, g2tau_point
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -168,16 +168,37 @@ def test_run_sweep_rejects_omega_m():
 
 
 def _openblas_thread_counts() -> list[int]:
-    counts = []
-    for fn in _openblas_functions("get_num_threads"):
-        fn.argtypes, fn.restype = [], ctypes.c_int
-        counts.append(fn())
-    return counts
+    return [get() for get, _ in _openblas_thread_controls()]
 
 
 def test_pool_workers_run_one_blas_thread():
     if not _openblas_thread_counts():
         pytest.skip("no OpenBLAS library is mapped into this process")
-    with Pool(processes=1, initializer=_limit_worker_blas) as pool:
+    with Pool(processes=1, initializer=_cap_blas_threads) as pool:
         counts = pool.apply(_openblas_thread_counts)
     assert counts and all(n == 1 for n in counts)
+
+
+def test_g2tau_point_runs_one_blas_thread(monkeypatch):
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS library is mapped into this process")
+    original = _openblas_thread_counts()
+    seen = []
+    real_g2_tau = scenarios.g2_tau
+
+    def spy(*args, **kwargs):
+        seen.append(_openblas_thread_counts())
+        return real_g2_tau(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "g2_tau", spy)
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        g2tau_point(preset_params("A2", g=4.5), TruncationConfig(2, 2), "QD", [0.0, 0.5],
+                    modes=("a", "b"))
+        assert seen == [[1] * len(controls)] * 2
+        assert _openblas_thread_counts() == [2] * len(controls)
+    finally:
+        for (_, set_threads), n in zip(controls, original):
+            set_threads(n)
