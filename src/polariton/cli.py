@@ -35,8 +35,9 @@ from .correlations import dominant_period
 from .errors import ConfigError, InsufficientDataError, ParameterError, PolaritonError
 from .hilbert import TruncationConfig
 from .model import SystemParams
-from .scenarios import (PRESETS, SweepSpec, compare_oracle, g2tau_point,
-                        resonance_distance_sweep, run_sweep, spectrum_sweep)
+from .scenarios import (DEFAULT_MODES, DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
+                        g2tau_point, resolve_params, resonance_distance_sweep, run_sweep,
+                        spectrum_sweep)
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 
@@ -54,9 +55,6 @@ _OUTPUT_KEYS = {"directory", "basename", "format", "gnuplot"}
 _TRUNCATION_KEYS = {"n_a_max", "n_b_max"}
 _TAU_KEYS = {"stop", "count", "unit"}
 _SPECTRUM_KEYS = {"kind", "g", "manifolds", "sweep", "frequencies"}
-
-_MODES = ("a", "b", "c", "d")
-_ORDERS = (2, 3, 4)
 
 
 def _fmt(value) -> str:
@@ -179,7 +177,7 @@ def _validate(config: dict, command: str):
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
     if "modes" in config:
-        bad = set(config["modes"]) - set(_MODES)
+        bad = set(config["modes"]) - set(DEFAULT_MODES)
         if bad:
             raise ConfigError(f"unknown modes {sorted(bad)}")
     if "orders" in config:
@@ -192,8 +190,7 @@ def _validate(config: dict, command: str):
 
 
 def _truncation(config: dict) -> TruncationConfig:
-    t = config.get("truncation", {})
-    return TruncationConfig(n_a_max=int(t.get("n_a_max", 5)), n_b_max=int(t.get("n_b_max", 5)))
+    return TruncationConfig(**{k: int(v) for k, v in config.get("truncation", {}).items()})
 
 
 def _sweep_spec(config: dict) -> SweepSpec:
@@ -204,8 +201,10 @@ def _sweep_spec(config: dict) -> SweepSpec:
         resonant=bool(s.get("resonant", False)),
         truncation=_truncation(config),
         overrides=dict(config.get("overrides", {})),
-        modes=tuple(config.get("modes", _MODES)),
-        orders=tuple(config.get("orders", _ORDERS)),
+        modes=tuple(config.get("modes", DEFAULT_MODES)),
+        orders=tuple(config.get("orders", DEFAULT_ORDERS)),
+        preset=config.get("preset"),
+        params=SystemParams(**config["params"]) if "params" in config else None,
     )
     if values is not None:
         kwargs["values"] = tuple(float(v) for v in values)
@@ -214,10 +213,6 @@ def _sweep_spec(config: dict) -> SweepSpec:
             if key not in s:
                 raise ConfigError(f"sweep.{key} is required when no explicit values are given")
         kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=int(s["count"]))
-    if "preset" in config:
-        kwargs["preset"] = config["preset"]
-    else:
-        kwargs["params"] = SystemParams(**config["params"])
     try:
         return SweepSpec(**kwargs)
     except ParameterError as exc:
@@ -292,7 +287,7 @@ def _json_default(obj):
 
 
 _G2SWEEP_HEADER = (["sweep_var"]
-                   + [f"g{k}_{m}" for k in _ORDERS for m in _MODES]
+                   + [f"g{k}_{m}" for k in DEFAULT_ORDERS for m in DEFAULT_MODES]
                    + ["case", "boundary", "g234_a", "g234_b", "g234_c", "error"])
 
 
@@ -316,7 +311,6 @@ def _cmd_g2sweep(config: dict, threads: Optional[int]) -> int:
 
 def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
     del threads  # points are few; handled serially
-    from .scenarios import preset_params
     tau_cfg = config["tau"]
     unit = tau_cfg.get("unit", "inv_gamma")
     if unit not in ("inv_gamma", "us"):
@@ -325,12 +319,8 @@ def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
                        int(tau_cfg["count"]))
     modes = tuple(config.get("modes", ("a", "b", "c")))
     cfg = _truncation(config)
-    if "preset" in config:
-        base = preset_params(config["preset"], **config.get("overrides", {}))
-        driven = PRESETS[config["preset"]].driven_mode
-    else:
-        base = SystemParams(**config["params"]).with_(**config.get("overrides", {}))
-        driven = "SMR" if base.eta_a != 0.0 else "QD"
+    params = SystemParams(**config["params"]) if "params" in config else None
+    base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
     writer = _OutputWriter(config, "g2tau")
     summary_points = []
     warnings: list[str] = []
@@ -339,7 +329,7 @@ def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
         p = base.with_(**point)
         label = f"_p{i}"
         try:
-            curves = g2tau_point(p, cfg, driven, grid, modes, unit)
+            curves = g2tau_point(p, cfg, grid, modes, unit)
         except PolaritonError as exc:
             n_failed += 1
             warnings.append(f"point {i} failed: {type(exc).__name__}: {exc}")

@@ -44,6 +44,8 @@ class TruncationConfig:
     @classmethod
     def from_dims(cls, dims: tuple[int, ...]) -> "TruncationConfig":
         """Cutoffs of a composite space with subsystem dims (photon, phonon, qubit)."""
+        if len(dims) != 3 or dims[2] != 2:
+            raise DimensionError(f"expected composite dims (photon, phonon, qubit), got {dims}")
         return cls(n_a_max=dims[0] - 1, n_b_max=dims[1] - 1)
 
     @property
@@ -92,6 +94,22 @@ class FockLabel:
         return self.n_a + self.n_b + (1 if self.q == "e" else 0)
 
 
+def _freeze_matrix(obj) -> None:
+    """``__post_init__`` of the frozen square-matrix classes: store a
+    read-only complex copy of ``obj.matrix`` and ``obj.dims`` as a tuple
+    (default: the matrix side), after checking that they agree."""
+    mat = np.asarray(obj.matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionError(f"{type(obj).__name__} matrix must be square, got shape {mat.shape}")
+    dims = tuple(obj.dims) if obj.dims else (mat.shape[0],)
+    if int(np.prod(dims)) != mat.shape[0]:
+        raise DimensionError(f"dims {dims} do not match matrix side {mat.shape[0]}")
+    mat = mat.copy()
+    mat.flags.writeable = False
+    object.__setattr__(obj, "matrix", mat)
+    object.__setattr__(obj, "dims", dims)
+
+
 @dataclass(frozen=True)
 class QOperator:
     """A complex matrix on a (possibly composite) Hilbert space.
@@ -104,17 +122,7 @@ class QOperator:
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"operator matrix must be square, got shape {mat.shape}")
-        dims = tuple(self.dims) if self.dims else (mat.shape[0],)
-        if int(np.prod(dims)) != mat.shape[0]:
-            raise DimensionError(f"dims {dims} do not match matrix side {mat.shape[0]}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
+    __post_init__ = _freeze_matrix
 
     @property
     def dim(self) -> int:

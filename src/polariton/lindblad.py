@@ -35,7 +35,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
-from .hilbert import QOperator, TruncationConfig
+from .hilbert import QOperator, TruncationConfig, _freeze_matrix
 from .model import SystemParams, _bare_ops
 
 #: Relative residual bound for accepted steady states, ||L rho|| <= RTOL ||L||.
@@ -72,17 +72,7 @@ class DensityMatrix:
     matrix: np.ndarray
     dims: tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ParameterError(f"density matrix must be square, got {mat.shape}")
-        dims = tuple(self.dims) if self.dims else (mat.shape[0],)
-        if int(np.prod(dims)) != mat.shape[0]:
-            raise ParameterError(f"dims {dims} do not match matrix side {mat.shape[0]}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dims", dims)
+    __post_init__ = _freeze_matrix
 
     @property
     def dim(self) -> int:
@@ -170,8 +160,6 @@ def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
     herm_defect = np.linalg.norm(H.matrix - H.matrix.conj().T)
     if herm_defect > 1e-12 * max(1.0, H.norm()):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
-    if len(H.dims) != 3 or H.dims[2] != 2:
-        raise ParameterError(f"expected composite dims (photon, phonon, qubit), got {H.dims}")
     a, b, sm = _bare_ops(TruncationConfig.from_dims(H.dims))
     collapse = []
     for rate, op in ((p.kappa_a, a), (p.kappa_b, b), (p.gamma, sm)):
@@ -204,17 +192,16 @@ def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
     return n_zero, np.asarray(vals)
 
 
-def _sum_jump_orders(L: Liouvillian, check_unique: bool
-                     ) -> tuple[Optional[np.ndarray], int, float, str]:
+def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str]:
     """Steady state of L summed over quantum-jump orders.
 
     In the eigenbasis H_eff = V diag(lam) V^-1 the sweep rho <- -S^-1 J[rho]
     reads Y <- -(sum_k K_k Y K_k') / D with K_k = sqrt(kappa_k) V^-1 J_k V,
     D_ij = -i(lam_i - conj(lam_j)) and rho = V Y V'.  Each sweep is
-    hermitised and trace-normalised.  With ``check_unique`` a second start,
-    diag(1, ..., d), runs beside I/d: a degenerate null space makes the two
-    limits differ.  A defect correction follows the sweeps.  Returns (rho or
-    None, sweeps, last contraction ratio, reason for None).
+    hermitised and trace-normalised.  A second start, diag(1, ..., d), runs
+    beside I/d: a degenerate null space makes the two limits differ.  A
+    defect correction follows the sweeps.  Returns (rho or None, sweeps,
+    last contraction ratio, reason for None).
     """
     jumps = [(rate, op.matrix) for rate, op in L.collapse_ops if rate > 0]
     H_eff = _effective_hamiltonian(L.hamiltonian, L.collapse_ops)
@@ -239,8 +226,8 @@ def _sum_jump_orders(L: Liouvillian, check_unique: bool
         return np.einsum("ij,nji->n", gram, Y)[:, None, None]
 
     d = L.dim
-    starts = [np.eye(d)] + ([np.diag(np.arange(1.0, d + 1))] if check_unique else [])
-    Y = V_inv @ np.array(starts, dtype=complex) @ V_inv.conj().T
+    starts = np.array([np.eye(d), np.diag(np.arange(1.0, d + 1))], dtype=complex)
+    Y = V_inv @ starts @ V_inv.conj().T
     change, ratio = np.inf, np.nan
     for sweep in range(1, MAX_SWEEPS + 1):
         new = one_jump(Y)
@@ -291,7 +278,7 @@ def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, fl
     return DensityMatrix(mat, L.dims), float(residual)
 
 
-def _lu_steady_state(L: Liouvillian, check_unique: bool) -> tuple[DensityMatrix, float]:
+def _lu_steady_state(L: Liouvillian) -> tuple[DensityMatrix, float]:
     """Sparse LU of L with its first row replaced by the trace constraint.
 
     Two steps of iterative refinement with the same factor give the
@@ -320,7 +307,7 @@ def _lu_steady_state(L: Liouvillian, check_unique: bool) -> tuple[DensityMatrix,
             result = _accept(L, x.reshape(d, d))
         except RuntimeError:
             suspicious = True
-    if result is None or (suspicious and check_unique):
+    if result is None or suspicious:
         n_zero, _ = _count_zero_modes(L)
         if n_zero >= 2:
             raise NonUniqueSteadyStateError(
@@ -334,23 +321,23 @@ def _lu_steady_state(L: Liouvillian, check_unique: bool) -> tuple[DensityMatrix,
     return result
 
 
-def steady_state(L: Liouvillian, check_unique: bool = True) -> DensityMatrix:
+def steady_state(L: Liouvillian) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr rho = 1.
 
     Sums quantum-jump orders (see the module docstring) and falls back to
     the sparse LU when that is unsafe.  Either result must pass the
-    residual check against the assembled L and be positive.  With
-    ``check_unique`` a degenerate null space raises
-    :class:`NonUniqueSteadyStateError` instead of returning one of many
-    steady states.  One debug line on this module's logger names the path
-    taken, the sweeps, the last contraction ratio and the relative residual.
+    residual check against the assembled L and be positive.  A degenerate
+    null space raises :class:`NonUniqueSteadyStateError` instead of
+    returning one of many steady states.  One debug line on this module's
+    logger names the path taken, the sweeps, the last contraction ratio and
+    the relative residual.
     """
-    mat, sweeps, ratio, reason = _sum_jump_orders(L, check_unique)
+    mat, sweeps, ratio, reason = _sum_jump_orders(L)
     result = _accept(L, mat) if mat is not None else None
     path = "jump-free"
     if result is None:
         path = f"LU ({reason or 'jump-free residual check failed'})"
-        result = _lu_steady_state(L, check_unique)
+        result = _lu_steady_state(L)
     rho, residual = result
     mineig = rho.min_eigenvalue()
     if mineig < -1e-10:

@@ -1,8 +1,9 @@
 """Named operating points, parameter sweeps, and analysis pipelines.
 
-The three shipped presets drive either the photon mode (A1) or the phonon
-mode (A2, A3); each documented operating point on top of them is encoded
-once as a named override bundle so numbers are defined in a single
+The three shipped presets drive either the photon mode (A1, ``eta_a``) or
+the phonon mode (A2 and A3, ``eta_b``); the Hamiltonian follows whichever
+drive is nonzero.  Each documented operating point on top of them is
+encoded once as a named override bundle so numbers are defined in a single
 place.  Absolute mode frequencies (units of gamma) are recorded per
 preset for the lab-frame spectrum diagnostics; rotating-frame solvers
 depend only on the detunings.
@@ -20,7 +21,7 @@ import numpy as np
 from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
                            sign_pattern)
 from .errors import ParameterError, PolaritonError
-from .hilbert import TruncationConfig
+from .hilbert import QOperator, TruncationConfig
 from .lindblad import build_liouvillian, steady_state
 from .model import (SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
@@ -34,11 +35,10 @@ DEFAULT_ORDERS = (2, 3, 4)
 
 @dataclass(frozen=True)
 class Preset:
-    """A named drive configuration with its absolute mode frequencies."""
+    """A named parameter set with its absolute mode frequencies."""
 
     name: str
     params: SystemParams
-    driven_mode: str  # 'SMR' | 'QD'
     frequencies: tuple[float, float, float]  # (omega_smr, omega_m, omega_q), units of gamma
 
 
@@ -47,21 +47,18 @@ PRESETS: dict[str, Preset] = {
         name="A1",
         params=SystemParams(delta_a=-3.0, delta_b=3.0, delta_q=-6.0, f=5.0,
                             eta_a=0.7, eta_b=0.0, kappa_a=1.5, kappa_b=6.0),
-        driven_mode="SMR",
         frequencies=(1554.0, 1560.0, 1551.0),
     ),
     "A2": Preset(
         name="A2",
         params=SystemParams(delta_a=5.0, delta_b=-5.0, delta_q=3.0, f=7.0,
                             eta_a=0.0, eta_b=0.5, kappa_a=7.5, kappa_b=6.0),
-        driven_mode="QD",
         frequencies=(1570.0, 1560.0, 1568.0),
     ),
     "A3": Preset(
         name="A3",
         params=SystemParams(delta_a=4.0, delta_b=-4.0, delta_q=7.0, f=6.4,
                             eta_a=0.0, eta_b=0.22, kappa_a=3.5, kappa_b=0.002),
-        driven_mode="QD",
         frequencies=(1568.0, 1560.0, 1571.0),
     ),
 }
@@ -96,12 +93,20 @@ def preset_params(name: str, **overrides) -> SystemParams:
     return PRESETS[name].params.with_(**overrides)
 
 
-def bundle_params(bundle: str) -> tuple[SystemParams, str]:
-    """Resolved parameters and driven mode of a named override bundle."""
+def bundle_params(bundle: str) -> SystemParams:
+    """Resolved parameters of a named override bundle."""
     if bundle not in OVERRIDE_BUNDLES:
         raise ParameterError(f"unknown bundle {bundle!r}; available: {sorted(OVERRIDE_BUNDLES)}")
     preset, overrides = OVERRIDE_BUNDLES[bundle]
-    return preset_params(preset, **overrides), PRESETS[preset].driven_mode
+    return preset_params(preset, **overrides)
+
+
+def resolve_params(preset: Optional[str], params: Optional[SystemParams],
+                   overrides: dict) -> SystemParams:
+    """Parameters of a preset, or else of explicit params, with overrides applied."""
+    if preset is not None:
+        return preset_params(preset, **overrides)
+    return params.with_(**overrides)
 
 
 @dataclass(frozen=True)
@@ -145,14 +150,7 @@ class SweepSpec:
             raise ParameterError("cannot sweep eta_b while the preset drives the photon mode")
 
     def base_params(self) -> SystemParams:
-        if self.preset is not None:
-            return preset_params(self.preset, **self.overrides)
-        return self.params.with_(**self.overrides) if self.overrides else self.params
-
-    def driven_mode(self) -> str:
-        if self.preset is not None:
-            return PRESETS[self.preset].driven_mode
-        return "SMR" if self.base_params().eta_a != 0.0 else "QD"
+        return resolve_params(self.preset, self.params, self.overrides)
 
     def grid(self) -> np.ndarray:
         if self.values is not None:
@@ -177,27 +175,28 @@ class SweepSpec:
                              "use the spectrum pipeline for omega_m sweeps")
 
 
-def build_hamiltonian(p: SystemParams, cfg: TruncationConfig, driven_mode: str):
-    if driven_mode == "SMR":
+def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> QOperator:
+    """Rotating-frame Hamiltonian with the photon mode driven when eta_a is
+    nonzero and the phonon mode driven otherwise; driving both is rejected."""
+    if p.eta_a != 0.0 and p.eta_b != 0.0:
+        raise ParameterError(
+            f"drive one mode only: eta_a = {p.eta_a} and eta_b = {p.eta_b} are both nonzero")
+    if p.eta_a != 0.0:
         return hamiltonian_smr_driven(p, cfg)
-    if driven_mode == "QD":
-        return hamiltonian_qd_driven(p, cfg)
-    raise ParameterError(f"driven_mode must be 'SMR' or 'QD', got {driven_mode!r}")
+    return hamiltonian_qd_driven(p, cfg)
 
 
-def solve_point(p: SystemParams, cfg: TruncationConfig, driven_mode: str,
-                check_unique: bool = True):
+def solve_point(p: SystemParams, cfg: TruncationConfig):
     """Steady state and Liouvillian for one operating point."""
-    H = build_hamiltonian(p, cfg, driven_mode)
-    L = build_liouvillian(H, p)
-    return steady_state(L, check_unique=check_unique), L
+    L = build_liouvillian(build_hamiltonian(p, cfg), p)
+    return steady_state(L), L
 
 
 def _sweep_point(args) -> dict:
-    x, p, cfg, driven, modes, orders = args
+    x, p, cfg, modes, orders = args
     row: dict = {"sweep_var": x, "error": ""}
     try:
-        rho, _ = solve_point(p, cfg, driven)
+        rho, _ = solve_point(p, cfg)
     except PolaritonError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
@@ -307,6 +306,12 @@ class SweepResult:
         return {r["case"] for r in self.rows if r.get("case") is not None}
 
 
+def _work_items(spec: SweepSpec) -> list[tuple]:
+    """One (x, params, truncation, modes, orders) task per grid point."""
+    return [(float(x), spec.point_params(float(x)), spec.truncation, spec.modes, spec.orders)
+            for x in spec.grid()]
+
+
 def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> SweepResult:
     """Steady-state correlation quantities along a parameter grid.
 
@@ -314,17 +319,14 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> SweepResult:
     row's ``error`` field and do not abort the sweep.  Rows are computed
     independently, so the table is invariant under grid reordering.
     """
-    cfg, driven = spec.truncation, spec.driven_mode()
-    work = [(float(x), spec.point_params(float(x)), cfg, driven, spec.modes, spec.orders)
-            for x in spec.grid()]
-    rows = _map_points(_sweep_point, work, threads)
+    rows = _map_points(_sweep_point, _work_items(spec), threads)
     rows.sort(key=lambda r: r["sweep_var"])
     return SweepResult(spec, rows)
 
 
 def _oracle_point(args) -> dict:
-    x, p, cfg, driven, modes, orders = args
-    row = _sweep_point((x, p, cfg, driven, ("a", "b", "c"), (2,)))
+    x, p, cfg, _, _ = args
+    row = _sweep_point((x, p, cfg, ("a", "b", "c"), (2,)))
     for key in ("g2_a", "g2_b", "g2_c"):
         if key in row:
             row["me_" + key] = row.pop(key)
@@ -340,18 +342,36 @@ def _oracle_point(args) -> dict:
     return row
 
 
-def _local_extrema(xs: np.ndarray, ys: np.ndarray) -> tuple[list, list]:
+def _extrema(xs: np.ndarray, ys: np.ndarray) -> dict:
+    """Global and local extremum locations of a sampled curve (NaN = missing).
+
+    Values rank as the CSV prints them, at 12 significant digits; ties go
+    to the smaller |x|, then the smaller x.  Mirror-image twins that differ
+    only in their last bits thus rank the same way on every build.
+    """
+    points = [(float(x), float(y)) for x, y in zip(xs, ys)]
+    finite = [t for t in points if np.isfinite(t[1])]
+    if not finite:
+        return {}
+
+    def lowest(t):
+        return float(f"{t[1]:.11e}"), abs(t[0]), t[0]
+
+    def highest(t):
+        return -float(f"{t[1]:.11e}"), abs(t[0]), t[0]
+
     minima, maxima = [], []
     for i in range(1, len(ys) - 1):
         if np.isnan(ys[i - 1]) or np.isnan(ys[i]) or np.isnan(ys[i + 1]):
             continue
         if ys[i] < ys[i - 1] and ys[i] < ys[i + 1]:
-            minima.append((float(xs[i]), float(ys[i])))
+            minima.append(points[i])
         elif ys[i] > ys[i - 1] and ys[i] > ys[i + 1]:
-            maxima.append((float(xs[i]), float(ys[i])))
-    minima.sort(key=lambda t: t[1])
-    maxima.sort(key=lambda t: -t[1])
-    return minima, maxima
+            maxima.append(points[i])
+    return {"global_min_at": min(finite, key=lowest)[0],
+            "global_max_at": min(finite, key=highest)[0],
+            "local_minima": sorted(minima, key=lowest),
+            "local_maxima": sorted(maxima, key=highest)}
 
 
 @dataclass
@@ -368,10 +388,7 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
     summary locates the extrema of each mode's curve for both methods
     (grid-resolution locations, deepest/highest first).
     """
-    cfg, driven = spec.truncation, spec.driven_mode()
-    work = [(float(x), spec.point_params(float(x)), cfg, driven, spec.modes, spec.orders)
-            for x in spec.grid()]
-    rows = _map_points(_oracle_point, work, threads)
+    rows = _map_points(_oracle_point, _work_items(spec), threads)
     rows.sort(key=lambda r: r["sweep_var"])
     xs = np.array([r["sweep_var"] for r in rows])
     summary: dict = {"grid_step": float(xs[1] - xs[0]) if len(xs) > 1 else 0.0}
@@ -381,19 +398,12 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
             key = f"{method}_g2_{mode}"
             ys = np.array([r.get(key, np.nan) if not r.get(err_key) else np.nan for r in rows],
                           dtype=float)
-            entry: dict = {}
-            if np.any(np.isfinite(ys)):
-                entry["global_min_at"] = float(xs[np.nanargmin(ys)])
-                entry["global_max_at"] = float(xs[np.nanargmax(ys)])
-                minima, maxima = _local_extrema(xs, ys)
-                entry["local_minima"] = minima
-                entry["local_maxima"] = maxima
-            summary[key] = entry
+            summary[key] = _extrema(xs, ys)
     return OracleComparison(spec, rows, summary)
 
 
-def g2tau_point(p: SystemParams, cfg: TruncationConfig, driven_mode: str,
-                tau_grid: Sequence[float], modes: Sequence[str] = ("a", "b", "c"),
+def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float],
+                modes: Sequence[str] = ("a", "b", "c"),
                 tau_unit: str = "inv_gamma") -> dict[str, dict]:
     """Delay-time curves and dynamics labels for one operating point.
 
@@ -403,7 +413,7 @@ def g2tau_point(p: SystemParams, cfg: TruncationConfig, driven_mode: str,
     out: dict[str, dict] = {}
     restore_blas_threads = _cap_blas_threads()
     try:
-        rho, L = solve_point(p, cfg, driven_mode)
+        rho, L = solve_point(p, cfg)
         for mode in modes:
             curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
             try:

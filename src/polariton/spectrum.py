@@ -41,12 +41,6 @@ class ResonanceDistances:
     d3: float
 
 
-def _cfg_of(H: QOperator) -> TruncationConfig:
-    if len(H.dims) != 3 or H.dims[2] != 2:
-        raise ParameterError(f"expected composite dims (photon, phonon, qubit), got {H.dims}")
-    return TruncationConfig.from_dims(H.dims)
-
-
 def manifold_spectrum(H: QOperator, n: int, with_vectors: bool = False) -> ManifoldSpectrum:
     """Eigenvalues of H restricted to the n-polariton manifold, ascending.
 
@@ -55,7 +49,7 @@ def manifold_spectrum(H: QOperator, n: int, with_vectors: bool = False) -> Manif
     eigenvalues keep the deterministic LAPACK ascending order, with basis
     states enumerated by canonical index.
     """
-    cfg = _cfg_of(H)
+    cfg = TruncationConfig.from_dims(H.dims)
     excitations = np.array([lab.excitations for lab in cfg.labels()])
     mask = excitations[:, None] != excitations[None, :]
     off_block = np.abs(H.matrix[mask])

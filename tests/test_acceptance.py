@@ -104,7 +104,7 @@ def test_criterion_4_oracle_agreement():
     if not (abs(me_neg - or_neg) <= tol and abs(me_pos - or_pos) <= tol):
         problems.append("g2_b minima of the two methods disagree")
     # the closed-form weak-drive amplitudes fix the dip location off the grid
-    p, _ = bundle_params("oracle-comparison")
+    p = bundle_params("oracle-comparison")
     dip_neg = closed_form_g2_b_dip(p, spec.start, 0.0)
     dip_pos = closed_form_g2_b_dip(p, 0.0, spec.stop)
     quoted = 1.2 * p.g
@@ -137,7 +137,7 @@ def test_criterion_5_dynamics_cases():
     outcomes = {}
     for ratio, expected in ((3.0, "I"), (2.1, "II"), (3.8, "III"), (2.2, "IV")):
         p = p3.with_(g=ratio * p3.kappa_a)
-        rho, L = solve_point(p, CUTOFF5, "QD")
+        rho, L = solve_point(p, CUTOFF5)
         curve = g2_tau(rho, L, "b", grid)
         label = classify_dynamics(curve, p)
         outcomes[ratio] = (label.case, expected)
@@ -149,8 +149,8 @@ def test_criterion_5_dynamics_cases():
 
 
 def test_criterion_6_oscillation_period():
-    p, driven = bundle_params("weak-coupling-oscillation")
-    rho, L = solve_point(p, CUTOFF5, driven)
+    p = bundle_params("weak-coupling-oscillation")
+    rho, L = solve_point(p, CUTOFF5)
     grid = np.linspace(0.0, 6.0, 1201)
     curve = g2_tau(rho, L, "c", grid)
     period = dominant_period(grid, curve.values)
@@ -216,8 +216,7 @@ def test_criterion_7_property_suite():
     # regression-theorem zero-delay consistency on all presets and modes
     for preset, g in (("A1", 7.5), ("A2", 4.5), ("A3", 9.5)):
         p = preset_params(preset, g=g)
-        driven = "SMR" if p.eta_a else "QD"
-        rho, L = solve_point(p, CUTOFF5, driven)
+        rho, L = solve_point(p, CUTOFF5)
         for mode in ("a", "b", "c", "d"):
             curve = g2_tau(rho, L, mode, [0.0, 0.02, 0.05])
             ref = g_k_zero(rho, mode, 2).value
@@ -251,9 +250,8 @@ def test_criterion_7_property_suite():
     worst = 0.0
     for preset, g in (("A1", 7.5), ("A2", 4.5), ("A3", 9.5)):
         p = preset_params(preset, g=g)
-        driven = "SMR" if p.eta_a else "QD"
-        rho5, _ = solve_point(p, CUTOFF5, driven)
-        rho7, _ = solve_point(p, cfg7, driven)
+        rho5, _ = solve_point(p, CUTOFF5)
+        rho7, _ = solve_point(p, cfg7)
         for mode in ("a", "b", "c"):
             v5 = g_k_zero(rho5, mode, 2).value
             v7 = g_k_zero(rho7, mode, 2).value

@@ -86,6 +86,54 @@ output: {{directory: {tmp_path / 'out2'}, basename: dead}}
     assert main(["g2sweep", "--config", cfg]) == 2
 
 
+G_CFG = """
+truncation: {{n_a_max: 3, n_b_max: 3}}
+sweep: {{variable: g, values: [4.5]}}
+orders: [2, 3]
+output: {{directory: {out}, basename: drive}}
+"""
+
+
+def test_g2sweep_drives_the_photon_mode_of_a2(tmp_path):
+    cfg = write(tmp_path / "cfg.yaml", G_CFG.format(out=tmp_path / "out"))
+    assert main(["g2sweep", "--config", cfg, "--preset", "A2",
+                 "--override", "eta_a=0.5", "--override", "eta_b=0"]) == 0
+    lines = (tmp_path / "out" / "drive.csv").read_text().strip().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    p = preset_params("A2", g=4.5, eta_a=0.5, eta_b=0.0)
+    rho, _ = solve_point(p, TruncationConfig(3, 3))
+    assert row["g2_a"] == f"{g_k_zero(rho, 'a').value:.11e}"
+    assert row["error"] == ""
+
+
+def test_g2sweep_rejects_two_drives_at_every_point(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.yaml", G_CFG.format(out=tmp_path / "out"))
+    assert main(["g2sweep", "--config", cfg, "--preset", "A1",
+                 "--override", "eta_b=0.3"]) == 2
+    assert "ParameterError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_g2tau_point_driving_the_photon_mode_of_a2(tmp_path):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", f"""
+preset: A2
+overrides: {{g: 4.5}}
+truncation: {{n_a_max: 3, n_b_max: 3}}
+points: [{{eta_a: 0.5, eta_b: 0.0}}]
+tau: {{stop: 0.2, count: 21}}
+output: {{directory: {out}, basename: tau}}
+""")
+    assert main(["g2tau", "--config", cfg]) == 0
+    summary = json.loads((out / "tau.summary.json").read_text())
+    assert summary["warnings"] == []
+    lines = (out / "tau_p0.csv").read_text().strip().splitlines()
+    first = dict(zip(lines[0].split(","), lines[1].split(",")))
+    rho, _ = solve_point(preset_params("A2", g=4.5, eta_a=0.5, eta_b=0.0),
+                         TruncationConfig(3, 3))
+    assert float(first["g2_a"]) == pytest.approx(g_k_zero(rho, "a").value, rel=1e-10)
+
+
 def test_g2tau_first_value_matches_g2_zero(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", f"""
@@ -101,7 +149,7 @@ output: {{directory: {out}, basename: tau}}
     lines = (out / "tau_p0.csv").read_text().strip().splitlines()
     assert lines[0] == "tau,g2_a,g2_b,g2_c"
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
-    rho, _ = solve_point(preset_params("A2", g=4.5), TruncationConfig(3, 3), "QD")
+    rho, _ = solve_point(preset_params("A2", g=4.5), TruncationConfig(3, 3))
     assert float(first["tau"]) == 0.0
     for mode in ("a", "b", "c"):
         assert float(first[f"g2_{mode}"]) == pytest.approx(

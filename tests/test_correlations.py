@@ -66,7 +66,7 @@ def test_coherent_state_poissonian():
 def test_g2_tau_zero_delay_consistency_and_long_time_factorisation():
     p = preset_params("A2", g=4.5)
     cfg = TruncationConfig(3, 3)
-    rho, L = solve_point(p, cfg, "QD")
+    rho, L = solve_point(p, cfg)
     grid = np.linspace(0.0, 20.0, 41)
     for mode in ("a", "b", "c", "d"):
         curve = g2_tau(rho, L, mode, grid)
@@ -77,14 +77,14 @@ def test_g2_tau_zero_delay_consistency_and_long_time_factorisation():
 
 def test_g2_tau_grid_must_start_at_zero():
     p = preset_params("A2", g=4.5)
-    rho, L = solve_point(p, CFG, "QD")
+    rho, L = solve_point(p, CFG)
     with pytest.raises(InsufficientDataError):
         g2_tau(rho, L, "b", [0.1, 0.2])
 
 
 def test_g2_tau_vacuum_undefined():
     p = SystemParams(kappa_a=1.0, kappa_b=1.0, gamma=1.0)
-    rho, L = solve_point(p, CFG, "QD", check_unique=True)
+    rho, L = solve_point(p, CFG)
     with pytest.raises(UndefinedCorrelationError):
         g2_tau(rho, L, "a", [0.0, 0.1])
 
@@ -213,7 +213,7 @@ def test_exchange_symmetry_against_mirrored_construction():
     cfg = TruncationConfig(3, 3)
     p = SystemParams(delta_a=1.0, delta_b=-2.0, delta_q=0.7, g=1.8, f=2.5,
                      eta_b=0.4, kappa_a=2.0, kappa_b=1.2, gamma=1.0)
-    rho, _ = solve_point(p, cfg, "QD")
+    rho, _ = solve_point(p, cfg)
 
     a = embed(annihilation(4), "photon", cfg)
     b = embed(annihilation(4), "phonon", cfg)

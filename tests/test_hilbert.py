@@ -120,3 +120,20 @@ def test_qoperator_dims_checks_and_immutability():
         QOperator(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         QOperator(np.zeros((4, 4)), (3,))
+
+
+def test_non_composite_dims_raise_dimension_error():
+    from polariton import (DensityMatrix, SystemParams, build_liouvillian, g_k_zero,
+                           manifold_spectrum)
+    flat = np.eye(72) / 72  # the side of cutoff (5, 5), but dims (72,)
+    with pytest.raises(DimensionError):
+        g_k_zero(DensityMatrix(flat), "a")
+    with pytest.raises(DimensionError):
+        build_liouvillian(QOperator(flat), SystemParams(kappa_a=1.0))
+    with pytest.raises(DimensionError):
+        manifold_spectrum(QOperator(flat), 1)
+    with pytest.raises(DimensionError):
+        TruncationConfig.from_dims((6, 6, 3))
+    assert TruncationConfig.from_dims((6, 4, 2)) == TruncationConfig(5, 3)
+    with pytest.raises(DimensionError):
+        DensityMatrix(np.ones((2, 3)))  # one shape check for operators and states

@@ -11,6 +11,7 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
                        hybrid_mode_operator, preset_params, steady_state)
 from polariton.lindblad import Liouvillian, _lu_steady_state, _sum_jump_orders
+from polariton.scenarios import build_hamiltonian
 from helpers import kron_liouvillian, random_composite_density, random_params
 
 CFG = TruncationConfig(2, 2)
@@ -60,16 +61,15 @@ def test_negative_rate_rejected():
 
 LIOUVILLIAN_CASES = {
     **{bundle: bundle_params(bundle) for bundle in OVERRIDE_BUNDLES},
-    "gamma=0": (preset_params("A2", g=4.5).with_(gamma=0.0), "QD"),
-    "kappa_a=0": (preset_params("A1", g=7.5).with_(kappa_a=0.0), "SMR"),
+    "gamma=0": preset_params("A2", g=4.5).with_(gamma=0.0),
+    "kappa_a=0": preset_params("A1", g=7.5).with_(kappa_a=0.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIOUVILLIAN_CASES))
 def test_liouvillian_matches_kron_reference(case):
-    p, driven = LIOUVILLIAN_CASES[case]
-    builder = hamiltonian_smr_driven if driven == "SMR" else hamiltonian_qd_driven
-    H = builder(p, TruncationConfig(3, 3))
+    p = LIOUVILLIAN_CASES[case]
+    H = build_hamiltonian(p, TruncationConfig(3, 3))
     L = build_liouvillian(H, p)
     ref = kron_liouvillian(H, p)
     assert L.matrix.nnz == ref.nnz
@@ -97,12 +97,12 @@ def test_undriven_steady_state_is_ground(caplog):
 
 @pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
 def test_jump_free_path_matches_lu(bundle, caplog):
-    p, driven = bundle_params(bundle)
-    L = make_L(p, TruncationConfig(3, 3), "a" if driven == "SMR" else "b")
+    p = bundle_params(bundle)
+    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         rho = steady_state(L)
     assert "via jump-free" in caplog.text
-    lu, _ = _lu_steady_state(L, check_unique=True)
+    lu, _ = _lu_steady_state(L)
     assert np.linalg.norm(rho.matrix - lu.matrix) <= 1e-10 * np.linalg.norm(lu.matrix)
     for mode in "abcd":
         assert g_k_zero(rho, mode, 2).value == pytest.approx(
@@ -142,10 +142,10 @@ def test_jump_free_resolves_four_boson_moments():
 def test_lu_fallback_resolves_four_boson_moments():
     # a single complex LU leaves g^(k) off by up to 3e-7 relative here;
     # iterative refinement with the same factor removes that error
-    p, _ = bundle_params("hybrid-blockade-gsweep")
+    p = bundle_params("hybrid-blockade-gsweep")
     L = make_L(p, TruncationConfig(4, 4), driven="b")
     rho = steady_state(L)
-    lu, _ = _lu_steady_state(L, check_unique=True)
+    lu, _ = _lu_steady_state(L)
     for mode in "abcd":
         for k in (2, 3, 4):
             assert g_k_zero(lu, mode, k).value == pytest.approx(
@@ -181,7 +181,7 @@ def test_degenerate_steady_state_detected(capfd):
     p = SystemParams(delta_a=1.0, delta_b=2.0, g=0.0, f=1.0,
                      kappa_a=1.0, kappa_b=1.0, gamma=0.0)
     L = make_L(p)
-    assert _sum_jump_orders(L, check_unique=True)[3] == "undamped pair of H_eff eigenstates"
+    assert _sum_jump_orders(L)[3] == "undamped pair of H_eff eigenstates"
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(L)
     assert "illegal value" not in capfd.readouterr().out
@@ -194,7 +194,7 @@ def test_driven_degenerate_steady_state_detected():
     p = SystemParams(delta_a=1.0, delta_b=2.0, g=0.0, f=1.0, eta_a=0.5,
                      kappa_a=1.0, kappa_b=1.0, gamma=0.0)
     L = make_L(p)
-    assert _sum_jump_orders(L, check_unique=True)[3] == "starts reach different steady states"
+    assert _sum_jump_orders(L)[3] == "starts reach different steady states"
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(L)
 
@@ -261,10 +261,8 @@ def test_trace_preservation_and_positivity_over_horizon():
 
 @pytest.mark.parametrize("preset_name,g", [("A1", 7.5), ("A2", 4.5)])
 def test_steady_state_equals_long_time_evolution(preset_name, g):
-    from polariton import preset_params, PRESETS
     p = preset_params(preset_name, g=g)
-    driven = "a" if PRESETS[preset_name].driven_mode == "SMR" else "b"
-    L = make_L(p, driven=driven)
+    L = build_liouvillian(build_hamiltonian(p, CFG), p)
     rho_ss = steady_state(L)
     horizon = 20.0 / min(p.kappa_a, p.kappa_b, p.gamma)
     rho0 = density_from_label(0, 0, "g")

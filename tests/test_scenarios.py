@@ -5,10 +5,12 @@ import pytest
 
 from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
                        SystemParams, TruncationConfig, bundle_params,
-                       compare_oracle, g_k_zero, preset_params, run_sweep,
+                       compare_oracle, g_k_zero, hamiltonian_qd_driven,
+                       hamiltonian_smr_driven, preset_params, run_sweep,
                        solve_point)
 from polariton import scenarios
-from polariton.scenarios import _cap_blas_threads, _openblas_thread_controls, g2tau_point
+from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
+                                 build_hamiltonian, g2tau_point)
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -18,11 +20,9 @@ def test_preset_values():
     assert (a1.delta_a, a1.delta_b, a1.delta_q) == (-3.0, 3.0, -6.0)
     assert (a1.f, a1.eta_a, a1.eta_b) == (5.0, 0.7, 0.0)
     assert (a1.kappa_a, a1.kappa_b, a1.gamma) == (1.5, 6.0, 1.0)
-    assert PRESETS["A1"].driven_mode == "SMR"
     a2 = PRESETS["A2"].params
     assert (a2.delta_a, a2.delta_b, a2.delta_q) == (5.0, -5.0, 3.0)
     assert (a2.f, a2.eta_b, a2.kappa_a, a2.kappa_b) == (7.0, 0.5, 7.5, 6.0)
-    assert PRESETS["A2"].driven_mode == "QD"
     a3 = PRESETS["A3"].params
     assert (a3.delta_a, a3.delta_b, a3.delta_q) == (4.0, -4.0, 7.0)
     assert (a3.f, a3.eta_b, a3.kappa_a, a3.kappa_b) == (6.4, 0.22, 3.5, 0.002)
@@ -32,13 +32,23 @@ def test_preset_values():
 
 
 def test_bundles_resolve():
-    p, driven = bundle_params("oracle-comparison")
+    p = bundle_params("oracle-comparison")
     assert (p.g, p.kappa_a, p.kappa_b) == (4.5, 6.0, 6.0)
-    assert driven == "QD"
     for name in OVERRIDE_BUNDLES:
         bundle_params(name)
     with pytest.raises(ParameterError):
         bundle_params("nonexistent")
+
+
+def test_hamiltonian_follows_the_nonzero_drive():
+    photon = preset_params("A2", eta_a=0.5, eta_b=0.0)
+    assert np.array_equal(build_hamiltonian(photon, CFG3).matrix,
+                          hamiltonian_smr_driven(photon, CFG3).matrix)
+    for p in (preset_params("A2"), preset_params("A1", eta_a=0.0)):
+        assert np.array_equal(build_hamiltonian(p, CFG3).matrix,
+                              hamiltonian_qd_driven(p, CFG3).matrix)
+    with pytest.raises(ParameterError, match="eta_a"):
+        build_hamiltonian(preset_params("A1", eta_b=0.3), CFG3)
 
 
 def test_sweepspec_validation():
@@ -62,7 +72,7 @@ def test_single_point_sweep_matches_direct_calls():
     result = run_sweep(spec)
     assert len(result.rows) == 1
     row = result.rows[0]
-    rho, _ = solve_point(preset_params("A2", g=4.5), CFG3, "QD")
+    rho, _ = solve_point(preset_params("A2", g=4.5), CFG3)
     for mode in ("a", "b", "c"):
         assert row[f"g2_{mode}"] == g_k_zero(rho, mode, 2).value
     assert row["case"] == 7
@@ -195,10 +205,30 @@ def test_g2tau_point_runs_one_blas_thread(monkeypatch):
     try:
         for _, set_threads in controls:
             set_threads(2)
-        g2tau_point(preset_params("A2", g=4.5), TruncationConfig(2, 2), "QD", [0.0, 0.5],
+        g2tau_point(preset_params("A2", g=4.5), TruncationConfig(2, 2), [0.0, 0.5],
                     modes=("a", "b"))
         assert seen == [[1] * len(controls)] * 2
         assert _openblas_thread_counts() == [2] * len(controls)
     finally:
         for (_, set_threads), n in zip(controls, original):
             set_threads(n)
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0])
+def test_extrema_of_mirror_twins_do_not_depend_on_last_bits(direction):
+    # mirror-symmetric curve: twin minima at +/-1.1, twin maxima at +/-1.9
+    xs = np.arange(-30, 31) / 10
+    ys = np.cos(np.pi * xs) * np.exp(-(np.abs(xs) - 1.5) ** 2)
+    ys = 0.5 * (ys + ys[::-1])
+    exact = _extrema(xs, ys)
+    assert (exact["global_min_at"], exact["global_max_at"]) == (-1.1, -1.9)
+    assert [x for x, _ in exact["local_minima"][:2]] == [-1.1, 1.1]
+    assert [x for x, _ in exact["local_maxima"][:2]] == [-1.9, 1.9]
+    for i in np.flatnonzero(np.isin(np.abs(xs), (1.1, 1.9))):  # each twin, one ulp off
+        nudged = ys.copy()
+        nudged[i] = np.nextafter(ys[i], ys[i] + direction)
+        got = _extrema(xs, nudged)
+        assert got["global_min_at"] == exact["global_min_at"]
+        assert got["global_max_at"] == exact["global_max_at"]
+        for key in ("local_minima", "local_maxima"):
+            assert [x for x, _ in got[key]] == [x for x, _ in exact[key]]

@@ -189,7 +189,7 @@ def test_master_equation_converges_to_oracle_with_weak_drive():
     deviations = []
     for eta in (0.5, 0.25, 0.1):
         p = resonant(delta, 7.0, 4.5, 6.0, eta)
-        rho, _ = solve_point(p, cfg, "QD")
+        rho, _ = solve_point(p, cfg)
         me = g_k_zero(rho, "b", 2).value
         est = oracle_g2(steady_amplitudes(p)).g2_b
         deviations.append(abs(me - est))
