@@ -87,6 +87,11 @@ def _check_number(value, where: str) -> float:
     return float(value)
 
 
+def _check_count(value, where: str, minimum: int = 1):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+
+
 def load_config(path: Optional[str], command: str, cli_overrides: list[str],
                 preset: Optional[str]) -> dict:
     """Read, merge, and schema-validate a run configuration."""
@@ -153,10 +158,16 @@ def _validate(config: dict, command: str):
         _check_keys(config["sweep"], _SWEEP_KEYS, "sweep")
         if "variable" not in config["sweep"]:
             raise ConfigError("sweep.variable is required")
+        if "count" in config["sweep"]:
+            _check_count(config["sweep"]["count"], "sweep.count")
     elif command in ("g2sweep", "oracle-compare"):
         raise ConfigError(f"{command} requires a sweep section")
     if "tau" in config:
         _check_keys(config["tau"], _TAU_KEYS, "tau")
+        stop = _check_number(config["tau"].get("stop"), "tau.stop")
+        if not 0 < stop < np.inf:
+            raise ConfigError(f"tau.stop: expected a finite number > 0, got {stop!r}")
+        _check_count(config["tau"].get("count"), "tau.count", minimum=2)
     elif command == "g2tau":
         raise ConfigError("g2tau requires a tau section ({stop, count, unit})")
     if command == "g2tau" and not config.get("points"):
@@ -167,8 +178,11 @@ def _validate(config: dict, command: str):
         _check_keys(config["spectrum"], _SPECTRUM_KEYS, "spectrum")
         if config["spectrum"].get("kind") not in ("manifolds", "distances"):
             raise ConfigError("spectrum.kind must be 'manifolds' or 'distances'")
-        _check_keys(config["spectrum"].get("sweep", {}), {"start", "stop", "count"},
-                    "spectrum.sweep")
+        sweep = config["spectrum"].get("sweep", {})
+        _check_keys(sweep, {"start", "stop", "count"}, "spectrum.sweep")
+        for key in ("start", "stop"):
+            _check_number(sweep.get(key), f"spectrum.sweep.{key}")
+        _check_count(sweep.get("count"), "spectrum.sweep.count")
     elif command == "spectrum":
         raise ConfigError("spectrum requires a spectrum section")
     if "output" in config:
@@ -212,7 +226,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
         for key in ("start", "stop", "count"):
             if key not in s:
                 raise ConfigError(f"sweep.{key} is required when no explicit values are given")
-        kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=int(s["count"]))
+        kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=s["count"])
     try:
         return SweepSpec(**kwargs)
     except ParameterError as exc:
@@ -315,8 +329,7 @@ def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
     unit = tau_cfg.get("unit", "inv_gamma")
     if unit not in ("inv_gamma", "us"):
         raise ConfigError(f"tau.unit must be inv_gamma or us, got {unit!r}")
-    grid = np.linspace(0.0, _check_number(tau_cfg["stop"], "tau.stop"),
-                       int(tau_cfg["count"]))
+    grid = np.linspace(0.0, float(tau_cfg["stop"]), tau_cfg["count"])
     modes = tuple(config.get("modes", ("a", "b", "c")))
     cfg = _truncation(config)
     params = SystemParams(**config["params"]) if "params" in config else None
@@ -364,9 +377,7 @@ def _cmd_spectrum(config: dict, threads: Optional[int]) -> int:
     del threads
     s = config["spectrum"]
     sweep = s["sweep"]
-    grid = np.linspace(_check_number(sweep["start"], "spectrum.sweep.start"),
-                       _check_number(sweep["stop"], "spectrum.sweep.stop"),
-                       int(sweep["count"]))
+    grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), sweep["count"])
     g = _check_number(s.get("g", config.get("overrides", {}).get("g", 0.0)), "spectrum.g")
     writer = _OutputWriter(config, "spectrum")
     if s["kind"] == "manifolds":

@@ -8,7 +8,10 @@ cutoff-boundary commutations occur.
 
 Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
-Liouvillian and its occupation read out along the grid.
+Liouvillian and its occupation read out along the grid.  The dressed state
+is Hermitian, so it is propagated on its real form R = Re X + Im X (see
+:mod:`polariton.lindblad`), and the whole curve is one product c @ R(tau)
+with c = vec(Re n + Im n) for n = z'z.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import (ClassificationError, InsufficientDataError,
                      UndefinedCorrelationError)
 from .hilbert import QOperator, TruncationConfig
-from .lindblad import DensityMatrix, Liouvillian, _propagate
+from .lindblad import DensityMatrix, Liouvillian, _propagate, _real_form
 from .model import ModeSelector, SystemParams, hybrid_mode_operator, tau_to_us
 
 #: Mean occupations at or below this make g^(k) undefined (0/0 guard).
@@ -171,9 +174,9 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
     dressed = z @ rho_ss.matrix @ z.conj().T
     weight = float(np.trace(dressed).real)  # equals n_mean
     grid_internal = tau_grid if tau_unit == "inv_gamma" else tau_grid * (1.0 / tau_to_us(1.0))
-    mats = _propagate(dressed / weight, L, grid_internal)
-    values = np.array([float(np.einsum("ij,ji->", m, n_op).real) for m in mats])
-    values *= weight / n_mean**2
+    # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n)
+    c = _real_form(n_op).reshape(-1)
+    values = (c @ _propagate(dressed / weight, L, grid_internal)) * (weight / n_mean**2)
     return G2TauCurve(name, tau_grid, values, tau_unit)
 
 
@@ -305,7 +308,7 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     if k_min >= len(spectrum) - 1:
         raise InsufficientDataError("window too short for the requested minimum frequency")
     k = k_min + int(np.argmax(spectrum[k_min:]))
-    if 0 < k < len(spectrum) - 1:  # parabolic refinement on the log spectrum
+    if 0 < k < len(spectrum) - 1:  # parabolic refinement on the linear amplitude spectrum
         y0, y1, y2 = spectrum[k - 1], spectrum[k], spectrum[k + 1]
         denom = y0 - 2 * y1 + y2
         shift = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0

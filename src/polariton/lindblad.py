@@ -20,11 +20,18 @@ ill-conditioned eigenbasis, slow or no convergence, or a failed residual
 check) the solve falls back to a sparse LU of the vectorised Liouvillian
 with one row replaced by the trace constraint, refined twice with its own
 factor.
+
+Propagation integrates Hermitian states on their real form.  A Hermitian
+X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
+parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
+with a real d^2 x d^2 generator G built once per call from L.  DOP853 on
+vec R carries half the numbers of the complex vec X.
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -347,32 +354,67 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     return rho
 
 
-def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float]) -> list[np.ndarray]:
-    """Integrate dX/dt = L[X] from t=0, returning X at the grid times."""
+def _real_form(X: np.ndarray) -> np.ndarray:
+    """R = Re X + Im X: for Hermitian X its symmetric part is Re X and its
+    antisymmetric part Im X, so X = (R + R^T)/2 + i(R - R^T)/2."""
+    return X.real + X.imag
+
+
+def _real_generator(L: Liouvillian) -> sp.csr_matrix:
+    """The real d^2 x d^2 generator G of the real form, dR/dt = G R.
+
+    With vec X = A vec R for A = (I + P)/2 + i(I - P)/2 and P the
+    transposition of row-major vec, G = Re(L A) + Im(L A) = Re L + (Im L) P.
+    """
+    d = L.dim
+    M = L.matrix.tocoo()
+    swap = np.arange(d * d).reshape(d, d).T.ravel()
+    G = sp.csr_matrix((np.concatenate([M.data.real, M.data.imag]),
+                       (np.concatenate([M.row, M.row]), np.concatenate([M.col, swap[M.col]]))),
+                      shape=M.shape)
+    G.eliminate_zeros()
+    return G
+
+
+def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float]) -> np.ndarray:
+    """Integrate dX/dt = L[X] from t=0 for a Hermitian X on its real form.
+
+    Returns the (d^2, len(t_grid)) trajectory of vec R, R = Re X + Im X
+    (see :func:`_real_form`).  One debug line on this module's logger gives
+    the nonzeros of the real generator, the sample count, the right-hand
+    side calls and the wall time.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise IntegrationError("t_grid must be a non-empty 1-d sequence")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise IntegrationError("t_grid must be increasing and start at t >= 0")
-    d = L.dim
-    y0 = np.asarray(mat0, dtype=complex).reshape(-1)
+    mat0 = np.asarray(mat0, dtype=complex)
+    defect = np.abs(mat0 - mat0.conj().T).max()
+    if defect > 1e-12 * np.abs(mat0).max():
+        raise IntegrationError(f"start state is not Hermitian (defect {defect:.2e})")
+    y0 = _real_form(mat0).reshape(-1)
     if t_grid[-1] == 0.0:
-        return [y0.reshape(d, d)]
-    Lm = L.matrix
-    sol = solve_ivp(lambda t, y: Lm @ y, (0.0, float(t_grid[-1])), y0,
+        return y0[:, None]
+    start = time.perf_counter()
+    G = _real_generator(L)
+    sol = solve_ivp(lambda t, y: G @ y, (0.0, float(t_grid[-1])), y0,
                     t_eval=t_grid, method="DOP853", rtol=1e-9, atol=1e-12)
     if not sol.success:
         raise IntegrationError(f"master-equation propagation failed: {sol.message}")
-    return [sol.y[:, k].reshape(d, d) for k in range(sol.y.shape[1])]
+    _log.debug("propagated %d samples on the real form: G nnz %d, %d right-hand side calls, "
+               "%.3f s", t_grid.size, G.nnz, sol.nfev, time.perf_counter() - start)
+    return sol.y
 
 
 def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid: Sequence[float]) -> list[DensityMatrix]:
     """Propagate a state under the master equation and sample it on a grid.
 
-    Outputs are hermitised but deliberately not re-normalised, so trace
-    drift measures integration accuracy.
+    The start state must be Hermitian (:class:`IntegrationError` otherwise);
+    the outputs are Hermitian by construction and deliberately not
+    re-normalised, so trace drift measures integration accuracy.
     """
     if rho0.dim != L.dim:
         raise ParameterError(f"state dim {rho0.dim} does not match Liouvillian dim {L.dim}")
-    mats = _propagate(rho0.matrix, L, t_grid)
-    return [DensityMatrix(0.5 * (m + m.conj().T), L.dims) for m in mats]
+    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, L.dim, L.dim)
+    return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.dims) for R in Rs]

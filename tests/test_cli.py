@@ -235,3 +235,25 @@ output: {{directory: {out}, basename: gp, gnuplot: true}}
     dat = (out / "gp.dat").read_text().splitlines()
     assert dat[0].startswith("# sweep_var")
     assert len(dat) == 3
+
+
+G2TAU_BASE = "preset: A3\npoints: [{g: 10.5}]\ntruncation: {n_a_max: 2, n_b_max: 2}\n"
+SPECTRUM_BASE = "preset: A1\nspectrum: {kind: distances, g: 7.5, sweep: "
+
+
+@pytest.mark.parametrize("command,body", [
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: x}"),
+    ("g2tau", G2TAU_BASE + "tau: {count: 4}"),
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 2.7}"),
+    ("g2tau", G2TAU_BASE + "tau: {stop: -0.3, count: 4}"),
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 0}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, start: 0.2, stop: 1.0, count: x}"),
+    ("spectrum", SPECTRUM_BASE + "{start: -1.0, stop: 1.0, count: x}}"),
+], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
+        "sweep.count=x", "spectrum.sweep.count=x"])
+def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", f"{body}\noutput: {{directory: {out}}}\n")
+    assert main([command, "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,15 +2,17 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
-from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel,
+from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationError,
                        NonUniqueSteadyStateError, ParameterError, QOperator,
                        SteadyStateError, SystemParams, TruncationConfig, basis_state,
-                       build_liouvillian, bundle_params, evolve, g_k_zero,
+                       build_liouvillian, bundle_params, evolve, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
-                       hybrid_mode_operator, preset_params, steady_state)
-from polariton.lindblad import Liouvillian, _lu_steady_state, _sum_jump_orders
+                       hybrid_mode_operator, preset_params, solve_point, steady_state)
+from polariton.lindblad import (Liouvillian, _lu_steady_state, _real_form, _real_generator,
+                                _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
 from helpers import kron_liouvillian, random_composite_density, random_params
 
@@ -219,7 +221,7 @@ def test_evolve_fixes_steady_state():
         assert np.linalg.norm(rho_t.matrix - rho_ss.matrix) < 1e-7
 
 
-def test_cavity_decay_oracle():
+def test_cavity_decay_oracle(caplog):
     kappa = 0.9
     p = SystemParams(kappa_a=kappa, gamma=0.0)
     L = make_L(p)
@@ -227,7 +229,10 @@ def test_cavity_decay_oracle():
     times = np.linspace(0.0, 4.0, 9)
     n_op = hybrid_mode_operator("a", CFG)
     num = (n_op.dag() @ n_op).matrix
-    for t, rho_t in zip(times, evolve(rho0, L, times)):
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        states = evolve(rho0, L, times)
+    assert f"propagated 9 samples on the real form: G nnz {_real_generator(L).nnz}," in caplog.text
+    for t, rho_t in zip(times, states):
         n_mean = np.einsum("ij,ji->", rho_t.matrix, num).real
         assert n_mean == pytest.approx(np.exp(-kappa * t), abs=1e-8)
 
@@ -286,10 +291,51 @@ def test_evolve_grid_validation():
     p = SystemParams(kappa_a=1.0)
     L = make_L(p)
     rho0 = density_from_label(0, 0, "g")
-    from polariton import IntegrationError
     with pytest.raises(IntegrationError):
         evolve(rho0, L, [1.0, 0.5])
     with pytest.raises(IntegrationError):
         evolve(rho0, L, [-1.0, 0.5])
     only_zero = evolve(rho0, L, [0.0])
     assert np.allclose(only_zero[0].matrix, rho0.matrix)
+
+
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_real_generator_maps_real_forms(bundle):
+    p = bundle_params(bundle)
+    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
+    G = _real_generator(L)
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(L.dim, L.dim)) + 1j * rng.normal(size=(L.dim, L.dim))
+    X = A + A.conj().T
+    expected = _real_form(L.apply(X)).reshape(-1)
+    got = G @ _real_form(X).reshape(-1)
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_evolve_rejects_non_hermitian_start():
+    L = make_L(SystemParams(kappa_a=1.0))
+    vec_g = basis_state(FockLabel(0, 0, "g"), CFG)
+    vec_e = basis_state(FockLabel(0, 0, "e"), CFG)
+    coherence = DensityMatrix(np.outer(vec_g, vec_e.conj()), CFG.dims)
+    with pytest.raises(IntegrationError):
+        evolve(coherence, L, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("preset_name,point", [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})])
+def test_g2_tau_matches_tight_complex_reference(preset_name, point):
+    # reference: the quantum regression theorem integrated on the complex
+    # vec(X) with L.matrix, at a thousand times the tolerance of g2_tau
+    cfg = TruncationConfig(3, 3)
+    rho, L = solve_point(preset_params(preset_name, **point), cfg)
+    grid = np.linspace(0.0, 6.0, 1201)
+    Lm = L.matrix
+    for mode in "abcd":
+        z = hybrid_mode_operator(mode, cfg).matrix
+        n_op = z.conj().T @ z
+        n_mean = np.trace(rho.matrix @ n_op).real
+        x0 = (z @ rho.matrix @ z.conj().T).reshape(-1) / n_mean
+        sol = solve_ivp(lambda t, y: Lm @ y, (0.0, grid[-1]), x0, t_eval=grid,
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        ref = np.einsum("ij,jik->k", n_op, sol.y.reshape(L.dim, L.dim, -1)).real / n_mean
+        values = g2_tau(rho, L, mode, grid).values
+        assert np.abs(values - ref).max() <= 1e-6 * np.abs(ref).max()
