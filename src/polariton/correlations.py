@@ -185,7 +185,7 @@ def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase
     vals = (g2_a, g2_b, g2_c)
     if not all(np.isfinite(v) for v in vals):
         raise ClassificationError(f"cannot classify non-finite values {vals}")
-    signs = tuple(int(np.sign(v - 1.0)) for v in vals)
+    signs, _ = sign_pattern(vals)
     boundary = any(abs(v - 1.0) <= POISSONIAN_BAND for v in vals)
     return StatisticsCase(_SIGN_TO_CASE.get(signs), signs, boundary)
 
@@ -290,6 +290,8 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     Removes a cubic trend, applies a Hann window, and locates the largest
     spectral line of the zero-padded FFT (with parabolic interpolation),
     ignoring frequencies slower than ``min_cycles`` full cycles per window.
+    Raises :class:`InsufficientDataError` when the refined line falls below
+    that band, i.e. the spectrum peaks at the band's lower edge.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -303,7 +305,8 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     n_fft = 8 * len(windowed)
     spectrum = np.abs(np.fft.rfft(windowed, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, dt)
-    k_min = int(np.searchsorted(freqs, min_cycles / (tau[-1] - tau[0])))
+    span = tau[-1] - tau[0]
+    k_min = int(np.searchsorted(freqs, min_cycles / span))
     k_min = max(k_min, 1)
     if k_min >= len(spectrum) - 1:
         raise InsufficientDataError("window too short for the requested minimum frequency")
@@ -315,6 +318,6 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     else:
         shift = 0.0
     f_star = freqs[k] + shift * (freqs[1] - freqs[0])
-    if f_star <= 0:
-        raise InsufficientDataError("no oscillatory component found")
+    if f_star <= 0 or f_star * span < min_cycles:
+        raise InsufficientDataError("no spectral line inside the band")
     return float(1.0 / f_star)

@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ParameterError, TruncationError
 from .hilbert import QOperator, TruncationConfig, annihilation, embed, qubit_lowering
@@ -77,10 +78,6 @@ class ModeSelector(str, Enum):
     B = "b"
     C = "c"  # (a + b) / sqrt(2)
     D = "d"  # (a - b) / sqrt(2)
-
-
-def _as_mode(mode: Union[ModeSelector, str]) -> ModeSelector:
-    return ModeSelector(mode)
 
 
 @lru_cache(maxsize=8)
@@ -164,26 +161,24 @@ def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> Q
 def hybrid_mode_operator(sel: Union[ModeSelector, str], cfg: TruncationConfig) -> QOperator:
     """Annihilation operator of a bare or hybrid mode on the composite space.
 
-    Modes c and d are the balanced combinations (a +/- b)/sqrt(2).
+    Modes c and d are the balanced combinations (a +/- b)/sqrt(2), the
+    outputs of :func:`linear_coupler` at theta = pi/4.
     """
-    sel = _as_mode(sel)
+    sel = ModeSelector(sel)
+    if sel in (ModeSelector.C, ModeSelector.D):
+        c, d = linear_coupler(math.pi / 4, cfg)
+        return c if sel is ModeSelector.C else d
     a, b, _ = _bare_ops(cfg)
-    if sel is ModeSelector.A:
-        return a
-    if sel is ModeSelector.B:
-        return b
-    if sel is ModeSelector.C:
-        return (a + b) * (1.0 / math.sqrt(2.0))
-    return (a - b) * (1.0 / math.sqrt(2.0))
+    return a if sel is ModeSelector.A else b
 
 
 def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[QOperator, QOperator]:
     """General linear-coupler (beam-splitter) output modes.
 
     Returns (c(theta), d(theta)) with c = a sin(theta) + b cos(theta) and
-    d = a cos(theta) - b sin(theta); theta = pi/4 reproduces the balanced
-    hybrid modes, theta = pi/2 acts as a multi-level SWAP (a, -b), and
-    theta = 0 relabels the modes as (b, a).
+    d = a cos(theta) - b sin(theta).  theta = pi/4 defines the balanced
+    hybrid modes c and d of :func:`hybrid_mode_operator`; theta = pi/2 acts
+    as a multi-level SWAP (a, -b), and theta = 0 relabels the modes as (b, a).
     """
     a, b, _ = _bare_ops(cfg)
     s, c = math.sin(theta), math.cos(theta)
@@ -199,8 +194,7 @@ def hamiltonian_smr_driven_bs(p: SystemParams, cfg: TruncationConfig) -> QOperat
     (d_a - d_b)/2) can be inspected and tested directly.
     """
     _, _, sm = _bare_ops(cfg)
-    c = hybrid_mode_operator(ModeSelector.C, cfg)
-    d = hybrid_mode_operator(ModeSelector.D, cfg)
+    c, d = linear_coupler(math.pi / 4, cfg)
     delta_mean = 0.5 * (p.delta_a + p.delta_b)
     delta_cd = 0.5 * (p.delta_a - p.delta_b)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -213,39 +207,22 @@ def hamiltonian_smr_driven_bs(p: SystemParams, cfg: TruncationConfig) -> QOperat
     return H
 
 
-# Balanced-coupler images of the two-mode Fock states with <= 2 quanta.
-_BS_IMAGES = {
-    (0, 0): (((0, 0), 1.0),),
-    (1, 0): (((1, 0), 1 / math.sqrt(2)), ((0, 1), -1 / math.sqrt(2))),
-    (0, 1): (((1, 0), 1 / math.sqrt(2)), ((0, 1), 1 / math.sqrt(2))),
-    (1, 1): (((2, 0), 1 / math.sqrt(2)), ((0, 2), -1 / math.sqrt(2))),
-    (0, 2): (((2, 0), 0.5), ((1, 1), math.sqrt(2) / 2), ((0, 2), 0.5)),
-    (2, 0): (((2, 0), 0.5), ((1, 1), -math.sqrt(2) / 2), ((0, 2), 0.5)),
-}
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _bs_unitary(cfg: TruncationConfig) -> np.ndarray:
-    from .hilbert import FockLabel
-
-    U = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for label in cfg.labels():
-        key = (label.n_a, label.n_b)
-        if key not in _BS_IMAGES:
-            continue
-        col = cfg.index_of(label)
-        for (m_a, m_b), amp in _BS_IMAGES[key]:
-            row = cfg.index_of(FockLabel(m_a, m_b, label.q))
-            U[row, col] = amp
-    return U
+    # a'b - b'a conserves n_a + n_b, so expm is block-diagonal in the total
+    # quanta, and every block with n_a + n_b <= min(cutoffs) is exact
+    a, b, _ = _bare_ops(cfg)
+    return scipy.linalg.expm(math.pi / 4 * (a.dag() @ b - b.dag() @ a).matrix)
 
 
 def bs_fock_map(state: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
-    """Apply the balanced-coupler unitary to the two bosonic modes.
+    """Apply the balanced coupler exp(pi/4 (a'b - b'a)) to the two bosonic modes.
 
     The qubit factor is untouched.  Defined on the sector with at most two
     bosonic quanta in total; support outside that sector raises
-    :class:`TruncationError`.
+    :class:`TruncationError`.  |1,0> maps to (|1,0> - |0,1>)/sqrt(2): the
+    second output is -d, the opposite sign to :func:`hybrid_mode_operator`'s
+    d, so the (n_c, n_d) amplitude is (-1)^n_d times the (n_c, n_d) component.
     """
     state = np.asarray(state, dtype=complex)
     if state.shape != (cfg.dim,):

@@ -162,7 +162,12 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
 
 
 def bs_transform_amplitudes(amps: AmplitudeSet) -> HybridAmplitudeSet:
-    """Balanced-coupler images of the amplitudes (hybrid-mode basis)."""
+    """Balanced-coupler images of the amplitudes (hybrid-mode basis).
+
+    The hybrid modes are c, d = (a +/- b)/sqrt(2) as in ``hybrid_mode_operator``.
+    ``bs_fock_map`` outputs -d instead of d, so each (n_c, n_d) amplitude here
+    is (-1)^n_d times that map's (n_c, n_d) component.
+    """
     return HybridAmplitudeSet(
         c10g=(amps.c10g + amps.c01g) / _SQRT2,
         c01g=(amps.c10g - amps.c01g) / _SQRT2,

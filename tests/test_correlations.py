@@ -247,6 +247,14 @@ def test_dominant_period_damped_cosine():
         dominant_period(t[:8], vals[:8])
 
 
+def test_dominant_period_rejects_line_below_band():
+    # one cycle per window: the band (>= 4 cycles) admits periods <= 0.25 only,
+    # and the spectrum peaks at its lower edge rather than at a line inside it
+    t = np.linspace(0.0, 1.0, 200)
+    with pytest.raises(InsufficientDataError, match="no spectral line inside the band"):
+        dominant_period(t, np.cos(2 * np.pi * t))
+
+
 def test_case_label_bundle():
     from polariton import CaseLabel, DynamicsLabel
     stat = classify_statistics(1.2, 1.5, 0.3)

@@ -176,6 +176,23 @@ def test_bs_fock_map_unitary_on_sector():
     assert abs(np.linalg.norm(out) - 1.0) < 1e-14
 
 
+def test_bs_fock_map_asymmetric_cutoffs():
+    # the generator conserves n_a + n_b, so the two-quanta sector is exact
+    # whenever both cutoffs are >= 2, whichever mode is truncated further
+    sector = [(n_a, n_b) for n_a in range(3) for n_b in range(3 - n_a)]
+    for cfg in (TruncationConfig(2, 4), TruncationConfig(4, 2)):
+        for n_a, n_b in sector:
+            for q in ("g", "e"):
+                ref = bs_fock_map(ket(n_a, n_b, q), CFG)
+                out = bs_fock_map(ket(n_a, n_b, q, cfg), cfg)
+                for lab in cfg.labels():
+                    amp = out[cfg.index_of(lab)]
+                    if lab.n_a + lab.n_b <= 2:
+                        assert abs(amp - ref[CFG.index_of(lab)]) < 1e-15
+                    else:
+                        assert amp == 0.0
+
+
 def test_bs_fock_map_rejects_high_excitation():
     with pytest.raises(TruncationError):
         bs_fock_map(ket(2, 1, "g"), CFG)
