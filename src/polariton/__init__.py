@@ -16,10 +16,10 @@ from .model import (GAMMA_RAD_PER_US, ModeSelector, SystemParams, bs_fock_map,
                     tau_to_us, us_to_tau)
 from .lindblad import (DensityMatrix, Liouvillian, build_liouvillian, evolve,
                        steady_state)
-from .correlations import (CaseLabel, CorrelationPoint, DynamicsLabel,
-                           G234Signature, G2TauCurve, StatisticsCase,
-                           classify_dynamics, classify_statistics,
-                           dominant_period, g234_signature, g2_tau, g_k_zero,
+from .correlations import (CorrelationPoint, DynamicsLabel, G234Signature,
+                           G2TauCurve, StatisticsCase, classify_dynamics,
+                           classify_statistics, dominant_period,
+                           g234_signature, g2_tau, g_k_zero,
                            hybrid_moments_from_local)
 from .spectrum import (JCDoublet, ManifoldSpectrum, ResonanceDistances,
                        analytic_manifolds, jc_spectrum, manifold_spectrum,
@@ -32,6 +32,6 @@ from .weakdrive import (AmplitudeSet, HybridAmplitudeSet, OracleG2,
 from .scenarios import (OVERRIDE_BUNDLES, PRESETS, OracleComparison, Preset,
                         SweepResult, SweepSpec, bundle_params, compare_oracle,
                         g2tau_point, preset_params, resonance_distance_sweep,
-                        run_sweep, solve_point, spectrum_sweep)
+                        run_g2tau, run_sweep, solve_point, spectrum_sweep)
 
 __version__ = "0.1.0"

@@ -32,11 +32,12 @@ import yaml
 
 from . import __version__
 from .correlations import dominant_period
-from .errors import ConfigError, InsufficientDataError, ParameterError, PolaritonError
+from .errors import (ConfigError, DimensionError, InsufficientDataError, ParameterError,
+                     PolaritonError)
 from .hilbert import TruncationConfig
 from .model import SystemParams
 from .scenarios import (DEFAULT_MODES, DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
-                        g2tau_point, resolve_params, resonance_distance_sweep, run_sweep,
+                        resolve_params, resonance_distance_sweep, run_g2tau, run_sweep,
                         spectrum_sweep)
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -92,6 +93,20 @@ def _check_count(value, where: str, minimum: int = 1):
         raise ConfigError(f"{where}: expected an integer >= {minimum}, got {value!r}")
 
 
+def _check_list(value, where: str, check=None) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list, got {value!r}")
+    for i, item in enumerate(value if check else []):
+        check(item, f"{where}[{i}]")
+    return value
+
+
+def _check_numbers(mapping: dict, allowed: set, where: str):
+    _check_keys(mapping, allowed, where)
+    for key, val in mapping.items():
+        _check_number(val, f"{where}.{key}")
+
+
 def load_config(path: Optional[str], command: str, cli_overrides: list[str],
                 preset: Optional[str]) -> dict:
     """Read, merge, and schema-validate a run configuration."""
@@ -144,22 +159,25 @@ def _validate(config: dict, command: str):
     elif "params" not in config:
         raise ConfigError("config needs a preset or explicit params")
     if "params" in config:
-        _check_keys(config["params"], set(_PARAM_FIELDS), "params")
-        for key, val in config["params"].items():
-            _check_number(val, f"params.{key}")
+        _check_numbers(config["params"], set(_PARAM_FIELDS), "params")
     if "overrides" in config:
         allowed = set(_PARAM_FIELDS) if command != "spectrum" else {"g"}
-        _check_keys(config["overrides"], allowed, "overrides")
-        for key, val in config["overrides"].items():
-            _check_number(val, f"overrides.{key}")
+        _check_numbers(config["overrides"], allowed, "overrides")
     if "truncation" in config:
         _check_keys(config["truncation"], _TRUNCATION_KEYS, "truncation")
+        for key, val in config["truncation"].items():
+            _check_count(val, f"truncation.{key}")
     if "sweep" in config:
-        _check_keys(config["sweep"], _SWEEP_KEYS, "sweep")
-        if "variable" not in config["sweep"]:
+        sweep = config["sweep"]
+        _check_keys(sweep, _SWEEP_KEYS, "sweep")
+        if "variable" not in sweep:
             raise ConfigError("sweep.variable is required")
-        if "count" in config["sweep"]:
-            _check_count(config["sweep"]["count"], "sweep.count")
+        for key, check in (("start", _check_number), ("stop", _check_number),
+                           ("count", _check_count)):
+            if key in sweep:
+                check(sweep[key], f"sweep.{key}")
+        if sweep.get("values") is not None:
+            _check_list(sweep["values"], "sweep.values", _check_number)
     elif command in ("g2sweep", "oracle-compare"):
         raise ConfigError(f"{command} requires a sweep section")
     if "tau" in config:
@@ -172,8 +190,8 @@ def _validate(config: dict, command: str):
         raise ConfigError("g2tau requires a tau section ({stop, count, unit})")
     if command == "g2tau" and not config.get("points"):
         raise ConfigError("g2tau requires a non-empty points list")
-    for i, point in enumerate(config.get("points", []) or []):
-        _check_keys(point, set(_PARAM_FIELDS), f"points[{i}]")
+    _check_list(config.get("points", []), "points",
+                lambda point, where: _check_numbers(point, set(_PARAM_FIELDS), where))
     if "spectrum" in config:
         _check_keys(config["spectrum"], _SPECTRUM_KEYS, "spectrum")
         if config["spectrum"].get("kind") not in ("manifolds", "distances"):
@@ -183,6 +201,11 @@ def _validate(config: dict, command: str):
         for key in ("start", "stop"):
             _check_number(sweep.get(key), f"spectrum.sweep.{key}")
         _check_count(sweep.get("count"), "spectrum.sweep.count")
+        _check_list(config["spectrum"].get("manifolds", []), "spectrum.manifolds",
+                    lambda n, where: _check_count(n, where, minimum=0))
+        freqs = config["spectrum"].get("frequencies", [0.0, 0.0])
+        if len(_check_list(freqs, "spectrum.frequencies", _check_number)) != 2:
+            raise ConfigError("spectrum.frequencies must be [omega_smr, omega_q]")
     elif command == "spectrum":
         raise ConfigError("spectrum requires a spectrum section")
     if "output" in config:
@@ -191,20 +214,21 @@ def _validate(config: dict, command: str):
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
     if "modes" in config:
-        bad = set(config["modes"]) - set(DEFAULT_MODES)
+        bad = [m for m in _check_list(config["modes"], "modes") if m not in DEFAULT_MODES]
         if bad:
-            raise ConfigError(f"unknown modes {sorted(bad)}")
+            raise ConfigError(f"unknown modes {bad}")
     if "orders" in config:
-        for k in config["orders"]:
-            if not isinstance(k, int) or k < 2:
-                raise ConfigError(f"orders must be integers >= 2, got {k!r}")
+        _check_list(config["orders"], "orders", lambda k, where: _check_count(k, where, minimum=2))
     threads = config.get("threads")
     if threads is not None and (isinstance(threads, bool) or not isinstance(threads, int)):
         raise ConfigError(f"threads must be an integer, got {threads!r}")
 
 
 def _truncation(config: dict) -> TruncationConfig:
-    return TruncationConfig(**{k: int(v) for k, v in config.get("truncation", {}).items()})
+    try:
+        return TruncationConfig(**config.get("truncation", {}))
+    except DimensionError as exc:
+        raise ConfigError(f"truncation: {exc}")
 
 
 def _sweep_spec(config: dict) -> SweepSpec:
@@ -305,9 +329,9 @@ _G2SWEEP_HEADER = (["sweep_var"]
                    + ["case", "boundary", "g234_a", "g234_b", "g234_c", "error"])
 
 
-def _cmd_g2sweep(config: dict, threads: Optional[int]) -> int:
+def _cmd_g2sweep(config: dict) -> int:
     spec = _sweep_spec(config)
-    result = run_sweep(spec, threads)
+    result = run_sweep(spec, config.get("threads"))
     writer = _OutputWriter(config, "g2sweep")
     failed = result.failed_rows
     if len(failed) == len(result.rows):
@@ -323,49 +347,38 @@ def _cmd_g2sweep(config: dict, threads: Optional[int]) -> int:
     return 0
 
 
-def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
-    del threads  # points are few; handled serially
+def _cmd_g2tau(config: dict) -> int:
     tau_cfg = config["tau"]
     unit = tau_cfg.get("unit", "inv_gamma")
     if unit not in ("inv_gamma", "us"):
         raise ConfigError(f"tau.unit must be inv_gamma or us, got {unit!r}")
     grid = np.linspace(0.0, float(tau_cfg["stop"]), tau_cfg["count"])
     modes = tuple(config.get("modes", ("a", "b", "c")))
-    cfg = _truncation(config)
     params = SystemParams(**config["params"]) if "params" in config else None
     base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
+    points = [base.with_(**point) for point in config["points"]]
+    results = run_g2tau(points, _truncation(config), grid, modes, unit, config.get("threads"))
     writer = _OutputWriter(config, "g2tau")
     summary_points = []
     warnings: list[str] = []
-    n_failed = 0
-    for i, point in enumerate(config["points"]):
-        p = base.with_(**point)
-        label = f"_p{i}"
-        try:
-            curves = g2tau_point(p, cfg, grid, modes, unit)
-        except PolaritonError as exc:
-            n_failed += 1
-            warnings.append(f"point {i} failed: {type(exc).__name__}: {exc}")
-            summary_points.append({"point": point, "error": str(exc)})
+    for i, (point, curves) in enumerate(zip(config["points"], results)):
+        if isinstance(curves, PolaritonError):
+            warnings.append(f"point {i} failed: {type(curves).__name__}: {curves}")
+            summary_points.append({"point": point, "error": str(curves)})
             continue
-        rows = []
-        for j, tau in enumerate(grid):
-            row = {"tau": float(tau)}
-            for m in modes:
-                row[f"g2_{m}"] = float(curves[m]["curve"].values[j])
-            rows.append(row)
-        writer.write_table(["tau"] + [f"g2_{m}" for m in modes], rows, suffix=label)
+        rows = [{"tau": float(tau), **{f"g2_{m}": float(curves[m]["curve"].values[j])
+                                       for m in modes}} for j, tau in enumerate(grid)]
+        writer.write_table(["tau"] + [f"g2_{m}" for m in modes], rows, suffix=f"_p{i}")
         info: dict = {"point": point, "file": writer.written[-1]}
         for m in modes:
             dyn = curves[m]["dynamics"]
             info[f"dynamics_{m}"] = dataclasses.asdict(dyn) if dyn else None
             try:
-                period = dominant_period(grid, curves[m]["curve"].values)
-                info[f"dominant_period_{m}"] = period
+                info[f"dominant_period_{m}"] = dominant_period(grid, curves[m]["curve"].values)
             except InsufficientDataError:
                 info[f"dominant_period_{m}"] = None
         summary_points.append(info)
-    if n_failed == len(config["points"]):
+    if len(warnings) == len(results):
         print(f"error: every operating point failed; first: {warnings[0]}", file=sys.stderr)
         return 2
     writer.write_summary("g2tau-v1", config, warnings, {"points": summary_points,
@@ -373,8 +386,7 @@ def _cmd_g2tau(config: dict, threads: Optional[int]) -> int:
     return 0
 
 
-def _cmd_spectrum(config: dict, threads: Optional[int]) -> int:
-    del threads
+def _cmd_spectrum(config: dict) -> int:
     s = config["spectrum"]
     sweep = s["sweep"]
     grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), sweep["count"])
@@ -383,11 +395,8 @@ def _cmd_spectrum(config: dict, threads: Optional[int]) -> int:
     if s["kind"] == "manifolds":
         manifolds = tuple(int(n) for n in s.get("manifolds", (1, 2, 3)))
         freqs = s.get("frequencies")
-        if freqs is not None:
-            if len(freqs) != 2:
-                raise ConfigError("spectrum.frequencies must be [omega_smr, omega_q]")
-            freqs = (float(freqs[0]), float(freqs[1]))
-        result = spectrum_sweep(config["preset"], g, grid, manifolds, frequencies=freqs)
+        result = spectrum_sweep(config["preset"], g, grid, manifolds,
+                                frequencies=tuple(map(float, freqs)) if freqs else None)
         header = ["sweep_var"]
         for n in manifolds:
             header += [f"m{n}_{i + 1}" for i in range(result.manifold_rows[n].shape[1])]
@@ -410,9 +419,9 @@ def _cmd_spectrum(config: dict, threads: Optional[int]) -> int:
     return 0
 
 
-def _cmd_oracle_compare(config: dict, threads: Optional[int]) -> int:
+def _cmd_oracle_compare(config: dict) -> int:
     spec = _sweep_spec(config)
-    result = compare_oracle(spec, threads)
+    result = compare_oracle(spec, config.get("threads"))
     writer = _OutputWriter(config, "oracle_compare")
     me_failed = [r for r in result.rows if r.get("me_error")]
     oracle_failed = [r for r in result.rows if r.get("oracle_error")]
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parameter override (bare keys) or dotted config path")
         cmd.add_argument("--out", help="output directory")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="worker processes (default: POLARITON_THREADS or 1)")
+                         help="worker processes (default: the config's threads, or 1)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None,
                          help="data file format (default csv)")
     return parser
@@ -473,10 +482,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             config.setdefault("output", {})["directory"] = args.out
         if args.format is not None:
             config.setdefault("output", {})["format"] = args.format
-        if "output" in config:
-            _check_keys(config["output"], _OUTPUT_KEYS, "output")
-        threads = args.threads if args.threads is not None else config.get("threads")
-        return _COMMANDS[args.command](config, threads)
+        if args.threads is not None:
+            config["threads"] = args.threads
+        return _COMMANDS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -64,10 +64,6 @@ class G2TauCurve:
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    @property
-    def zero_delay(self) -> float:
-        return float(self.values[0])
-
 
 @dataclass(frozen=True)
 class StatisticsCase:
@@ -104,15 +100,6 @@ class DynamicsLabel:
     case: Optional[str]
     statistics: str  # 'sub' | 'super' | 'poissonian'
     bunching: str    # 'antibunched' | 'bunched' | 'unbunched'
-
-
-@dataclass(frozen=True)
-class CaseLabel:
-    """Bundle of the classifications attached to one operating point."""
-
-    statistics_case: Optional[StatisticsCase] = None
-    dynamics_case: Optional[DynamicsLabel] = None
-    g234: Optional[tuple[int, int, int]] = None
 
 
 _SIGN_TO_CASE = {

@@ -404,6 +404,7 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float]) -> np.
         raise IntegrationError(f"master-equation propagation failed: {sol.message}")
     _log.debug("propagated %d samples on the real form: G nnz %d, %d right-hand side calls, "
                "%.3f s", t_grid.size, G.nnz, sol.nfev, time.perf_counter() - start)
+    del G  # the solver's reference cycle holds the lambda: free G without waiting for gc
     return sol.y
 
 

@@ -158,11 +158,12 @@ def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> Q
     return _assemble(p, cfg, drive="", sign=sign)
 
 
+@lru_cache(maxsize=16)
 def hybrid_mode_operator(sel: Union[ModeSelector, str], cfg: TruncationConfig) -> QOperator:
     """Annihilation operator of a bare or hybrid mode on the composite space.
 
     Modes c and d are the balanced combinations (a +/- b)/sqrt(2), the
-    outputs of :func:`linear_coupler` at theta = pi/4.
+    outputs of :func:`linear_coupler` at theta = pi/4.  Cached per mode and cutoffs.
     """
     sel = ModeSelector(sel)
     if sel in (ModeSelector.C, ModeSelector.D):

@@ -11,7 +11,7 @@ depend only on the detunings.
 
 from __future__ import annotations
 
-import os
+import logging
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence
@@ -28,9 +28,10 @@ from .model import (SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
 from .spectrum import manifold_spectrum, minimum_gap, resonance_distances
 from .weakdrive import oracle_g2, steady_amplitudes
 
-SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b", "omega_m")
+SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b")
 DEFAULT_MODES = ("a", "b", "c", "d")
 DEFAULT_ORDERS = (2, 3, 4)
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,13 @@ class SweepSpec:
 
     def point_params(self, x: float) -> SystemParams:
         base = self.base_params()
-        if self.swept == "g":
-            return base.with_(g=x)
-        if self.swept == "eta_a":
-            return base.with_(eta_a=x)
-        if self.swept == "eta_b":
-            return base.with_(eta_b=x)
-        if self.swept == "delta_smr":
-            if self.resonant:
-                return base.with_(delta_a=x, delta_b=x, delta_q=x)
-            return base.with_(delta_a=x,
-                              delta_b=x + (base.delta_b - base.delta_a),
-                              delta_q=x + (base.delta_q - base.delta_a))
-        raise ParameterError(f"swept variable {self.swept!r} has no rotating-frame meaning; "
-                             "use the spectrum pipeline for omega_m sweeps")
+        if self.swept != "delta_smr":
+            return base.with_(**{self.swept: x})
+        if self.resonant:
+            return base.with_(delta_a=x, delta_b=x, delta_q=x)
+        return base.with_(delta_a=x,
+                          delta_b=x + (base.delta_b - base.delta_a),
+                          delta_q=x + (base.delta_q - base.delta_a))
 
 
 def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> QOperator:
@@ -192,8 +186,8 @@ def solve_point(p: SystemParams, cfg: TruncationConfig):
     return steady_state(L), L
 
 
-def _sweep_point(args) -> dict:
-    x, p, cfg, modes, orders = args
+def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig,
+                 modes: Sequence[str], orders: Sequence[int]) -> dict:
     row: dict = {"sweep_var": x, "error": ""}
     try:
         rho, _ = solve_point(p, cfg)
@@ -222,13 +216,6 @@ def _sweep_point(args) -> dict:
     if cell_errors:
         row["error"] = "; ".join(cell_errors)
     return row
-
-
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("POLARITON_THREADS", "")
-    return max(1, int(env)) if env.isdigit() and env else 1
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -277,14 +264,28 @@ def _cap_blas_threads() -> Callable[[], None]:
     return threadpoolctl.threadpool_limits(1).restore_original_limits
 
 
+def _openblas_thread_counts() -> list[int]:
+    return [get() for get, _ in _openblas_thread_controls()]
+
+
 def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
-    n = _resolve_threads(threads)
-    if n == 1 or len(work_items) <= 1:
-        return [worker(item) for item in work_items]
-    # one BLAS thread per worker process: the workers already occupy the
-    # cores, and extra BLAS threads only spin and switch
-    with Pool(processes=min(n, len(work_items)), initializer=_cap_blas_threads) as pool:
-        return pool.map(worker, work_items)
+    """``worker(*item)`` for every item, in order, in a pool of worker
+    processes when ``threads`` > 1.  Each point runs on one BLAS thread:
+    more only spin, and nearly double a point's CPU time."""
+    workers = max(1, min(threads or 1, len(work_items)))
+    debug = "%d points on %d worker(s); OpenBLAS threads after the cap: %s"
+    if workers == 1:
+        restore_blas_threads = _cap_blas_threads()
+        try:
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(debug, len(work_items), 1, _openblas_thread_counts())
+            return [worker(*item) for item in work_items]
+        finally:
+            restore_blas_threads()
+    with Pool(processes=workers, initializer=_cap_blas_threads) as pool:
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug(debug, len(work_items), workers, pool.apply(_openblas_thread_counts))
+        return pool.starmap(worker, work_items)
 
 
 @dataclass
@@ -297,10 +298,6 @@ class SweepResult:
         """Rows that carry an error and no correlation data at all."""
         return [r for r in self.rows
                 if r.get("error") and not any(k.startswith("g") for k in r)]
-
-    def column(self, key: str) -> np.ndarray:
-        return np.array([r[key] if r.get(key) is not None else np.nan
-                         for r in self.rows], dtype=float)
 
     def cases(self) -> set[int]:
         return {r["case"] for r in self.rows if r.get("case") is not None}
@@ -324,9 +321,8 @@ def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> SweepResult:
     return SweepResult(spec, rows)
 
 
-def _oracle_point(args) -> dict:
-    x, p, cfg, _, _ = args
-    row = _sweep_point((x, p, cfg, ("a", "b", "c"), (2,)))
+def _oracle_point(x: float, p: SystemParams, cfg: TruncationConfig, *_modes_orders) -> dict:
+    row = _sweep_point(x, p, cfg, ("a", "b", "c"), (2,))
     for key in ("g2_a", "g2_b", "g2_c"):
         if key in row:
             row["me_" + key] = row.pop(key)
@@ -405,25 +401,32 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
 def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float],
                 modes: Sequence[str] = ("a", "b", "c"),
                 tau_unit: str = "inv_gamma") -> dict[str, dict]:
-    """Delay-time curves and dynamics labels for one operating point.
-
-    The point runs with one BLAS thread: a second one makes it no faster
-    and only spins, nearly doubling its CPU time.
-    """
+    """Delay-time curves and dynamics labels for one operating point."""
     out: dict[str, dict] = {}
-    restore_blas_threads = _cap_blas_threads()
-    try:
-        rho, L = solve_point(p, cfg)
-        for mode in modes:
-            curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
-            try:
-                label = classify_dynamics(curve, p)
-            except PolaritonError:
-                label = None
-            out[mode] = {"curve": curve, "dynamics": label}
-    finally:
-        restore_blas_threads()
+    rho, L = solve_point(p, cfg)
+    for mode in modes:
+        curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
+        try:
+            label = classify_dynamics(curve, p)
+        except PolaritonError:
+            label = None
+        out[mode] = {"curve": curve, "dynamics": label}
     return out
+
+
+def _g2tau_point_or_error(*args):
+    try:
+        return g2tau_point(*args)
+    except PolaritonError as exc:
+        return exc
+
+
+def run_g2tau(points: Sequence[SystemParams], cfg: TruncationConfig, tau_grid: Sequence[float],
+              modes: Sequence[str], tau_unit: str, threads: Optional[int] = None) -> list:
+    """:func:`g2tau_point` at every operating point, in order; a point that
+    fails gives its :class:`PolaritonError` and does not stop the others."""
+    return _map_points(_g2tau_point_or_error,
+                       [(p, cfg, tau_grid, modes, tau_unit) for p in points], threads)
 
 
 @dataclass

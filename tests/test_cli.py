@@ -134,6 +134,30 @@ output: {{directory: {out}, basename: tau}}
     assert float(first["g2_a"]) == pytest.approx(g_k_zero(rho, "a").value, rel=1e-10)
 
 
+def test_g2tau_tables_identical_for_one_and_two_workers(tmp_path):
+    # four points, the last of which drives both modes and fails in its worker
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", f"""
+preset: A3
+points: [{{g: 10.5}}, {{g: 7.35}}, {{g: 13.3}}, {{g: 7.7, eta_a: 0.1}}]
+truncation: {{n_a_max: 2, n_b_max: 2}}
+tau: {{stop: 0.3, count: 31}}
+modes: [a, b, c, d]
+output: {{directory: {out}, basename: tau}}
+""")
+    runs = []
+    for threads in ("1", "2"):
+        assert main(["g2tau", "--config", cfg, "--threads", threads]) == 0
+        summary = json.loads((out / "tau.summary.json").read_text())
+        assert summary["config"]["threads"] == int(threads)
+        tables = [(out / f"tau_p{i}.csv").read_bytes() for i in range(3)]
+        runs.append((tables, json.dumps(summary["points"])))
+        for path in out.iterdir():
+            path.unlink()
+    assert runs[0] == runs[1]
+    assert "error" in json.loads(runs[0][1])[3]
+
+
 def test_g2tau_first_value_matches_g2_zero(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", f"""
@@ -239,6 +263,7 @@ output: {{directory: {out}, basename: gp, gnuplot: true}}
 
 G2TAU_BASE = "preset: A3\npoints: [{g: 10.5}]\ntruncation: {n_a_max: 2, n_b_max: 2}\n"
 SPECTRUM_BASE = "preset: A1\nspectrum: {kind: distances, g: 7.5, sweep: "
+G_SWEEP_BASE = "preset: A2\nsweep: {variable: g, values: [4.0, 4.5]}\n"
 
 
 @pytest.mark.parametrize("command,body", [
@@ -249,8 +274,17 @@ SPECTRUM_BASE = "preset: A1\nspectrum: {kind: distances, g: 7.5, sweep: "
     ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 0}"),
     ("g2sweep", "preset: A2\nsweep: {variable: g, start: 0.2, stop: 1.0, count: x}"),
     ("spectrum", SPECTRUM_BASE + "{start: -1.0, stop: 1.0, count: x}}"),
+    ("g2sweep", G_SWEEP_BASE + "truncation: {n_a_max: 1}"),
+    ("g2sweep", G_SWEEP_BASE + "truncation: {n_a_max: five}"),
+    ("g2sweep", G_SWEEP_BASE + "orders: 2"),
+    ("g2sweep", G_SWEEP_BASE + "modes: 5"),
+    ("g2tau", "preset: A3\npoints: [{g: x}]\ntau: {stop: 0.3, count: 4}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, values: [a, b]}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: omega_m, values: [1560.0, 1561.0]}"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
-        "sweep.count=x", "spectrum.sweep.count=x"])
+        "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
+        "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
+        "sweep.variable=omega_m"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", f"{body}\noutput: {{directory: {out}}}\n")

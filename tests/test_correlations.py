@@ -253,13 +253,3 @@ def test_dominant_period_rejects_line_below_band():
     t = np.linspace(0.0, 1.0, 200)
     with pytest.raises(InsufficientDataError, match="no spectral line inside the band"):
         dominant_period(t, np.cos(2 * np.pi * t))
-
-
-def test_case_label_bundle():
-    from polariton import CaseLabel, DynamicsLabel
-    stat = classify_statistics(1.2, 1.5, 0.3)
-    dyn = DynamicsLabel("I", "sub", "antibunched")
-    label = CaseLabel(statistics_case=stat, dynamics_case=dyn, g234=(-1, -1, -1))
-    assert label.statistics_case.case == 7
-    assert label.dynamics_case.case == "I"
-    assert label.g234 == (-1, -1, -1)

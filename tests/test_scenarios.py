@@ -10,7 +10,7 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
                        solve_point)
 from polariton import scenarios
 from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
-                                 build_hamiltonian, g2tau_point)
+                                 _openblas_thread_counts, build_hamiltonian, run_g2tau)
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -159,26 +159,10 @@ def test_empty_grid_rejected():
         SweepSpec(swept="delta_smr", preset="A2", values=(), resonant=True)
 
 
-def test_threads_env_fallback(monkeypatch):
-    from polariton.scenarios import _resolve_threads
-    monkeypatch.delenv("POLARITON_THREADS", raising=False)
-    assert _resolve_threads(None) == 1
-    assert _resolve_threads(4) == 4
-    monkeypatch.setenv("POLARITON_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2  # explicit argument wins
-    monkeypatch.setenv("POLARITON_THREADS", "junk")
-    assert _resolve_threads(None) == 1
-
-
 def test_run_sweep_rejects_omega_m():
-    spec = SweepSpec(swept="omega_m", preset="A1", values=(1560.0, 1561.0))
     with pytest.raises(ParameterError):
+        spec = SweepSpec(swept="omega_m", preset="A1", values=(1560.0, 1561.0))
         run_sweep(spec)
-
-
-def _openblas_thread_counts() -> list[int]:
-    return [get() for get, _ in _openblas_thread_controls()]
 
 
 def test_pool_workers_run_one_blas_thread():
@@ -205,8 +189,8 @@ def test_g2tau_point_runs_one_blas_thread(monkeypatch):
     try:
         for _, set_threads in controls:
             set_threads(2)
-        g2tau_point(preset_params("A2", g=4.5), TruncationConfig(2, 2), [0.0, 0.5],
-                    modes=("a", "b"))
+        run_g2tau([preset_params("A2", g=4.5)], TruncationConfig(2, 2), [0.0, 0.5],
+                  ("a", "b"), "inv_gamma", threads=1)
         assert seen == [[1] * len(controls)] * 2
         assert _openblas_thread_counts() == [2] * len(controls)
     finally:
