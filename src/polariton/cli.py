@@ -176,6 +176,8 @@ def _validate(config: dict, command: str):
                            ("count", _check_count)):
             if key in sweep:
                 check(sweep[key], f"sweep.{key}")
+            elif sweep.get("values") is None:
+                raise ConfigError(f"sweep.{key} is required when no explicit values are given")
         if sweep.get("values") is not None:
             _check_list(sweep["values"], "sweep.values", _check_number)
     elif command in ("g2sweep", "oracle-compare"):
@@ -210,6 +212,8 @@ def _validate(config: dict, command: str):
         raise ConfigError("spectrum requires a spectrum section")
     if "output" in config:
         _check_keys(config["output"], _OUTPUT_KEYS, "output")
+        if not all(isinstance(config["output"].get(k, ""), str) for k in ("directory", "basename")):
+            raise ConfigError("output.directory and output.basename must be strings")
         fmt = config["output"].get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
@@ -234,24 +238,21 @@ def _truncation(config: dict) -> TruncationConfig:
 def _sweep_spec(config: dict) -> SweepSpec:
     s = config["sweep"]
     values = s.get("values")
-    kwargs = dict(
-        swept=str(s["variable"]),
-        resonant=bool(s.get("resonant", False)),
-        truncation=_truncation(config),
-        overrides=dict(config.get("overrides", {})),
-        modes=tuple(config.get("modes", DEFAULT_MODES)),
-        orders=tuple(config.get("orders", DEFAULT_ORDERS)),
-        preset=config.get("preset"),
-        params=SystemParams(**config["params"]) if "params" in config else None,
-    )
-    if values is not None:
-        kwargs["values"] = tuple(float(v) for v in values)
-    else:
-        for key in ("start", "stop", "count"):
-            if key not in s:
-                raise ConfigError(f"sweep.{key} is required when no explicit values are given")
-        kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=s["count"])
     try:
+        kwargs = dict(
+            swept=str(s["variable"]),
+            resonant=bool(s.get("resonant", False)),
+            truncation=_truncation(config),
+            overrides=dict(config.get("overrides", {})),
+            modes=tuple(config.get("modes", DEFAULT_MODES)),
+            orders=tuple(config.get("orders", DEFAULT_ORDERS)),
+            preset=config.get("preset"),
+            params=SystemParams(**config["params"]) if "params" in config else None,
+        )
+        if values is not None:
+            kwargs["values"] = tuple(float(v) for v in values)
+        else:
+            kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=s["count"])
         return SweepSpec(**kwargs)
     except ParameterError as exc:
         raise ConfigError(str(exc))
@@ -354,9 +355,12 @@ def _cmd_g2tau(config: dict) -> int:
         raise ConfigError(f"tau.unit must be inv_gamma or us, got {unit!r}")
     grid = np.linspace(0.0, float(tau_cfg["stop"]), tau_cfg["count"])
     modes = tuple(config.get("modes", ("a", "b", "c")))
-    params = SystemParams(**config["params"]) if "params" in config else None
-    base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
-    points = [base.with_(**point) for point in config["points"]]
+    try:
+        params = SystemParams(**config["params"]) if "params" in config else None
+        base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
+        points = [base.with_(**point) for point in config["points"]]
+    except ParameterError as exc:
+        raise ConfigError(str(exc))
     results = run_g2tau(points, _truncation(config), grid, modes, unit, config.get("threads"))
     writer = _OutputWriter(config, "g2tau")
     summary_points = []

@@ -10,8 +10,8 @@ Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
 Liouvillian and its occupation read out along the grid.  The dressed state
 is Hermitian, so it is propagated on its real form R = Re X + Im X (see
-:mod:`polariton.lindblad`), and the whole curve is one product c @ R(tau)
-with c = vec(Re n + Im n) for n = z'z.
+:mod:`polariton.lindblad`) and read out step by step as c . vec R(tau) with
+c = vec(Re n + Im n) for n = z'z, so memory does not grow with the delays.
 """
 
 from __future__ import annotations
@@ -162,8 +162,8 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
     weight = float(np.trace(dressed).real)  # equals n_mean
     grid_internal = tau_grid if tau_unit == "inv_gamma" else tau_grid * (1.0 / tau_to_us(1.0))
     # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n)
-    c = _real_form(n_op).reshape(-1)
-    values = (c @ _propagate(dressed / weight, L, grid_internal)) * (weight / n_mean**2)
+    c = _real_form(n_op).reshape(1, -1)
+    values = _propagate(dressed / weight, L, grid_internal, c)[0] * (weight / n_mean**2)
     return G2TauCurve(name, tau_grid, values, tau_unit)
 
 

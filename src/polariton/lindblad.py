@@ -25,7 +25,7 @@ Propagation integrates Hermitian states on their real form.  A Hermitian
 X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
 parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
 with a real d^2 x d^2 generator G built once per call from L.  DOP853 on
-vec R carries half the numbers of the complex vec X.
+vec R carries half the numbers of the complex vec X, read out step by step.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
@@ -376,13 +376,13 @@ def _real_generator(L: Liouvillian) -> sp.csr_matrix:
     return G
 
 
-def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float]) -> np.ndarray:
+def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
+               readout: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrate dX/dt = L[X] from t=0 for a Hermitian X on its real form.
 
-    Returns the (d^2, len(t_grid)) trajectory of vec R, R = Re X + Im X
-    (see :func:`_real_form`).  One debug line on this module's logger gives
-    the nonzeros of the real generator, the sample count, the right-hand
-    side calls and the wall time.
+    Returns readout @ vec R(t) on the grid (R = :func:`_real_form` of X), or
+    vec R(t) itself without a readout.  One debug line on this module's logger
+    gives G's nonzeros, samples, calls, accepted and rejected steps and time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -394,18 +394,34 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float]) -> np.
     if defect > 1e-12 * np.abs(mat0).max():
         raise IntegrationError(f"start state is not Hermitian (defect {defect:.2e})")
     y0 = _real_form(mat0).reshape(-1)
+    project = (lambda v: v) if readout is None else (lambda v: v @ readout.T)
     if t_grid[-1] == 0.0:
-        return y0[:, None]
+        return project(y0)[:, None]
     start = time.perf_counter()
     G = _real_generator(L)
-    sol = solve_ivp(lambda t, y: G @ y, (0.0, float(t_grid[-1])), y0,
-                    t_eval=t_grid, method="DOP853", rtol=1e-9, atol=1e-12)
-    if not sol.success:
-        raise IntegrationError(f"master-equation propagation failed: {sol.message}")
-    _log.debug("propagated %d samples on the real form: G nnz %d, %d right-hand side calls, "
-               "%.3f s", t_grid.size, G.nnz, sol.nfev, time.perf_counter() - start)
-    del G  # the solver's reference cycle holds the lambda: free G without waiting for gc
-    return sol.y
+    solver = DOP853(lambda t, y: G @ y, 0.0, y0, float(t_grid[-1]), rtol=1e-9, atol=1e-12)
+    out = np.empty((project(y0).size, t_grid.size))
+    done = steps = rejected = 0
+    try:
+        while solver.status == "running":
+            calls, message = solver.nfev, solver.step()
+            if solver.status == "failed":
+                raise IntegrationError(f"master-equation propagation failed: {message}")
+            steps += 1
+            rejected += (solver.nfev - calls) // solver.n_stages - 1  # n_stages calls an attempt
+            upto = int(np.searchsorted(t_grid, solver.t, side="right"))
+            if upto > done:  # scipy's Dop853DenseOutput; it is linear in F and y_old
+                step = solver.dense_output()
+                x, y = ((t_grid[done:upto] - step.t_old) / step.h)[:, None], 0.0
+                for i, f in enumerate(project(step.F)[::-1]):
+                    y = (y + f) * (x if i % 2 == 0 else 1 - x)
+                out[:, done:upto], done = (y + project(step.y_old)).T, upto
+        _log.debug("propagated %d samples on the real form: G nnz %d, %d right-hand side calls, "
+                   "%d accepted and %d rejected steps, %.3f s", t_grid.size, G.nnz, solver.nfev,
+                   steps, rejected, time.perf_counter() - start)
+    finally:
+        vars(solver).clear()  # its rhs wrappers close over it: free it now, not at the next gc
+    return out
 
 
 def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid: Sequence[float]) -> list[DensityMatrix]:

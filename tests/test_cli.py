@@ -281,13 +281,24 @@ G_SWEEP_BASE = "preset: A2\nsweep: {variable: g, values: [4.0, 4.5]}\n"
     ("g2tau", "preset: A3\npoints: [{g: x}]\ntau: {stop: 0.3, count: 4}"),
     ("g2sweep", "preset: A2\nsweep: {variable: g, values: [a, b]}"),
     ("g2sweep", "preset: A2\nsweep: {variable: omega_m, values: [1560.0, 1561.0]}"),
+    ("g2sweep", "params: {kappa_a: -1}\nsweep: {variable: g, values: [4.0, 4.5]}"),
+    ("oracle-compare", "params: {kappa_a: -1}\nsweep: {variable: g, values: [4.0, 4.5]}"),
+    ("g2tau", G2TAU_BASE + "overrides: {kappa_b: -1.0}\ntau: {stop: 0.3, count: 4}"),
+    ("g2tau", "preset: A3\npoints: [{kappa_a: -1.0}]\ntau: {stop: 0.3, count: 4}"),
+    ("g2sweep", G_SWEEP_BASE + "output: {directory: 5}"),
+    ("g2sweep", G_SWEEP_BASE + "output: {directory: OUT, basename: 5}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, stop: 1.0, count: 3}"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
-        "sweep.variable=omega_m"])
+        "sweep.variable=omega_m", "params.kappa_a<0", "oracle.params.kappa_a<0",
+        "overrides.kappa_b<0", "points.kappa_a<0", "output.directory=5", "output.basename=5",
+        "sweep.start-missing"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     out = tmp_path / "out"
-    cfg = write(tmp_path / "cfg.yaml", f"{body}\noutput: {{directory: {out}}}\n")
+    if "output:" not in body:  # a case with its own output section writes OUT for the directory
+        body += "\noutput: {directory: OUT}"
+    cfg = write(tmp_path / "cfg.yaml", body.replace("OUT", str(out)) + "\n")
     assert main([command, "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()

@@ -1,8 +1,11 @@
+import gc
 import logging
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse.linalg import splu
 
 from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationError,
@@ -11,8 +14,8 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationEr
                        build_liouvillian, bundle_params, evolve, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
                        hybrid_mode_operator, preset_params, solve_point, steady_state)
-from polariton.lindblad import (Liouvillian, _lu_steady_state, _real_form, _real_generator,
-                                _sum_jump_orders)
+from polariton.lindblad import (Liouvillian, _lu_steady_state, _propagate, _real_form,
+                                _real_generator, _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
 from helpers import kron_liouvillian, random_composite_density, random_params
 
@@ -339,3 +342,64 @@ def test_g2_tau_matches_tight_complex_reference(preset_name, point):
         ref = np.einsum("ij,jik->k", n_op, sol.y.reshape(L.dim, L.dim, -1)).real / n_mean
         values = g2_tau(rho, L, mode, grid).values
         assert np.abs(values - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("preset_name,point", [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})])
+def test_streamed_readout_matches_solve_ivp_trajectory(preset_name, point, caplog):
+    # the same DOP853 run as solve_ivp with t_eval, read out on c: equal
+    # right-hand side calls and the same curve up to rounding; a scipy
+    # release that changes the interpolant's data breaks this
+    cfg = TruncationConfig(3, 3)
+    rho, L = solve_point(preset_params(preset_name, **point), cfg)
+    G = _real_generator(L)
+    grid = np.linspace(0.0, 6.0, 1201)
+    for mode in "abcd":
+        z = hybrid_mode_operator(mode, cfg).matrix
+        X = z @ rho.matrix @ z.conj().T
+        c = _real_form(z.conj().T @ z).reshape(1, -1)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+            curve = _propagate(X, L, grid, c)
+        y0 = _real_form(X).reshape(-1)
+        ref = solve_ivp(lambda t, y: G @ y, (0.0, grid[-1]), y0, t_eval=grid,
+                        method="DOP853", rtol=1e-9, atol=1e-12)
+        ref_curve = c @ ref.y
+        assert curve.shape == ref_curve.shape
+        assert np.abs(curve - ref_curve).max() <= 1e-13 * np.abs(ref_curve).max()
+        calls, accepted, rejected = map(int, re.search(
+            r"(\d+) right-hand side calls, (\d+) accepted and (\d+) rejected steps",
+            caplog.text).groups())
+        assert calls == ref.nfev
+        # without samples the solver makes 2 calls to choose its first step
+        # and 12 per attempted step
+        steps = solve_ivp(lambda t, y: G @ y, (0.0, grid[-1]), y0, method="DOP853",
+                          rtol=1e-9, atol=1e-12)
+        assert accepted == steps.t.size - 1
+        assert steps.nfev == 2 + 12 * (accepted + rejected)
+
+
+def test_g2_tau_leaves_no_solver_for_the_cyclic_collector():
+    cfg = TruncationConfig(2, 2)
+    rho, L = solve_point(preset_params("A3", g=10.5), cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in "abcd":
+            g2_tau(rho, L, mode, np.linspace(0.0, 1.0, 11))
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+    finally:
+        gc.enable()
+    assert not alive
+
+
+def test_g2_tau_memory_does_not_hold_the_trajectory():
+    cfg = TruncationConfig(4, 4)
+    rho, L = solve_point(preset_params("A3", g=10.5), cfg)
+    grid = np.linspace(0.0, 6.0, 1201)
+    tracemalloc.start()
+    try:
+        g2_tau(rho, L, "c", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L.dim ** 2 * grid.size * 8 / 10
