@@ -188,6 +188,8 @@ def _validate(config: dict, command: str):
         if not 0 < stop < np.inf:
             raise ConfigError(f"tau.stop: expected a finite number > 0, got {stop!r}")
         _check_count(config["tau"].get("count"), "tau.count", minimum=2)
+        if config["tau"].get("unit", "inv_gamma") not in ("inv_gamma", "us"):
+            raise ConfigError(f"tau.unit must be inv_gamma or us, got {config['tau']['unit']!r}")
     elif command == "g2tau":
         raise ConfigError("g2tau requires a tau section ({stop, count, unit})")
     if command == "g2tau" and not config.get("points"):
@@ -203,8 +205,9 @@ def _validate(config: dict, command: str):
         for key in ("start", "stop"):
             _check_number(sweep.get(key), f"spectrum.sweep.{key}")
         _check_count(sweep.get("count"), "spectrum.sweep.count")
-        _check_list(config["spectrum"].get("manifolds", []), "spectrum.manifolds",
-                    lambda n, where: _check_count(n, where, minimum=0))
+        if not _check_list(config["spectrum"].get("manifolds", [1, 2, 3]), "spectrum.manifolds",
+                           _check_count):
+            raise ConfigError("spectrum.manifolds: expected a non-empty list")
         freqs = config["spectrum"].get("frequencies", [0.0, 0.0])
         if len(_check_list(freqs, "spectrum.frequencies", _check_number)) != 2:
             raise ConfigError("spectrum.frequencies must be [omega_smr, omega_q]")
@@ -217,15 +220,15 @@ def _validate(config: dict, command: str):
         fmt = config["output"].get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
+        if not isinstance(config["output"].get("gnuplot", False), bool):
+            raise ConfigError("output.gnuplot must be true or false")
     if "modes" in config:
         bad = [m for m in _check_list(config["modes"], "modes") if m not in DEFAULT_MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}")
     if "orders" in config:
         _check_list(config["orders"], "orders", lambda k, where: _check_count(k, where, minimum=2))
-    threads = config.get("threads")
-    if threads is not None and (isinstance(threads, bool) or not isinstance(threads, int)):
-        raise ConfigError(f"threads must be an integer, got {threads!r}")
+    _check_count(config.get("threads", 1), "threads")
 
 
 def _truncation(config: dict) -> TruncationConfig:
@@ -266,7 +269,7 @@ class _OutputWriter:
         self.directory = Path(out.get("directory", "."))
         self.basename = out.get("basename", default_basename)
         self.format = out.get("format", "csv")
-        self.gnuplot = bool(out.get("gnuplot", False))
+        self.gnuplot = out.get("gnuplot", False)
         self.written: list[str] = []
 
     def path(self, suffix: str) -> Path:
@@ -349,11 +352,8 @@ def _cmd_g2sweep(config: dict) -> int:
 
 
 def _cmd_g2tau(config: dict) -> int:
-    tau_cfg = config["tau"]
-    unit = tau_cfg.get("unit", "inv_gamma")
-    if unit not in ("inv_gamma", "us"):
-        raise ConfigError(f"tau.unit must be inv_gamma or us, got {unit!r}")
-    grid = np.linspace(0.0, float(tau_cfg["stop"]), tau_cfg["count"])
+    unit = config["tau"].get("unit", "inv_gamma")
+    grid = np.linspace(0.0, float(config["tau"]["stop"]), config["tau"]["count"])
     modes = tuple(config.get("modes", ("a", "b", "c")))
     try:
         params = SystemParams(**config["params"]) if "params" in config else None
@@ -487,6 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.format is not None:
             config.setdefault("output", {})["format"] = args.format
         if args.threads is not None:
+            _check_count(args.threads, "--threads")
             config["threads"] = args.threads
         return _COMMANDS[args.command](config)
     except ConfigError as exc:

@@ -26,6 +26,8 @@ X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
 parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
 with a real d^2 x d^2 generator G built once per call from L.  DOP853 on
 vec R carries half the numbers of the complex vec X, read out step by step.
+scipy is imported inside the functions that call it, so that importing the
+package costs no scipy start-up and the spectrum command never loads it.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import DOP853
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
@@ -116,7 +115,7 @@ class DensityMatrix:
 class Liouvillian:
     """Sparse superoperator of the master equation on a dim^2 space."""
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     dims: tuple[int, ...]
     hamiltonian: QOperator
     collapse_ops: tuple[tuple[float, QOperator], ...]
@@ -164,6 +163,7 @@ def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
     L = -i(H_eff (x) I - I (x) H_eff*) + sum_k kappa_k J_k (x) J_k*,
     from the nonzeros of H_eff and of each J_k; coinciding entries are summed.
     """
+    import scipy.sparse as sp
     herm_defect = np.linalg.norm(H.matrix - H.matrix.conj().T)
     if herm_defect > 1e-12 * max(1.0, H.norm()):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
@@ -185,16 +185,15 @@ def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
     """Count eigenvalues of L with magnitude below the zero-mode tolerance."""
+    import scipy.sparse.linalg as spla
     scale = max(L.norm, 1e-300)
     sigma = 1e-6 * scale / L.dim  # small positive shift; L has no eigenvalue there
     try:
         vals = spla.eigs(L.matrix, k=k, sigma=sigma, which="LM",
                          return_eigenvectors=False)
-    except Exception as exc:  # ARPACK failure on tiny/degenerate problems
-        dense = L.matrix.toarray()
-        vals = np.linalg.eigvals(dense)
+    except Exception:  # ARPACK failure on tiny/degenerate problems
+        vals = np.linalg.eigvals(L.matrix.toarray())
         vals = vals[np.argsort(np.abs(vals))][:k]
-        del dense, exc
     n_zero = int(np.sum(np.abs(vals) < ZERO_MODE_RTOL * scale))
     return n_zero, np.asarray(vals)
 
@@ -294,6 +293,8 @@ def _lu_steady_state(L: Liouvillian) -> tuple[DensityMatrix, float]:
     triggers an explicit count of near-zero modes, so a degenerate null
     space raises NonUniqueSteadyStateError.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     d = L.dim
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
                               shape=(1, d * d))
@@ -360,12 +361,13 @@ def _real_form(X: np.ndarray) -> np.ndarray:
     return X.real + X.imag
 
 
-def _real_generator(L: Liouvillian) -> sp.csr_matrix:
+def _real_generator(L: Liouvillian) -> "scipy.sparse.csr_matrix":
     """The real d^2 x d^2 generator G of the real form, dR/dt = G R.
 
     With vec X = A vec R for A = (I + P)/2 + i(I - P)/2 and P the
     transposition of row-major vec, G = Re(L A) + Im(L A) = Re L + (Im L) P.
     """
+    import scipy.sparse as sp
     d = L.dim
     M = L.matrix.tocoo()
     swap = np.arange(d * d).reshape(d, d).T.ravel()
@@ -384,6 +386,7 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     vec R(t) itself without a readout.  One debug line on this module's logger
     gives G's nonzeros, samples, calls, accepted and rejected steps and time.
     """
+    from scipy.integrate import DOP853
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise IntegrationError("t_grid must be a non-empty 1-d sequence")

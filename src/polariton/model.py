@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, TruncationError
 from .hilbert import QOperator, TruncationConfig, annihilation, embed, qubit_lowering
@@ -212,6 +211,7 @@ def hamiltonian_smr_driven_bs(p: SystemParams, cfg: TruncationConfig) -> QOperat
 def _bs_unitary(cfg: TruncationConfig) -> np.ndarray:
     # a'b - b'a conserves n_a + n_b, so expm is block-diagonal in the total
     # quanta, and every block with n_a + n_b <= min(cutoffs) is exact
+    import scipy.linalg
     a, b, _ = _bare_ops(cfg)
     return scipy.linalg.expm(math.pi / 4 * (a.dag() @ b - b.dag() @ a).matrix)
 

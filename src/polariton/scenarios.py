@@ -12,6 +12,7 @@ depend only on the detunings.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence
@@ -247,8 +248,11 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 def _cap_blas_threads() -> Callable[[], None]:
-    """Cap BLAS at one thread; return a function that restores the previous
-    counts."""
+    """Cap BLAS at one thread, through OPENBLAS_NUM_THREADS also for an OpenBLAS
+    first loaded under the cap (scipy's, imported inside a point); return a
+    function that restores the previous counts and OPENBLAS_NUM_THREADS."""
+    env = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import threadpoolctl
     except ImportError:
@@ -257,11 +261,18 @@ def _cap_blas_threads() -> Callable[[], None]:
         for _, set_threads in controls:
             set_threads(1)
 
-        def restore():
+        def restore_libraries():
             for (_, set_threads), n in zip(controls, before):
                 set_threads(n)
-        return restore
-    return threadpoolctl.threadpool_limits(1).restore_original_limits
+    else:
+        restore_libraries = threadpoolctl.threadpool_limits(1).restore_original_limits
+
+    def restore():
+        restore_libraries()
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        if env is not None:
+            os.environ["OPENBLAS_NUM_THREADS"] = env
+    return restore
 
 
 def _openblas_thread_counts() -> list[int]:

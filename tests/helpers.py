@@ -1,9 +1,13 @@
 """Shared test utilities."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
+import polariton
 from polariton import (DensityMatrix, QOperator, SystemParams, TruncationConfig,
                        closed_form_double, closed_form_single)
 
@@ -96,3 +100,11 @@ def closed_form_g2_b_dip(p: SystemParams, lo: float, hi: float) -> float:
     bracket = (xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)])
     res = minimize_scalar(g2_b, bounds=bracket, method="bounded", options={"xatol": 1e-9})
     return float(res.x)
+
+
+def fresh_env(**variables: str) -> dict:
+    """Environment for a fresh interpreter that imports the polariton under
+    test, with ``variables`` set."""
+    src = str(Path(polariton.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)

@@ -1,11 +1,14 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polariton import TruncationConfig, g_k_zero, preset_params, solve_point
-from polariton.cli import main
+from polariton import ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point
+from polariton.cli import load_config, main
+from helpers import fresh_env
 
 
 def write(path: Path, text: str) -> str:
@@ -264,6 +267,8 @@ output: {{directory: {out}, basename: gp, gnuplot: true}}
 G2TAU_BASE = "preset: A3\npoints: [{g: 10.5}]\ntruncation: {n_a_max: 2, n_b_max: 2}\n"
 SPECTRUM_BASE = "preset: A1\nspectrum: {kind: distances, g: 7.5, sweep: "
 G_SWEEP_BASE = "preset: A2\nsweep: {variable: g, values: [4.0, 4.5]}\n"
+MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
+                  "sweep: {start: 1560.0, stop: 1561.0, count: 2}, manifolds: ")
 
 
 @pytest.mark.parametrize("command,body", [
@@ -288,17 +293,60 @@ G_SWEEP_BASE = "preset: A2\nsweep: {variable: g, values: [4.0, 4.5]}\n"
     ("g2sweep", G_SWEEP_BASE + "output: {directory: 5}"),
     ("g2sweep", G_SWEEP_BASE + "output: {directory: OUT, basename: 5}"),
     ("g2sweep", "preset: A2\nsweep: {variable: g, stop: 1.0, count: 3}"),
+    ("g2sweep --threads 0", G_SWEEP_BASE),
+    ("g2sweep --threads -3", G_SWEEP_BASE),
+    ("g2sweep", G_SWEEP_BASE + "threads: 0"),
+    ("g2sweep", G_SWEEP_BASE + "output: {directory: OUT, gnuplot: 'no'}"),
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 4, unit: ms}"),
+    ("spectrum", MANIFOLDS_BASE + "[]}"),
+    ("spectrum", MANIFOLDS_BASE + "[0]}"),
+    ("spectrum", MANIFOLDS_BASE + "[0, 1]}"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
         "sweep.variable=omega_m", "params.kappa_a<0", "oracle.params.kappa_a<0",
         "overrides.kappa_b<0", "points.kappa_a<0", "output.directory=5", "output.basename=5",
-        "sweep.start-missing"])
+        "sweep.start-missing", "--threads=0", "--threads=-3", "threads=0",
+        "output.gnuplot=no", "tau.unit=ms", "spectrum.manifolds=[]",
+        "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
+    """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"
     if "output:" not in body:  # a case with its own output section writes OUT for the directory
         body += "\noutput: {directory: OUT}"
     cfg = write(tmp_path / "cfg.yaml", body.replace("OUT", str(out)) + "\n")
-    assert main([command, "--config", cfg]) == 1
+    assert main(command.split() + ["--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_load_config_rejects_tau_unit(tmp_path):
+    cfg = write(tmp_path / "cfg.yaml", G2TAU_BASE + "tau: {stop: 0.3, count: 4, unit: ms}\n")
+    with pytest.raises(ConfigError, match="tau.unit"):
+        load_config(cfg, "g2tau", [], None)
+
+
+def _fresh_run(code: str) -> tuple[set, str]:
+    """The scipy modules a fresh interpreter has loaded after running
+    ``code``, and its standard error."""
+    code += "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split()), done.stderr
+
+
+def test_import_and_spectrum_load_no_scipy_and_a_sweep_only_scipy_sparse(tmp_path):
+    assert not _fresh_run("import polariton.cli")[0]
+    run = "from polariton.cli import main\nassert main({!r}) == 0"
+    spectrum = write(tmp_path / "spectrum.yaml",
+                     MANIFOLDS_BASE + f"[1, 2]}}\noutput: {{directory: {tmp_path}}}\n")
+    assert not _fresh_run(run.format(["spectrum", "--config", spectrum]))[0]
+    sweep = write(tmp_path / "sweep.yaml", G_SWEEP_BASE + "truncation: {n_a_max: 2, n_b_max: 2}\n"
+                  f"output: {{directory: {tmp_path}}}\n")
+    loaded, log = _fresh_run("import logging\nlogging.basicConfig(level=logging.DEBUG)\n"
+                             + run.format(["g2sweep", "--threads", "1", "--config", sweep]))
+    assert "steady state via jump-free" in log and "via LU" not in log
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg",
+                                                   "scipy.sparse.linalg", "scipy.optimize"))]

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from multiprocessing import Pool
 
 import numpy as np
@@ -11,6 +14,7 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
 from polariton import scenarios
 from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
                                  _openblas_thread_counts, build_hamiltonian, run_g2tau)
+from helpers import fresh_env
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -174,6 +178,7 @@ def test_pool_workers_run_one_blas_thread():
 
 
 def test_g2tau_point_runs_one_blas_thread(monkeypatch):
+    import scipy.integrate  # noqa: F401  map scipy's OpenBLAS before the run, as a solve would
     controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS library is mapped into this process")
@@ -216,3 +221,46 @@ def test_extrema_of_mirror_twins_do_not_depend_on_last_bits(direction):
         assert got["global_max_at"] == exact["global_max_at"]
         for key in ("local_minima", "local_maxima"):
             assert [x for x, _ in got[key]] == [x for x, _ in exact[key]]
+
+
+BLAS_PROBE = """
+import json, os
+from polariton import TruncationConfig, preset_params, scenarios
+from polariton.scenarios import _openblas_thread_controls, _openblas_thread_counts, run_g2tau
+
+real_g2tau_point = scenarios.g2tau_point
+
+
+def counts_after_point(*args):
+    real_g2tau_point(*args)
+    return _openblas_thread_counts()
+
+
+scenarios.g2tau_point = counts_after_point  # module level: spawned workers patch it too
+if __name__ == "__main__":
+    controls, env = _openblas_thread_controls(), os.environ.get("OPENBLAS_NUM_THREADS")
+    before = [get() for get, _ in controls]
+    args = TruncationConfig(2, 2), [0.0, 0.5], ("a",), "inv_gamma"
+    pooled = run_g2tau([preset_params("A2", g=4.5)] * 2, *args, threads=2)
+    serial = run_g2tau([preset_params("A2", g=4.5)], *args, threads=1)
+    print(json.dumps({"before": before, "pooled": pooled, "serial": serial, "env": env,
+                      "after": [get() for get, _ in controls],
+                      "env_after": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def test_fresh_interpreter_runs_g2tau_points_on_one_blas_thread(tmp_path):
+    """In a fresh interpreter scipy's OpenBLAS first loads inside a point,
+    after the cap: it must start on one thread too.  The pooled run goes
+    first, so its workers, not the parent, load scipy."""
+    (tmp_path / "probe.py").write_text(BLAS_PROBE)
+    done = subprocess.run([sys.executable, str(tmp_path / "probe.py")],
+                          env=fresh_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if not seen["before"]:
+        pytest.skip("no OpenBLAS library is mapped into a fresh interpreter")
+    for counts in seen["pooled"] + seen["serial"]:
+        assert counts and all(n == 1 for n in counts), seen
+    assert seen["after"] == seen["before"]
+    assert seen["env_after"] == seen["env"] == "2"
