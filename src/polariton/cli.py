@@ -180,6 +180,8 @@ def _validate(config: dict, command: str):
                 raise ConfigError(f"sweep.{key} is required when no explicit values are given")
         if sweep.get("values") is not None:
             _check_list(sweep["values"], "sweep.values", _check_number)
+        if not isinstance(sweep.get("resonant", False), bool):
+            raise ConfigError("sweep.resonant must be true or false")
     elif command in ("g2sweep", "oracle-compare"):
         raise ConfigError(f"{command} requires a sweep section")
     if "tau" in config:
@@ -244,7 +246,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
     try:
         kwargs = dict(
             swept=str(s["variable"]),
-            resonant=bool(s.get("resonant", False)),
+            resonant=s.get("resonant", False),
             truncation=_truncation(config),
             overrides=dict(config.get("overrides", {})),
             modes=tuple(config.get("modes", DEFAULT_MODES)),

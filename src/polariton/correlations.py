@@ -33,6 +33,8 @@ OCCUPANCY_FLOOR = 1e-12
 POISSONIAN_BAND = 1e-2
 #: Bunching comparisons must exceed this absolute band to count.
 UNBUNCHED_BAND = 1e-3
+#: dominant_period ignores lines slower than this many full cycles per window.
+MIN_CYCLES = 4.0
 
 ModeLike = Union[ModeSelector, str, QOperator]
 
@@ -77,15 +79,6 @@ class StatisticsCase:
     case: Optional[int]
     signs: tuple[int, int, int]
     boundary: bool
-
-
-@dataclass(frozen=True)
-class G234Signature:
-    """Signs of log g^(k)(0) for k = 2, 3, 4 with per-order boundary flags."""
-
-    signs: tuple[int, int, int]
-    boundary: tuple[bool, bool, bool]
-    values: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -177,17 +170,16 @@ def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase
     return StatisticsCase(_SIGN_TO_CASE.get(signs), signs, boundary)
 
 
-def classify_dynamics(curve: G2TauCurve, p: SystemParams,
-                      tau_window: Optional[float] = None) -> DynamicsLabel:
+def classify_dynamics(curve: G2TauCurve, p: SystemParams) -> DynamicsLabel:
     """Classify a g2(tau) curve into a blockade/tunnelling dynamics case.
 
-    The comparison window is tau_w = 1/max(kappa_a, kappa_b, gamma) unless
-    overridden.  Within (0, tau_w] the curve's dominant deviation from
-    g2(0) decides between antibunched (upward) and bunched (downward);
+    The comparison window is tau_w = 1/max(kappa_a, kappa_b, gamma).
+    Within (0, tau_w] the curve's dominant deviation from g2(0) decides
+    between antibunched (upward) and bunched (downward);
     deviations within the unbunched band on both sides give 'unbunched'.
     Cases I..IV require strict sub/super statistics as well.
     """
-    tau_w = tau_window if tau_window is not None else 1.0 / p.kappa_max
+    tau_w = 1.0 / p.kappa_max
     if curve.tau_unit == "us":
         tau_w = tau_to_us(tau_w)
     taus, vals = curve.tau_grid, curve.values
@@ -228,15 +220,6 @@ def sign_pattern(values: Sequence[float]) -> tuple[tuple[int, ...], str]:
     return signs, "".join("+" if s > 0 else "-" if s < 0 else "0" for s in signs)
 
 
-def g234_signature(rho: DensityMatrix, mode: ModeLike) -> G234Signature:
-    """Signs of log g^(k)(0) for k = 2, 3, 4 for one mode."""
-    points = [g_k_zero(rho, mode, k) for k in (2, 3, 4)]
-    values = tuple(pt.value for pt in points)
-    signs, _ = sign_pattern(values)
-    boundary = tuple(abs(v - 1.0) <= POISSONIAN_BAND for v in values)
-    return G234Signature(signs, boundary, values)
-
-
 def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     """Hybrid-mode moments <c'c> and <c'^2 c^2> from photon/phonon moments.
 
@@ -270,13 +253,12 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     return float(first.real), float(second.real)
 
 
-def dominant_period(tau: Sequence[float], values: Sequence[float],
-                    min_cycles: float = 4.0) -> float:
+def dominant_period(tau: Sequence[float], values: Sequence[float]) -> float:
     """Dominant oscillation period of a sampled curve.
 
     Removes a cubic trend, applies a Hann window, and locates the largest
     spectral line of the zero-padded FFT (with parabolic interpolation),
-    ignoring frequencies slower than ``min_cycles`` full cycles per window.
+    ignoring frequencies slower than ``MIN_CYCLES`` full cycles per window.
     Raises :class:`InsufficientDataError` when the refined line falls below
     that band, i.e. the spectrum peaks at the band's lower edge.
     """
@@ -293,7 +275,7 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     spectrum = np.abs(np.fft.rfft(windowed, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, dt)
     span = tau[-1] - tau[0]
-    k_min = int(np.searchsorted(freqs, min_cycles / span))
+    k_min = int(np.searchsorted(freqs, MIN_CYCLES / span))
     k_min = max(k_min, 1)
     if k_min >= len(spectrum) - 1:
         raise InsufficientDataError("window too short for the requested minimum frequency")
@@ -305,6 +287,6 @@ def dominant_period(tau: Sequence[float], values: Sequence[float],
     else:
         shift = 0.0
     f_star = freqs[k] + shift * (freqs[1] - freqs[0])
-    if f_star <= 0 or f_star * span < min_cycles:
+    if f_star <= 0 or f_star * span < MIN_CYCLES:
         raise InsufficientDataError("no spectral line inside the band")
     return float(1.0 / f_star)

@@ -9,10 +9,6 @@ class DimensionError(PolaritonError):
     """Operator or state dimensions are invalid or incompatible."""
 
 
-class TruncationError(PolaritonError):
-    """A state or operator image does not fit within the configured cutoffs."""
-
-
 class ParameterError(PolaritonError):
     """A physical parameter violates its constraints (e.g. negative rate)."""
 

@@ -12,7 +12,7 @@ operator in the package is expressed in this basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -32,14 +32,11 @@ class TruncationConfig:
 
     n_a_max: int = 5
     n_b_max: int = 5
-    qubit_dim: int = 2
 
     def __post_init__(self):
         if self.n_a_max < 2 or self.n_b_max < 2:
             raise DimensionError(
                 f"cutoffs must be >= 2, got n_a_max={self.n_a_max}, n_b_max={self.n_b_max}")
-        if self.qubit_dim != 2:
-            raise DimensionError(f"qubit_dim is fixed at 2, got {self.qubit_dim}")
 
     @classmethod
     def from_dims(cls, dims: tuple[int, ...]) -> "TruncationConfig":
@@ -156,10 +153,6 @@ class QOperator:
         self._check_dims(other)
         return QOperator(self.matrix @ other.matrix, self.dims)
 
-    def commutator(self, other: "QOperator") -> "QOperator":
-        self._check_dims(other)
-        return QOperator(self.matrix @ other.matrix - other.matrix @ self.matrix, self.dims)
-
     def norm(self) -> float:
         """Frobenius norm."""
         return float(np.linalg.norm(self.matrix))
@@ -185,26 +178,21 @@ def qubit_lowering() -> QOperator:
     return QOperator(mat, (2,))
 
 
-def embed(op: QOperator, slot: Union[int, str], cfg: TruncationConfig) -> QOperator:
+def embed(op: QOperator, slot: str, cfg: TruncationConfig) -> QOperator:
     """Embed a single-subsystem operator into the composite space.
 
     Returns I (x) ... (x) op (x) ... (x) I with the fixed subsystem order
-    [photon, phonon, qubit].  ``slot`` may be an index 0..2 or one of the
-    names 'photon', 'phonon', 'qubit'.
+    [photon, phonon, qubit]; ``slot`` names one of them.
     """
-    if isinstance(slot, str):
-        if slot not in SLOT_NAMES:
-            raise DimensionError(f"unknown slot {slot!r}; use one of {SLOT_NAMES}")
-        slot = SLOT_NAMES.index(slot)
-    if not 0 <= slot < 3:
-        raise DimensionError(f"slot index out of range: {slot}")
+    if slot not in SLOT_NAMES:
+        raise DimensionError(f"unknown slot {slot!r}; use one of {SLOT_NAMES}")
+    k_slot = SLOT_NAMES.index(slot)
     dims = cfg.dims
-    if op.dim != dims[slot]:
-        raise DimensionError(
-            f"operator dim {op.dim} does not match slot {SLOT_NAMES[slot]} dim {dims[slot]}")
+    if op.dim != dims[k_slot]:
+        raise DimensionError(f"operator dim {op.dim} does not match slot {slot} dim {dims[k_slot]}")
     mat = np.eye(1, dtype=complex)
     for k, d in enumerate(dims):
-        mat = np.kron(mat, op.matrix if k == slot else np.eye(d, dtype=complex))
+        mat = np.kron(mat, op.matrix if k == k_slot else np.eye(d, dtype=complex))
     return QOperator(mat, dims)
 
 
@@ -213,9 +201,3 @@ def basis_state(label: FockLabel, cfg: TruncationConfig) -> np.ndarray:
     vec = np.zeros(cfg.dim, dtype=complex)
     vec[cfg.index_of(label)] = 1.0
     return vec
-
-
-def expect(op: QOperator, rho: Union[np.ndarray, "object"]) -> complex:
-    """Expectation value Tr(rho O) for a matrix or density-matrix object."""
-    mat = getattr(rho, "matrix", rho)
-    return complex(np.einsum("ij,ji->", np.asarray(mat), op.matrix))

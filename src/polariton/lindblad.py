@@ -425,16 +425,3 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     finally:
         vars(solver).clear()  # its rhs wrappers close over it: free it now, not at the next gc
     return out
-
-
-def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid: Sequence[float]) -> list[DensityMatrix]:
-    """Propagate a state under the master equation and sample it on a grid.
-
-    The start state must be Hermitian (:class:`IntegrationError` otherwise);
-    the outputs are Hermitian by construction and deliberately not
-    re-normalised, so trace drift measures integration accuracy.
-    """
-    if rho0.dim != L.dim:
-        raise ParameterError(f"state dim {rho0.dim} does not match Liouvillian dim {L.dim}")
-    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, L.dim, L.dim)
-    return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.dims) for R in Rs]

@@ -13,9 +13,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Union
 
-import numpy as np
-
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError
 from .hilbert import QOperator, TruncationConfig, annihilation, embed, qubit_lowering
 
 #: Qubit decay rate in angular frequency units, rad / microsecond.
@@ -25,11 +23,6 @@ GAMMA_RAD_PER_US = 10.0 * math.pi
 def tau_to_us(tau: float) -> float:
     """Convert a delay in units of 1/gamma to microseconds."""
     return tau / GAMMA_RAD_PER_US
-
-
-def us_to_tau(t_us: float) -> float:
-    """Convert a delay in microseconds to units of 1/gamma."""
-    return t_us * GAMMA_RAD_PER_US
 
 
 @dataclass(frozen=True)
@@ -86,17 +79,6 @@ def _bare_ops(cfg: TruncationConfig) -> tuple[QOperator, QOperator, QOperator]:
     b = embed(annihilation(cfg.n_b_max + 1), "phonon", cfg)
     sm = embed(qubit_lowering(), "qubit", cfg)
     return a, b, sm
-
-
-def polariton_number(cfg: TruncationConfig) -> QOperator:
-    """Total excitation number a'a + b'b + sigma_+ sigma_-.
-
-    Built from the basis-label enumeration so the diagonal holds exact
-    integers; conservation identities then hold bitwise rather than to
-    rounding error (sqrt(n)^2 is not exactly n in floats).
-    """
-    diag = np.array([lab.excitations for lab in cfg.labels()], dtype=float)
-    return QOperator(np.diag(diag), cfg.dims)
 
 
 def _hermitian_pair(op: QOperator) -> QOperator:
@@ -183,55 +165,3 @@ def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[QOperator, QOpe
     a, b, _ = _bare_ops(cfg)
     s, c = math.sin(theta), math.cos(theta)
     return (s * a + c * b, c * a - s * b)
-
-
-def hamiltonian_smr_driven_bs(p: SystemParams, cfg: TruncationConfig) -> QOperator:
-    """SMR-driven Hamiltonian written in terms of the hybrid modes c, d.
-
-    Algebraically identical to :func:`hamiltonian_smr_driven`; exposed so
-    the hybrid-mode picture (qubit coupled to both c and d with strength
-    g/sqrt(2), detunings (d_a + d_b)/2 +/- f, residual c-d coupling
-    (d_a - d_b)/2) can be inspected and tested directly.
-    """
-    _, _, sm = _bare_ops(cfg)
-    c, d = linear_coupler(math.pi / 4, cfg)
-    delta_mean = 0.5 * (p.delta_a + p.delta_b)
-    delta_cd = 0.5 * (p.delta_a - p.delta_b)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    H = ((delta_mean + p.f) * (c.dag() @ c)
-         + (delta_mean - p.f) * (d.dag() @ d)
-         + p.delta_q * (sm.dag() @ sm)
-         + delta_cd * _hermitian_pair(c.dag() @ d)
-         + inv_sqrt2 * p.g * (_hermitian_pair(c.dag() @ sm) + _hermitian_pair(d.dag() @ sm))
-         + inv_sqrt2 * p.eta_a * (_hermitian_pair(c) + _hermitian_pair(d)))
-    return H
-
-
-@lru_cache(maxsize=8)
-def _bs_unitary(cfg: TruncationConfig) -> np.ndarray:
-    # a'b - b'a conserves n_a + n_b, so expm is block-diagonal in the total
-    # quanta, and every block with n_a + n_b <= min(cutoffs) is exact
-    import scipy.linalg
-    a, b, _ = _bare_ops(cfg)
-    return scipy.linalg.expm(math.pi / 4 * (a.dag() @ b - b.dag() @ a).matrix)
-
-
-def bs_fock_map(state: np.ndarray, cfg: TruncationConfig) -> np.ndarray:
-    """Apply the balanced coupler exp(pi/4 (a'b - b'a)) to the two bosonic modes.
-
-    The qubit factor is untouched.  Defined on the sector with at most two
-    bosonic quanta in total; support outside that sector raises
-    :class:`TruncationError`.  |1,0> maps to (|1,0> - |0,1>)/sqrt(2): the
-    second output is -d, the opposite sign to :func:`hybrid_mode_operator`'s
-    d, so the (n_c, n_d) amplitude is (-1)^n_d times the (n_c, n_d) component.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (cfg.dim,):
-        raise TruncationError(f"state length {state.shape} does not match dim {cfg.dim}")
-    outside = sum(abs(state[cfg.index_of(lab)]) ** 2
-                  for lab in cfg.labels() if lab.n_a + lab.n_b > 2)
-    if outside > 1e-24:
-        raise TruncationError(
-            f"state has weight {outside:.3e} on >2 bosonic quanta; the balanced-coupler "
-            "map is defined on the two-excitation sector only")
-    return _bs_unitary(cfg) @ state

@@ -448,9 +448,9 @@ class SpectrumResult:
 
 
 def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
-                   manifolds: Sequence[int] = (1, 2, 3), sign: int = +1,
+                   manifolds: Sequence[int] = (1, 2, 3),
                    frequencies: Optional[tuple[float, float]] = None) -> SpectrumResult:
-    """Lab-frame manifold frequencies versus the mechanical frequency.
+    """Lab-frame manifold frequencies of H(+) versus the mechanical frequency.
 
     The photon and qubit frequencies come from the preset's absolute
     values unless ``frequencies`` = (omega_smr, omega_q) overrides them;
@@ -467,7 +467,7 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
     grid = np.asarray(omega_m_grid, dtype=float)
     rows: dict[int, list] = {n: [] for n in manifolds}
     for omega_m in grid:
-        H = hamiltonian_undriven(base.with_(delta_b=float(omega_m)), sign, cfg)
+        H = hamiltonian_undriven(base.with_(delta_b=float(omega_m)), +1, cfg)
         for n in manifolds:
             rows[n].append(manifold_spectrum(H, n).frequencies)
     stacked = {n: np.vstack(v) for n, v in rows.items()}
@@ -475,15 +475,14 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
     return SpectrumResult(grid, stacked, gaps)
 
 
-def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[float],
-                             sign: int = +1) -> list[dict]:
-    """D_kPR versus the photon-pump detuning, in the preset's lab frame."""
+def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[float]) -> list[dict]:
+    """D_kPR of H(+) versus the photon-pump detuning, in the preset's lab frame."""
     pre = PRESETS[preset]
     omega_smr, omega_m, omega_q = pre.frequencies
     base = pre.params.with_(eta_a=0.0, eta_b=0.0, g=g, delta_a=omega_smr,
                             delta_b=omega_m, delta_q=omega_q)
     cfg = TruncationConfig(n_a_max=3, n_b_max=3)
-    H = hamiltonian_undriven(base, sign, cfg)
+    H = hamiltonian_undriven(base, +1, cfg)
     spectra = [manifold_spectrum(H, n) for n in (1, 2, 3)]
     rows = []
     for delta in np.asarray(delta_smr_grid, dtype=float):

@@ -26,7 +26,6 @@ class ManifoldSpectrum:
 
     n: int
     frequencies: np.ndarray
-    eigenvectors: Optional[np.ndarray] = None  # columns, in frequency order
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
@@ -41,7 +40,7 @@ class ResonanceDistances:
     d3: float
 
 
-def manifold_spectrum(H: QOperator, n: int, with_vectors: bool = False) -> ManifoldSpectrum:
+def manifold_spectrum(H: QOperator, n: int) -> ManifoldSpectrum:
     """Eigenvalues of H restricted to the n-polariton manifold, ascending.
 
     Requires H to conserve the polariton number; any matrix element
@@ -60,11 +59,7 @@ def manifold_spectrum(H: QOperator, n: int, with_vectors: bool = False) -> Manif
     idx = np.flatnonzero(excitations == n)
     if idx.size == 0:
         raise ParameterError(f"manifold n={n} is empty within truncation {cfg.dims}")
-    block = H.matrix[np.ix_(idx, idx)]
-    if with_vectors:
-        freqs, vecs = np.linalg.eigh(block)
-        return ManifoldSpectrum(n, freqs, vecs)
-    return ManifoldSpectrum(n, np.linalg.eigvalsh(block))
+    return ManifoldSpectrum(n, np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)]))
 
 
 def _common_detuning(p: SystemParams) -> float:

@@ -17,7 +17,6 @@ which cancels in every observable).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,17 +44,6 @@ class AmplitudeSet:
     c10e: complex
     c01e: complex
     c00g: complex = 1.0
-
-    def hierarchy_ratios(self) -> tuple[float, float]:
-        """(first/ground, second/first) amplitude magnitude ratios.
-
-        Reported, not enforced: both should be well below 1 in the regime
-        where the truncation at two excitations is trustworthy.
-        """
-        first = max(abs(self.c10g), abs(self.c01g), abs(self.c00e))
-        second = max(abs(self.c11g), abs(self.c20g), abs(self.c02g),
-                     abs(self.c10e), abs(self.c01e))
-        return first / abs(self.c00g), second / first if first > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -164,9 +152,11 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
 def bs_transform_amplitudes(amps: AmplitudeSet) -> HybridAmplitudeSet:
     """Balanced-coupler images of the amplitudes (hybrid-mode basis).
 
-    The hybrid modes are c, d = (a +/- b)/sqrt(2) as in ``hybrid_mode_operator``.
-    ``bs_fock_map`` outputs -d instead of d, so each (n_c, n_d) amplitude here
-    is (-1)^n_d times that map's (n_c, n_d) component.
+    Each (n_c, n_d) amplitude is the coefficient of |n_c, n_d> in the Fock
+    basis of c, d = (a +/- b)/sqrt(2): the outputs of ``linear_coupler`` at
+    theta = pi/4, which ``hybrid_mode_operator`` names c and d.  The signs
+    follow from a' = (c' + d')/sqrt(2) and b' = (c' - d')/sqrt(2): a term
+    changes sign once for each d quantum that comes from a b'.
     """
     return HybridAmplitudeSet(
         c10g=(amps.c10g + amps.c01g) / _SQRT2,
@@ -226,36 +216,3 @@ def closed_form_double(p: SystemParams) -> tuple[complex, complex, complex]:
     c20g = -eta**2 * f * f * (2 * dk * dg * x1 + (2 * dk - dg) * dkg * g * g - g**4) / denom
     c11g = eta**2 * f * (2 * dk * dk * dg * x1 + x7 * g * g + dg * g**4) / (x5 * (x3 - x4))
     return complex(c02g), complex(c20g), complex(c11g)
-
-
-def closed_form_report(p: SystemParams) -> dict:
-    """Cross-check report: linear solves vs closed forms vs legacy ratios.
-
-    The legacy single-excitation ratio expressions (the ones carrying a
-    literal factor 24) embed the numeric substitution gamma = kappa/6; the
-    report evaluates them only to flag where they stop matching the
-    defining equations.
-    """
-    f, g, eta, d_kappa, d_gamma = _oracle_context(p)
-    singles = solve_single_excitation(p)
-    c01g, c10g, _ = singles
-    c11g, c20g, c02g, _, _ = solve_double_excitation(p, singles)
-    cf01, cf10 = closed_form_single(p)
-    cf02, cf20, cf11 = closed_form_double(p)
-
-    def rel(x: complex, y: complex) -> float:
-        scale = max(abs(x), abs(y), 1e-300)
-        return abs(x - y) / scale
-
-    delta, kappa = p.delta_a, p.kappa_a
-    legacy_denom = 24 * g * g - 24 * delta * delta + 14j * kappa * delta + kappa * kappa
-    legacy_ratio = f * (24 * delta - 2j * kappa) / legacy_denom  # C10g / C01g
-    exact_ratio = c10g / c01g if abs(c01g) > 0 else cmath.nan
-    return {
-        "closed_vs_solve_max_rel": max(
-            rel(-cf01, c01g), rel(-cf10, c10g),
-            rel(-cf02, c02g), rel(-cf20, c20g), rel(-cf11, c11g)),
-        "closed_form_global_sign": -1,
-        "legacy_ratio_rel_dev": rel(legacy_ratio, exact_ratio),
-        "legacy_ratio_valid_here": abs(p.kappa_a - 6.0 * p.gamma) <= 1e-12 * max(1.0, p.kappa_a),
-    }

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 import polariton
-from polariton import (DensityMatrix, QOperator, SystemParams, TruncationConfig,
-                       closed_form_double, closed_form_single)
+from polariton import (DensityMatrix, Liouvillian, QOperator, SystemParams,
+                       TruncationConfig, closed_form_double, closed_form_single)
+from polariton.lindblad import _propagate
 
 
 def random_density(rng: np.random.Generator, dim: int,
@@ -23,6 +24,12 @@ def random_density(rng: np.random.Generator, dim: int,
 
 def random_composite_density(rng: np.random.Generator, cfg: TruncationConfig) -> DensityMatrix:
     return random_density(rng, cfg.dim, cfg.dims)
+
+
+def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid) -> list[DensityMatrix]:
+    """States on ``t_grid`` from the propagator that g2_tau uses, not re-normalised."""
+    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, L.dim, L.dim)
+    return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.dims) for R in Rs]
 
 
 def kron_liouvillian(H: QOperator, p: SystemParams) -> sp.csr_matrix:

@@ -12,13 +12,13 @@ import numpy as np
 from polariton import (DensityMatrix, FockLabel, SweepSpec, SystemParams,
                        TruncationConfig, analytic_manifolds, basis_state,
                        build_liouvillian, bundle_params, classify_dynamics,
-                       compare_oracle, dominant_period, evolve, g2_tau, g_k_zero,
+                       compare_oracle, dominant_period, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
                        hamiltonian_undriven, hybrid_mode_operator,
                        hybrid_moments_from_local, manifold_spectrum,
                        preset_params, run_sweep, solve_point, steady_state,
                        tau_to_us)
-from helpers import closed_form_g2_b_dip, random_composite_density, random_params
+from helpers import closed_form_g2_b_dip, evolve, random_composite_density, random_params
 
 THREADS = int(os.environ.get("POLARITON_THREADS", "2"))
 CUTOFF5 = TruncationConfig(5, 5)

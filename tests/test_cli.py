@@ -301,6 +301,9 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ("spectrum", MANIFOLDS_BASE + "[]}"),
     ("spectrum", MANIFOLDS_BASE + "[0]}"),
     ("spectrum", MANIFOLDS_BASE + "[0, 1]}"),
+    ('g2sweep --override sweep.resonant="false"', G_SWEEP_BASE),
+    ("g2sweep --override sweep.resonant=maybe", G_SWEEP_BASE),
+    ("g2sweep --override sweep.resonant=[1]", G_SWEEP_BASE),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
@@ -308,7 +311,8 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "overrides.kappa_b<0", "points.kappa_a<0", "output.directory=5", "output.basename=5",
         "sweep.start-missing", "--threads=0", "--threads=-3", "threads=0",
         "output.gnuplot=no", "tau.unit=ms", "spectrum.manifolds=[]",
-        "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]"])
+        "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", 'sweep.resonant="false"',
+        "sweep.resonant=maybe", "sweep.resonant=[1]"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"

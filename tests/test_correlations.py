@@ -5,11 +5,11 @@ from polariton import (DensityMatrix, FockLabel, InsufficientDataError,
                        ClassificationError, SystemParams, TruncationConfig,
                        UndefinedCorrelationError, annihilation, basis_state,
                        build_liouvillian, classify_dynamics, classify_statistics,
-                       dominant_period, embed, g234_signature, g2_tau, g_k_zero,
+                       dominant_period, embed, g2_tau, g_k_zero,
                        hybrid_moments_from_local,
                        hybrid_mode_operator, preset_params, qubit_lowering,
                        steady_state, solve_point)
-from polariton.correlations import G2TauCurve, sign_pattern
+from polariton.correlations import POISSONIAN_BAND, G2TauCurve, sign_pattern
 from helpers import coherent_vector, random_composite_density
 
 CFG = TruncationConfig(2, 2)
@@ -148,24 +148,31 @@ def test_classify_dynamics_window_errors():
         classify_dynamics(short, p)
 
 
+def g234_signature(rho, mode):
+    """Signs of log g^(k)(0) for k = 2, 3, 4 and their Poissonian-band flags."""
+    values = [g_k_zero(rho, mode, k).value for k in (2, 3, 4)]
+    signs, _ = sign_pattern(values)
+    return signs, [abs(v - 1.0) <= POISSONIAN_BAND for v in values]
+
+
 def test_g234_signatures():
     # Fock |1>: all orders sub-Poissonian (true single-excitation blockade)
     cfg = TruncationConfig(5, 2)
     rho = fock_density(1, 0, "g", cfg)
-    sig = g234_signature(rho, "a")
-    assert sig.signs == (-1, -1, -1)
+    signs, _ = g234_signature(rho, "a")
+    assert signs == (-1, -1, -1)
     # thermal state: g^(k) = k!, strongly super-Poissonian at every order
     nbar = 0.4
     probs = (nbar / (1 + nbar)) ** np.arange(6) / (1 + nbar)
     diag = np.kron(np.kron(probs / probs.sum(), [1, 0, 0]), [1, 0])
     rho_th = DensityMatrix(np.diag(diag), cfg.dims)
-    sig = g234_signature(rho_th, "a")
-    assert sig.signs == (+1, +1, +1)
+    signs, _ = g234_signature(rho_th, "a")
+    assert signs == (+1, +1, +1)
     # coherent state: boundary triple
     vec = np.kron(np.kron(coherent_vector(0.35, 6), [1, 0, 0]), [1, 0])
     rho_coh = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
-    sig = g234_signature(rho_coh, "a")
-    assert all(sig.boundary)
+    _, boundary = g234_signature(rho_coh, "a")
+    assert all(boundary)
 
 
 def test_sign_pattern_string():

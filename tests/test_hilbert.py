@@ -34,8 +34,6 @@ def test_truncation_config_invariants():
     assert cfg.dim == 4 * 5 * 2
     with pytest.raises(DimensionError):
         TruncationConfig(1, 5)
-    with pytest.raises(DimensionError):
-        TruncationConfig(5, 5, qubit_dim=3)
 
 
 def test_canonical_index_formula():
@@ -72,7 +70,7 @@ def test_embed_actions_and_commutation():
     assert np.allclose(sm.matrix @ basis_state(FockLabel(0, 0, "e"), cfg),
                        basis_state(FockLabel(0, 0, "g"), cfg))
     # disjoint subsystems commute exactly
-    comm = a.commutator(b.dag())
+    comm = a @ b.dag() - b.dag() @ a
     assert not comm.matrix.any()
 
 

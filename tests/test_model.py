@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from polariton import (FockLabel, ParameterError, SystemParams, TruncationConfig,
-                       TruncationError, basis_state, bs_fock_map,
-                       hamiltonian_qd_driven, hamiltonian_smr_driven,
-                       hamiltonian_smr_driven_bs, hamiltonian_undriven,
-                       hybrid_mode_operator, linear_coupler, polariton_number,
-                       tau_to_us, us_to_tau)
+from polariton import (FockLabel, ParameterError, QOperator, SystemParams,
+                       TruncationConfig, basis_state, embed, hamiltonian_qd_driven,
+                       hamiltonian_smr_driven, hamiltonian_undriven,
+                       hybrid_mode_operator, linear_coupler, qubit_lowering, tau_to_us)
 from helpers import random_params
 
 CFG = TruncationConfig(3, 3)
@@ -72,15 +70,16 @@ def test_exact_hermiticity():
 
 def test_polariton_conservation_and_drive_breaking():
     rng = np.random.default_rng(6)
-    N = polariton_number(CFG)
+    # exact integers on the diagonal, so the commutator vanishes bitwise
+    N = np.diag([float(lab.excitations) for lab in CFG.labels()])
     for sign in (+1, -1):
         for _ in range(5):
             p = random_params(rng).with_(eta_a=0.0, eta_b=0.0)
-            H = hamiltonian_undriven(p, sign, CFG)
-            assert not H.commutator(N).matrix.any()
+            H = hamiltonian_undriven(p, sign, CFG).matrix
+            assert not (H @ N - N @ H).any()
     p = random_params(rng, driven="a")
-    H = hamiltonian_smr_driven(p, CFG)
-    assert H.commutator(N).norm() > 0
+    H = hamiltonian_smr_driven(p, CFG).matrix
+    assert np.linalg.norm(H @ N - N @ H) > 0
 
 
 def test_undriven_preconditions():
@@ -111,8 +110,8 @@ def test_hybrid_mode_commutators_defect_confined_to_boundary():
     c = hybrid_mode_operator("c", CFG)
     d = hybrid_mode_operator("d", CFG)
     eye = np.eye(CFG.dim)
-    for op, target in ((c.commutator(c.dag()).matrix, eye),
-                       (c.commutator(d.dag()).matrix, 0 * eye)):
+    for op, target in (((c @ c.dag() - c.dag() @ c).matrix, eye),
+                       ((c @ d.dag() - d.dag() @ c).matrix, 0 * eye)):
         defect = op - target
         for i, lab_i in enumerate(CFG.labels()):
             for j, lab_j in enumerate(CFG.labels()):
@@ -152,50 +151,24 @@ def test_linear_coupler_conserves_excitation():
         assert np.allclose(combo.matrix, total.matrix, atol=1e-14)
 
 
-def test_bs_fock_map_images():
-    s2 = np.sqrt(2)
-    out = bs_fock_map(ket(1, 0, "g"), CFG)
-    assert np.allclose(out, (ket(1, 0, "g") - ket(0, 1, "g")) / s2)
-    out = bs_fock_map(ket(1, 1, "e"), CFG)  # qubit untouched
-    assert np.allclose(out, (ket(2, 0, "e") - ket(0, 2, "e")) / s2)
-    out = bs_fock_map(ket(0, 0, "g"), CFG)
-    assert np.allclose(out, ket(0, 0, "g"))
-    out = bs_fock_map(ket(0, 2, "g"), CFG)
-    assert np.allclose(out, 0.5 * ket(2, 0, "g") + (s2 / 2) * ket(1, 1, "g")
-                       + 0.5 * ket(0, 2, "g"))
+def hamiltonian_smr_driven_bs(p, cfg):
+    """The SMR-driven Hamiltonian written in the hybrid modes c, d: the qubit
+    couples to both with g/sqrt(2), at detunings (d_a + d_b)/2 +/- f, with a
+    residual c-d coupling (d_a - d_b)/2."""
+    def pair(op):
+        return QOperator(op.matrix + op.matrix.conj().T, op.dims)
 
-
-def test_bs_fock_map_unitary_on_sector():
-    rng = np.random.default_rng(3)
-    vec = np.zeros(CFG.dim, dtype=complex)
-    for lab in CFG.labels():
-        if lab.n_a + lab.n_b <= 2:
-            vec[CFG.index_of(lab)] = rng.normal() + 1j * rng.normal()
-    vec /= np.linalg.norm(vec)
-    out = bs_fock_map(vec, CFG)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-14
-
-
-def test_bs_fock_map_asymmetric_cutoffs():
-    # the generator conserves n_a + n_b, so the two-quanta sector is exact
-    # whenever both cutoffs are >= 2, whichever mode is truncated further
-    sector = [(n_a, n_b) for n_a in range(3) for n_b in range(3 - n_a)]
-    for cfg in (TruncationConfig(2, 4), TruncationConfig(4, 2)):
-        for n_a, n_b in sector:
-            for q in ("g", "e"):
-                ref = bs_fock_map(ket(n_a, n_b, q), CFG)
-                out = bs_fock_map(ket(n_a, n_b, q, cfg), cfg)
-                for lab in cfg.labels():
-                    amp = out[cfg.index_of(lab)]
-                    if lab.n_a + lab.n_b <= 2:
-                        assert abs(amp - ref[CFG.index_of(lab)]) < 1e-15
-                    else:
-                        assert amp == 0.0
-
-
-def test_bs_fock_map_rejects_high_excitation():
-    with pytest.raises(TruncationError):
-        bs_fock_map(ket(2, 1, "g"), CFG)
+    sm = embed(qubit_lowering(), "qubit", cfg)
+    c, d = linear_coupler(np.pi / 4, cfg)
+    delta_mean = 0.5 * (p.delta_a + p.delta_b)
+    delta_cd = 0.5 * (p.delta_a - p.delta_b)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    return ((delta_mean + p.f) * (c.dag() @ c)
+            + (delta_mean - p.f) * (d.dag() @ d)
+            + p.delta_q * (sm.dag() @ sm)
+            + delta_cd * pair(c.dag() @ d)
+            + inv_sqrt2 * p.g * (pair(c.dag() @ sm) + pair(d.dag() @ sm))
+            + inv_sqrt2 * p.eta_a * (pair(c) + pair(d)))
 
 
 def test_bs_hamiltonian_identity():
@@ -209,4 +182,3 @@ def test_bs_hamiltonian_identity():
 
 def test_time_unit_conversion():
     assert tau_to_us(2 * np.pi / 5.5) == pytest.approx(0.036360, abs=5e-6)
-    assert us_to_tau(tau_to_us(1.7)) == pytest.approx(1.7, rel=1e-12)
