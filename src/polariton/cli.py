@@ -37,8 +37,8 @@ from .errors import (ConfigError, DimensionError, InsufficientDataError, Paramet
 from .hilbert import TruncationConfig
 from .model import SystemParams
 from .scenarios import (DEFAULT_MODES, DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
-                        resolve_params, resonance_distance_sweep, run_g2tau, run_sweep,
-                        spectrum_sweep)
+                        pool_workers, resolve_params, resonance_distance_sweep, run_g2tau,
+                        run_sweep, spectrum_sweep)
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 
@@ -48,7 +48,7 @@ _SCHEMAS = {
                 "orders", "output", "threads"},
     "g2tau": {"preset", "params", "overrides", "truncation", "points", "tau",
               "modes", "output", "threads"},
-    "spectrum": {"preset", "overrides", "spectrum", "output", "threads"},
+    "spectrum": {"preset", "overrides", "spectrum", "output"},
     "oracle-compare": {"preset", "params", "overrides", "truncation", "sweep",
                        "output", "threads"},
 }
@@ -99,6 +99,11 @@ def _check_list(value, where: str, check=None) -> list:
     for i, item in enumerate(value if check else []):
         check(item, f"{where}[{i}]")
     return value
+
+
+def _check_unique(items: list, where: str):
+    if len(set(items)) != len(items):
+        raise ConfigError(f"{where}: duplicate entries in {items}")
 
 
 def _check_numbers(mapping: dict, allowed: set, where: str):
@@ -228,8 +233,10 @@ def _validate(config: dict, command: str):
         bad = [m for m in _check_list(config["modes"], "modes") if m not in DEFAULT_MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}")
+        _check_unique(config["modes"], "modes")
     if "orders" in config:
         _check_list(config["orders"], "orders", lambda k, where: _check_count(k, where, minimum=2))
+        _check_unique(config["orders"], "orders")
     _check_count(config.get("threads", 1), "threads")
 
 
@@ -349,6 +356,7 @@ def _cmd_g2sweep(config: dict) -> int:
     writer.write_summary("g2sweep-v1", config, warnings, {
         "cases_found": sorted(result.cases()),
         "n_rows": len(result.rows),
+        "workers": pool_workers(config.get("threads"), len(result.rows)),
     })
     return 0
 
@@ -387,8 +395,9 @@ def _cmd_g2tau(config: dict) -> int:
     if len(warnings) == len(results):
         print(f"error: every operating point failed; first: {warnings[0]}", file=sys.stderr)
         return 2
-    writer.write_summary("g2tau-v1", config, warnings, {"points": summary_points,
-                                                        "tau_unit": unit})
+    writer.write_summary("g2tau-v1", config, warnings, {
+        "points": summary_points, "tau_unit": unit,
+        "workers": pool_workers(config.get("threads"), len(points))})
     return 0
 
 
@@ -442,8 +451,9 @@ def _cmd_oracle_compare(config: dict) -> int:
         warnings.append(f"{len(me_failed)} master-equation points failed")
     if oracle_failed:
         warnings.append(f"{len(oracle_failed)} oracle points failed")
-    writer.write_summary("oracle-compare-v1", config, warnings,
-                         {"extrema": result.summary})
+    writer.write_summary("oracle-compare-v1", config, warnings, {
+        "extrema": result.summary,
+        "workers": pool_workers(config.get("threads"), len(result.rows))})
     return 0
 
 
@@ -473,8 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="KEY=VALUE",
                          help="parameter override (bare keys) or dotted config path")
         cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker processes (default: the config's threads, or 1)")
+        if name != "spectrum":  # spectrum runs no worker pool
+            cmd.add_argument("--threads", type=int, default=None,
+                             help="worker processes (default: the config's threads, "
+                                  "or one per usable core, at most one per point)")
         cmd.add_argument("--format", choices=("csv", "json"), default=None,
                          help="data file format (default csv)")
     return parser
@@ -488,7 +500,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             config.setdefault("output", {})["directory"] = args.out
         if args.format is not None:
             config.setdefault("output", {})["format"] = args.format
-        if args.threads is not None:
+        if getattr(args, "threads", None) is not None:
             _check_count(args.threads, "--threads")
             config["threads"] = args.threads
         return _COMMANDS[args.command](config)

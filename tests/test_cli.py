@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,35 @@ output: {{directory: {out}, basename: tau}}
     assert "error" in json.loads(runs[0][1])[3]
 
 
+@pytest.mark.parametrize("command,body", [
+    ("g2tau", "preset: A3\npoints: [{g: 10.5}, {g: 7.35}, {g: 13.3}]\n"
+              "tau: {stop: 0.3, count: 31}\nmodes: [a, b]\n"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, values: [4.0, 4.5, 5.0]}\n"),
+    ("oracle-compare", "preset: A2\noverrides: {g: 4.5, kappa_a: 6.0, kappa_b: 6.0}\n"
+                       "sweep: {variable: delta_smr, start: -1.0, stop: 1.0, count: 3, "
+                       "resonant: true}\n"),
+], ids=["g2tau", "g2sweep", "oracle-compare"])
+def test_summary_records_workers_used(tmp_path, command, body):
+    """Three points: unset threads run min(usable cores, 3) workers,
+    --threads 1 one; the tables and the summary's results do not depend on
+    the count."""
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", body + "truncation: {n_a_max: 2, n_b_max: 2}\n"
+                f"output: {{directory: {out}, basename: run}}\n")
+    runs = []
+    for flags, workers in (([], min(len(os.sched_getaffinity(0)), 3)), (["--threads", "1"], 1)):
+        assert main([command, "--config", cfg] + flags) == 0
+        summary = json.loads((out / "run.summary.json").read_text())
+        assert summary["workers"] == workers
+        runs.append(({p.name: p.read_bytes() for p in out.glob("*.csv")},
+                     json.dumps({k: v for k, v in summary.items()
+                                 if k not in ("config", "workers")})))
+        for path in out.iterdir():
+            path.unlink()
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == (3 if command == "g2tau" else 1)
+
+
 def test_g2tau_first_value_matches_g2_zero(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", f"""
@@ -304,6 +334,9 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ('g2sweep --override sweep.resonant="false"', G_SWEEP_BASE),
     ("g2sweep --override sweep.resonant=maybe", G_SWEEP_BASE),
     ("g2sweep --override sweep.resonant=[1]", G_SWEEP_BASE),
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 4}\nmodes: [a, a]"),
+    ("g2sweep", G_SWEEP_BASE + "orders: [2, 2]"),
+    ("spectrum", MANIFOLDS_BASE + "[1]}\nthreads: 3"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
@@ -312,7 +345,8 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "sweep.start-missing", "--threads=0", "--threads=-3", "threads=0",
         "output.gnuplot=no", "tau.unit=ms", "spectrum.manifolds=[]",
         "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", 'sweep.resonant="false"',
-        "sweep.resonant=maybe", "sweep.resonant=[1]"])
+        "sweep.resonant=maybe", "sweep.resonant=[1]", "modes=[a,a]", "orders=[2,2]",
+        "spectrum.threads=3"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"
@@ -322,6 +356,34 @@ def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, bo
     assert main(command.split() + ["--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_spectrum_takes_no_threads_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", MANIFOLDS_BASE + f"[1]}}\noutput: {{directory: {out}}}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", cfg, "--threads", "3"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_COMMANDS = {
+    "dynamics_cases.yaml": "g2tau",
+    "eight_cases_a2.yaml": "g2sweep",
+    "hybrid_blockade_gsweep.yaml": "g2sweep",
+    "manifold_spectra.yaml": "spectrum",
+    "oracle_compare.yaml": "oracle-compare",
+    "resonance_distances.yaml": "spectrum",
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED.iterdir()))
+def test_shipped_config_validates(name):
+    """Every file in configs/ validates against its command's schema; a file
+    missing from the table fails here."""
+    assert load_config(str(SHIPPED / name), SHIPPED_COMMANDS[name], [], None)
 
 
 def test_load_config_rejects_tau_unit(tmp_path):

@@ -250,9 +250,10 @@ if __name__ == "__main__":
 
 
 def test_fresh_interpreter_runs_g2tau_points_on_one_blas_thread(tmp_path):
-    """In a fresh interpreter scipy's OpenBLAS first loads inside a point,
+    """In a fresh interpreter scipy's OpenBLAS first loads inside the runner,
     after the cap: it must start on one thread too.  The pooled run goes
-    first, so its workers, not the parent, load scipy."""
+    first, so the parent loads scipy under the cap before the pool forks,
+    and the workers inherit it."""
     (tmp_path / "probe.py").write_text(BLAS_PROBE)
     done = subprocess.run([sys.executable, str(tmp_path / "probe.py")],
                           env=fresh_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True)
