@@ -10,8 +10,9 @@ Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
 Liouvillian and its occupation read out along the grid.  The dressed state
 is Hermitian, so it is propagated on its real form R = Re X + Im X (see
-:mod:`polariton.lindblad`) and read out step by step as c . vec R(tau) with
-c = vec(Re n + Im n) for n = z'z, so memory does not grow with the delays.
+:mod:`polariton.lindblad`) by adaptive Taylor steps, and read out as
+c . vec R(tau) with c = vec(Re n + Im n) for n = z'z from each step's
+terms, so memory does not grow with the delays.
 """
 
 from __future__ import annotations

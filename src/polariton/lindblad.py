@@ -24,10 +24,12 @@ factor.
 Propagation integrates Hermitian states on their real form.  A Hermitian
 X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
 parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
-with a real d^2 x d^2 generator G built once per call from L.  DOP853 on
-vec R carries half the numbers of the complex vec X, read out step by step.
-scipy is imported inside the functions that call it, so that importing the
-package costs no scipy start-up and the spectrum command never loads it.
+with a real d^2 x d^2 generator G built once per call from L.  G is
+constant, so each step applies the Taylor series of e^{hG} (Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and the samples inside the
+step are read from its terms.  scipy is imported inside the functions that
+call it, so that importing the package costs no scipy start-up and the
+spectrum command never loads it.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ SWEEP_RTOL = 1e-14
 MAX_SWEEPS = 100
 #: Convergence of the defect correction, relative to its own largest entry.
 CORRECTION_RTOL = 1e-6
+#: A propagation step stops its Taylor series after two consecutive terms
+#: below this fraction of the largest entry of the state at the step's start.
+TAYLOR_RTOL = 1e-12
+#: Terms a propagation step aims for; the step size is moved toward it.
+TAYLOR_TERMS = 16
+#: A step that needs more terms than this is retried at half the size.
+MAX_TAYLOR_TERMS = 40
 
 _log = logging.getLogger(__name__)
 
@@ -382,46 +391,68 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
                readout: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrate dX/dt = L[X] from t=0 for a Hermitian X on its real form.
 
+    Each step sums the Taylor series of R(t + h) = e^{hG} R(t), with terms
+    v_k = (h/k) G v_{k-1} from v_0 = R(t), until two consecutive terms fall
+    below TAYLOR_RTOL of max|R(t)|.  Inside the step the truncated series is
+    the polynomial sum_k theta^k v_k in theta = (tau - t)/h, so the samples
+    the step passes cost no products: they are Horner sums of the terms,
+    projected onto the readout first.  A step that needs more than
+    MAX_TAYLOR_TERMS terms is retried at half the size, and after each step
+    h moves toward TAYLOR_TERMS terms.
+
     Returns readout @ vec R(t) on the grid (R = :func:`_real_form` of X), or
     vec R(t) itself without a readout.  One debug line on this module's logger
-    gives G's nonzeros, samples, calls, accepted and rejected steps and time.
+    gives G's nonzeros, samples, products, accepted and rejected steps and time.
     """
-    from scipy.integrate import DOP853
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise IntegrationError("t_grid must be a non-empty 1-d sequence")
     if t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise IntegrationError("t_grid must be increasing and start at t >= 0")
     mat0 = np.asarray(mat0, dtype=complex)
+    if not np.isfinite(mat0).all():
+        raise IntegrationError("start state has non-finite entries")
     defect = np.abs(mat0 - mat0.conj().T).max()
     if defect > 1e-12 * np.abs(mat0).max():
         raise IntegrationError(f"start state is not Hermitian (defect {defect:.2e})")
-    y0 = _real_form(mat0).reshape(-1)
-    project = (lambda v: v) if readout is None else (lambda v: v @ readout.T)
+    y = _real_form(mat0).reshape(-1)
+    project = (lambda v: v) if readout is None else (lambda v: readout @ v)
     if t_grid[-1] == 0.0:
-        return project(y0)[:, None]
+        return project(y)[:, None]
     start = time.perf_counter()
     G = _real_generator(L)
-    solver = DOP853(lambda t, y: G @ y, 0.0, y0, float(t_grid[-1]), rtol=1e-9, atol=1e-12)
-    out = np.empty((project(y0).size, t_grid.size))
-    done = steps = rejected = 0
-    try:
-        while solver.status == "running":
-            calls, message = solver.nfev, solver.step()
-            if solver.status == "failed":
-                raise IntegrationError(f"master-equation propagation failed: {message}")
-            steps += 1
-            rejected += (solver.nfev - calls) // solver.n_stages - 1  # n_stages calls an attempt
-            upto = int(np.searchsorted(t_grid, solver.t, side="right"))
-            if upto > done:  # scipy's Dop853DenseOutput; it is linear in F and y_old
-                step = solver.dense_output()
-                x, y = ((t_grid[done:upto] - step.t_old) / step.h)[:, None], 0.0
-                for i, f in enumerate(project(step.F)[::-1]):
-                    y = (y + f) * (x if i % 2 == 0 else 1 - x)
-                out[:, done:upto], done = (y + project(step.y_old)).T, upto
-        _log.debug("propagated %d samples on the real form: G nnz %d, %d right-hand side calls, "
-                   "%d accepted and %d rejected steps, %.3f s", t_grid.size, G.nnz, solver.nfev,
-                   steps, rejected, time.perf_counter() - start)
-    finally:
-        vars(solver).clear()  # its rhs wrappers close over it: free it now, not at the next gc
+    out = np.empty((project(y).size, t_grid.size))
+    h = 1.0 / max(float(abs(G).sum(axis=1).max()), 1e-300)  # 1/||G||_inf
+    t = done = products = steps = rejected = 0
+    while done < t_grid.size:
+        step = min(h, t_grid[-1] - t)
+        if not t + step > t:  # underflow, or a non-finite G
+            raise IntegrationError(f"master-equation propagation found no step size at t = {t}")
+        tol = TAYLOR_RTOL * np.abs(y).max()
+        v, end, terms, small = y, y.copy(), [project(y)], 0
+        for k in range(1, MAX_TAYLOR_TERMS + 1):
+            v = G @ v
+            v *= step / k
+            end += v
+            terms.append(project(v))
+            small = small + 1 if np.abs(v).max() <= tol else 0
+            if small == 2:
+                break
+        products += k
+        if small < 2:
+            rejected += 1
+            h = step / 2
+            continue
+        steps += 1
+        t_next = t + step if step < t_grid[-1] - t else t_grid[-1]
+        upto = int(np.searchsorted(t_grid, t_next, side="right"))
+        if upto > done:
+            theta, value = (t_grid[done:upto] - t) / step, 0.0
+            for term in reversed(terms):
+                value = value * theta + term[:, None]
+            out[:, done:upto], done = value, upto
+        y, t, h = end, t_next, step * min(2.0, max(0.5, TAYLOR_TERMS / k))
+    _log.debug("propagated %d samples on the real form: G nnz %d, %d matrix-vector products, "
+               "%d accepted and %d rejected steps, %.3f s", t_grid.size, G.nnz, products,
+               steps, rejected, time.perf_counter() - start)
     return out

@@ -11,7 +11,6 @@ depend only on the detunings.
 
 from __future__ import annotations
 
-import importlib
 import logging
 import os
 from dataclasses import dataclass, field
@@ -292,27 +291,20 @@ def pool_workers(threads: Optional[int], points: int) -> int:
     return max(1, min(threads, points))
 
 
-def _map_points(worker, work_items: list, threads: Optional[int],
-                preload: Sequence[str] = ()) -> list:
+def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
     """``worker(*item)`` for every item, in order, on :func:`pool_workers`
     processes.  Each point runs on one BLAS thread: more only spin, and
-    nearly double a point's CPU time.  The modules in ``preload`` are
-    imported here under the cap, so that their OpenBLAS starts on one thread
-    and forked workers share the import.  The cap is lifted before the pool
-    forks: lifted after the fork, OpenBLAS restarts its threads here, and
-    they spin for about 0.1 s of CPU time."""
+    nearly double a point's CPU time."""
     workers = pool_workers(threads, len(work_items))
     debug = "%d points on %d worker(s); OpenBLAS threads after the cap: %s"
-    restore_blas_threads = _cap_blas_threads()
-    try:
-        for module in preload:
-            importlib.import_module(module)
-        if workers == 1:
+    if workers == 1:
+        restore_blas_threads = _cap_blas_threads()
+        try:
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug(debug, len(work_items), 1, _openblas_thread_counts())
             return [worker(*item) for item in work_items]
-    finally:
-        restore_blas_threads()
+        finally:
+            restore_blas_threads()
     with Pool(processes=workers, initializer=_cap_blas_threads) as pool:
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug(debug, len(work_items), workers, pool.apply(_openblas_thread_counts))
@@ -457,8 +449,7 @@ def run_g2tau(points: Sequence[SystemParams], cfg: TruncationConfig, tau_grid: S
     """:func:`g2tau_point` at every operating point, in order; a point that
     fails gives its :class:`PolaritonError` and does not stop the others."""
     return _map_points(_g2tau_point_or_error,
-                       [(p, cfg, tau_grid, modes, tau_unit) for p in points], threads,
-                       preload=("scipy.integrate",))
+                       [(p, cfg, tau_grid, modes, tau_unit) for p in points], threads)
 
 
 @dataclass

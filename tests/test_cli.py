@@ -416,3 +416,16 @@ def test_import_and_spectrum_load_no_scipy_and_a_sweep_only_scipy_sparse(tmp_pat
     assert "scipy.sparse" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg",
                                                    "scipy.sparse.linalg", "scipy.optimize"))]
+
+
+def test_g2tau_run_loads_scipy_sparse_only(tmp_path):
+    config = write(tmp_path / "tau.yaml", G2TAU_BASE + "tau: {stop: 0.3, count: 4}\n"
+                   f"output: {{directory: {tmp_path}}}\n")
+    loaded, log = _fresh_run("import logging\nlogging.basicConfig(level=logging.DEBUG)\n"
+                             "from polariton.cli import main\nassert main({!r}) == 0".format(
+                                 ["g2tau", "--threads", "1", "--config", config]))
+    assert "steady state via jump-free" in log and "via LU" not in log
+    assert "propagated 4 samples on the real form" in log
+    assert "scipy.sparse" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg",
+                                                   "scipy.sparse.linalg", "scipy.optimize"))]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import logging
 import re
@@ -326,58 +327,86 @@ def test_evolve_rejects_non_hermitian_start():
         evolve(coherence, L, [0.0, 1.0])
 
 
-@pytest.mark.parametrize("preset_name,point", [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})])
-def test_g2_tau_matches_tight_complex_reference(preset_name, point):
-    # reference: the quantum regression theorem integrated on the complex
-    # vec(X) with L.matrix, at a thousand times the tolerance of g2_tau
+TIGHT_POINTS = [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})]
+TIGHT_GRID = np.linspace(0.0, 6.0, 1201)
+
+
+@functools.lru_cache(maxsize=2)
+def tight_reference(preset_name, point_items):
+    """Steady state, L and the reference curves of modes a-d at cutoff 3:
+    the quantum regression theorem integrated on the complex vec(X) with
+    L.matrix by DOP853 at rtol 1e-12, a different method from g2_tau's."""
     cfg = TruncationConfig(3, 3)
-    rho, L = solve_point(preset_params(preset_name, **point), cfg)
-    grid = np.linspace(0.0, 6.0, 1201)
+    rho, L = solve_point(preset_params(preset_name, **dict(point_items)), cfg)
     Lm = L.matrix
+    refs = []
     for mode in "abcd":
         z = hybrid_mode_operator(mode, cfg).matrix
         n_op = z.conj().T @ z
         n_mean = np.trace(rho.matrix @ n_op).real
         x0 = (z @ rho.matrix @ z.conj().T).reshape(-1) / n_mean
-        sol = solve_ivp(lambda t, y: Lm @ y, (0.0, grid[-1]), x0, t_eval=grid,
+        sol = solve_ivp(lambda t, y: Lm @ y, (0.0, TIGHT_GRID[-1]), x0, t_eval=TIGHT_GRID,
                         method="DOP853", rtol=1e-12, atol=1e-14)
-        ref = np.einsum("ij,jik->k", n_op, sol.y.reshape(L.dim, L.dim, -1)).real / n_mean
-        values = g2_tau(rho, L, mode, grid).values
+        refs.append(np.einsum("ij,jik->k", n_op, sol.y.reshape(L.dim, L.dim, -1)).real / n_mean)
+    return rho, L, refs
+
+
+@pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
+def test_g2_tau_matches_tight_complex_reference(preset_name, point):
+    rho, L, refs = tight_reference(preset_name, tuple(point.items()))
+    for mode, ref in zip("abcd", refs):
+        values = g2_tau(rho, L, mode, TIGHT_GRID).values
         assert np.abs(values - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("preset_name,point", [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})])
-def test_streamed_readout_matches_solve_ivp_trajectory(preset_name, point, caplog):
-    # the same DOP853 run as solve_ivp with t_eval, read out on c: equal
-    # right-hand side calls and the same curve up to rounding; a scipy
-    # release that changes the interpolant's data breaks this
+@pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
+def test_g2_tau_matches_tight_taylor_bound(preset_name, point):
+    # each Taylor step is accurate to 1e-12 of the state; against an
+    # rtol-1e-13 run of the reference the curves lie within 6e-12
+    rho, L, refs = tight_reference(preset_name, tuple(point.items()))
+    for mode, ref in zip("abcd", refs):
+        values = g2_tau(rho, L, mode, TIGHT_GRID).values
+        assert np.abs(values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
+def test_streamed_readout_matches_the_full_trajectory(preset_name, point, caplog):
+    # the curve is projected onto c term by term before the Horner sums;
+    # the same call without a readout returns the whole trajectory, whose
+    # projection must agree up to rounding, over the same steps
     cfg = TruncationConfig(3, 3)
     rho, L = solve_point(preset_params(preset_name, **point), cfg)
-    G = _real_generator(L)
-    grid = np.linspace(0.0, 6.0, 1201)
     for mode in "abcd":
         z = hybrid_mode_operator(mode, cfg).matrix
         X = z @ rho.matrix @ z.conj().T
         c = _real_form(z.conj().T @ z).reshape(1, -1)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
-            curve = _propagate(X, L, grid, c)
-        y0 = _real_form(X).reshape(-1)
-        ref = solve_ivp(lambda t, y: G @ y, (0.0, grid[-1]), y0, t_eval=grid,
-                        method="DOP853", rtol=1e-9, atol=1e-12)
-        ref_curve = c @ ref.y
-        assert curve.shape == ref_curve.shape
-        assert np.abs(curve - ref_curve).max() <= 1e-13 * np.abs(ref_curve).max()
-        calls, accepted, rejected = map(int, re.search(
-            r"(\d+) right-hand side calls, (\d+) accepted and (\d+) rejected steps",
-            caplog.text).groups())
-        assert calls == ref.nfev
-        # without samples the solver makes 2 calls to choose its first step
-        # and 12 per attempted step
-        steps = solve_ivp(lambda t, y: G @ y, (0.0, grid[-1]), y0, method="DOP853",
-                          rtol=1e-9, atol=1e-12)
-        assert accepted == steps.t.size - 1
-        assert steps.nfev == 2 + 12 * (accepted + rejected)
+            curve = _propagate(X, L, TIGHT_GRID, c)
+            trajectory = _propagate(X, L, TIGHT_GRID)
+        steps = re.findall(r"(\d+) matrix-vector products, (\d+) accepted and (\d+) rejected",
+                           caplog.text)
+        assert len(steps) == 2 and steps[0] == steps[1]
+        ref = c @ trajectory
+        assert curve.shape == ref.shape == (1, TIGHT_GRID.size)
+        assert np.abs(curve - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_propagate_rejects_non_finite_generator():
+    L = make_L(SystemParams(kappa_a=1.0))
+    L.matrix.data[0] = np.nan
+    with pytest.raises(IntegrationError, match="no step size"):
+        _propagate(density_from_label(0, 0, "g").matrix, L, [0.0, 1.0])
+
+
+def test_g2_tau_rejects_non_finite_start_at_once(caplog):
+    rho, L = solve_point(preset_params("A3", g=10.5), CFG)
+    mat = rho.matrix.copy()
+    mat[0, 0] = np.nan
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        with pytest.raises(IntegrationError, match="non-finite"):
+            g2_tau(DensityMatrix(mat, rho.dims), L, "a", np.linspace(0.0, 1.0, 11))
+    assert "propagated" not in caplog.text
 
 
 def test_g2_tau_leaves_no_solver_for_the_cyclic_collector():

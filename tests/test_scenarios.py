@@ -178,7 +178,7 @@ def test_pool_workers_run_one_blas_thread():
 
 
 def test_g2tau_point_runs_one_blas_thread(monkeypatch):
-    import scipy.integrate  # noqa: F401  map scipy's OpenBLAS before the run, as a solve would
+    import scipy.integrate  # noqa: F401  map scipy's OpenBLAS first, as the LU fallback would
     controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS library is mapped into this process")
@@ -250,10 +250,11 @@ if __name__ == "__main__":
 
 
 def test_fresh_interpreter_runs_g2tau_points_on_one_blas_thread(tmp_path):
-    """In a fresh interpreter scipy's OpenBLAS first loads inside the runner,
-    after the cap: it must start on one thread too.  The pooled run goes
-    first, so the parent loads scipy under the cap before the pool forks,
-    and the workers inherit it."""
+    """In a fresh interpreter every OpenBLAS mapped inside a point, pooled
+    or serial, runs on one thread, and the runner restores the counts and
+    the variable afterwards.  A g2tau point maps no scipy OpenBLAS unless a
+    steady state falls back to the LU, whose scipy.sparse.linalg loads it
+    under the cap, so it starts on one thread too."""
     (tmp_path / "probe.py").write_text(BLAS_PROBE)
     done = subprocess.run([sys.executable, str(tmp_path / "probe.py")],
                           env=fresh_env(OPENBLAS_NUM_THREADS="2"), capture_output=True, text=True)
