@@ -391,14 +391,10 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
                readout: Optional[np.ndarray] = None) -> np.ndarray:
     """Integrate dX/dt = L[X] from t=0 for a Hermitian X on its real form.
 
-    Each step sums the Taylor series of R(t + h) = e^{hG} R(t), with terms
-    v_k = (h/k) G v_{k-1} from v_0 = R(t), until two consecutive terms fall
-    below TAYLOR_RTOL of max|R(t)|.  Inside the step the truncated series is
-    the polynomial sum_k theta^k v_k in theta = (tau - t)/h, so the samples
-    the step passes cost no products: they are Horner sums of the terms,
-    projected onto the readout first.  A step that needs more than
-    MAX_TAYLOR_TERMS terms is retried at half the size, and after each step
-    h moves toward TAYLOR_TERMS terms.
+    A step sums R(t + h) = e^{hG} R(t) as v_0 = R(t), v_k = (h/k) G v_{k-1}.
+    Inside it the series is the polynomial sum_k theta^k v_k in
+    theta = (tau - t)/h, so its samples cost no products: they are Horner
+    sums of the terms, projected onto the readout first.
 
     Returns readout @ vec R(t) on the grid (R = :func:`_real_form` of X), or
     vec R(t) itself without a readout.  One debug line on this module's logger

@@ -362,7 +362,7 @@ def test_g2_tau_matches_tight_complex_reference(preset_name, point):
 @pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
 def test_g2_tau_matches_tight_taylor_bound(preset_name, point):
     # each Taylor step is accurate to 1e-12 of the state; against an
-    # rtol-1e-13 run of the reference the curves lie within 6e-12
+    # rtol-1e-13 run of the reference these curves lie within 6.3e-12
     rho, L, refs = tight_reference(preset_name, tuple(point.items()))
     for mode, ref in zip("abcd", refs):
         values = g2_tau(rho, L, mode, TIGHT_GRID).values
