@@ -83,8 +83,10 @@ def _check_keys(mapping: dict, allowed: set, where: str):
 
 
 def _check_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    # NaN fails the comparison, and an integer is compared exactly
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 

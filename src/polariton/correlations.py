@@ -26,7 +26,7 @@ from .errors import (ClassificationError, InsufficientDataError,
                      UndefinedCorrelationError)
 from .hilbert import QOperator, TruncationConfig
 from .lindblad import DensityMatrix, Liouvillian, _propagate, _real_form
-from .model import ModeSelector, SystemParams, hybrid_mode_operator, tau_to_us
+from .model import ModeSelector, SystemParams, hybrid_mode_operator, mode_moment, tau_to_us
 
 #: Mean occupations at or below this make g^(k) undefined (0/0 guard).
 OCCUPANCY_FLOOR = 1e-12
@@ -102,11 +102,18 @@ _SIGN_TO_CASE = {
 }
 
 
-def _resolve_mode(mode: ModeLike, dims: tuple[int, ...]) -> tuple[str, QOperator]:
+def _resolve_mode(mode: ModeLike, dims: tuple[int, ...],
+                  k: int) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """Name, operator z, number operator z'z and moment z'^k z^k of a mode;
+    cached per truncation for the named modes, built per call for a custom one."""
     if isinstance(mode, QOperator):
-        return "custom", mode
+        z = mode.matrix
+        zk = np.linalg.matrix_power(z, k)
+        return "custom", z, z.conj().T @ z, zk.conj().T @ zk
     sel = ModeSelector(mode)
-    return sel.value, hybrid_mode_operator(sel, TruncationConfig.from_dims(dims))
+    cfg = TruncationConfig.from_dims(dims)
+    return (sel.value, hybrid_mode_operator(sel, cfg).matrix, mode_moment(sel, cfg, 1),
+            mode_moment(sel, cfg, k))
 
 
 def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> CorrelationPoint:
@@ -117,19 +124,17 @@ def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> CorrelationPoint
     """
     if k < 2:
         raise ValueError(f"correlation order must be >= 2, got {k}")
-    name, op = _resolve_mode(mode, rho.dims)
-    z = op.matrix
-    n_mean = float(np.einsum("ij,ji->", rho.matrix, z.conj().T @ z).real)
+    name, _, n_op, moment = _resolve_mode(mode, rho.dims, k)
+    n_mean = float(np.einsum("ij,ji->", rho.matrix, n_op).real)
     if n_mean <= OCCUPANCY_FLOOR:
         raise UndefinedCorrelationError(
             f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor "
             f"{OCCUPANCY_FLOOR:.0e}; g^({k})(0) is undefined")
-    zk = np.linalg.matrix_power(z, k)
-    if not zk.any():
+    if not moment.any():  # z'^k z^k vanishes exactly when z^k does
         raise UndefinedCorrelationError(
             f"mode {name}: the k={k} moment is identically zero at this truncation; "
             "raise the Fock cutoffs to represent it")
-    num = float(np.einsum("ij,ji->", rho.matrix, zk.conj().T @ zk).real)
+    num = float(np.einsum("ij,ji->", rho.matrix, moment).real)
     return CorrelationPoint(name, k, num / n_mean**k, n_mean)
 
 
@@ -145,9 +150,7 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
         raise InsufficientDataError("tau_grid must start at 0")
     if tau_unit not in ("inv_gamma", "us"):
         raise ValueError(f"unknown tau_unit {tau_unit!r}")
-    name, op = _resolve_mode(mode, rho_ss.dims)
-    z = op.matrix
-    n_op = z.conj().T @ z
+    name, z, n_op, _ = _resolve_mode(mode, rho_ss.dims, 1)
     n_mean = float(np.einsum("ij,ji->", rho_ss.matrix, n_op).real)
     if n_mean <= OCCUPANCY_FLOOR:
         raise UndefinedCorrelationError(

@@ -21,15 +21,23 @@ check) the solve falls back to a sparse LU of the vectorised Liouvillian
 with one row replaced by the trace constraint, refined twice with its own
 factor.
 
+A :class:`Liouvillian` holds H, H_eff and the jump operators.  It applies
+L[X] by d x d products and takes its Frobenius norm from d x d inner
+products, since <A (x) B, C (x) D> = <A, C><B, D>; so the residual check
+of a steady state, relative to ||L||, needs no superoperator.  The sparse
+d^2 x d^2 matrix is assembled on its first use, by the LU fallback, the
+zero-mode count or propagation, and kept; a jump-free steady state never
+builds it.
+
 Propagation integrates Hermitian states on their real form.  A Hermitian
 X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
 parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
-with a real d^2 x d^2 generator G built once per call from L.  G is
+with a real d^2 x d^2 generator G built once per Liouvillian.  G is
 constant, so each step applies the Taylor series of e^{hG} (Al-Mohy and
 Higham, SIAM J. Sci. Comput. 33, 488 (2011)), and the samples inside the
 step are read from its terms.  scipy is imported inside the functions that
-call it, so that importing the package costs no scipy start-up and the
-spectrum command never loads it.
+call it, so that importing the package costs no scipy start-up, and the
+spectrum command and jump-free sweeps never load it.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,39 +129,67 @@ class DensityMatrix:
         return self
 
 
-@dataclass
 class Liouvillian:
-    """Sparse superoperator of the master equation on a dim^2 space."""
+    """Lindblad generator of the master equation, held as H, H_eff and the
+    jump operators; the sparse d^2 x d^2 matrix is assembled on first use."""
 
-    matrix: "scipy.sparse.csr_matrix"
-    dims: tuple[int, ...]
-    hamiltonian: QOperator
-    collapse_ops: tuple[tuple[float, QOperator], ...]
-
-    def __post_init__(self):
-        self._fro = float(np.linalg.norm(self.matrix.data)) if self.matrix.nnz else 0.0
+    def __init__(self, hamiltonian: QOperator, collapse_ops: Sequence[tuple[float, QOperator]]):
+        self.hamiltonian = hamiltonian
+        self.collapse_ops = tuple(collapse_ops)
+        self.dims = hamiltonian.dims
+        #: H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution.
+        self.h_eff = hamiltonian.matrix - 0.5j * sum(
+            rate * J.matrix.conj().T @ J.matrix for rate, J in self.collapse_ops if rate > 0)
+        self._jumps = [(rate, J.matrix, J.matrix.conj().T)
+                       for rate, J in self.collapse_ops if rate > 0]
 
     @property
     def dim(self) -> int:
         """Hilbert-space dimension (the superoperator has side dim^2)."""
         return self.hamiltonian.dim
 
-    @property
+    def _kron_terms(self, H_eff: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pairs (A_m, B_m) of L = sum_m A_m (x) B_m =
+        -i(H_eff (x) I - I (x) H_eff*) + sum_k kappa_k J_k (x) J_k*."""
+        eye = np.eye(self.dim)
+        return ([(-1j * H_eff, eye), (eye, 1j * H_eff.conj())]
+                + [(rate * J, J.conj()) for rate, J, _ in self._jumps])
+
+    @cached_property
     def norm(self) -> float:
-        """Frobenius norm of the superoperator matrix."""
-        return self._fro
+        """Frobenius norm of the superoperator, from d x d inner products:
+        ||sum_m A_m (x) B_m||^2 = sum_mn <A_m, A_n><B_m, B_n>.  H_eff enters
+        less its mean real diagonal, which leaves L unchanged and keeps the
+        commutator's cross term from cancelling against its squares."""
+        terms = self._kron_terms(self.h_eff - np.trace(self.h_eff).real / self.dim
+                                 * np.eye(self.dim))
+        A = np.array([a.ravel() for a, _ in terms])
+        B = np.array([b.ravel() for _, b in terms])
+        return float(np.sqrt(np.sum((A.conj() @ A.T) * (B.conj() @ B.T)).real))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L[rho] for a Hilbert-space matrix rho."""
-        d = self.dim
-        return (self.matrix @ np.asarray(rho, dtype=complex).reshape(-1)).reshape(d, d)
+        """L[rho] = -i(H_eff rho - rho H_eff') + sum_k kappa_k J_k rho J_k'."""
+        rho = np.asarray(rho, dtype=complex)
+        out = -1j * (self.h_eff @ rho - rho @ self.h_eff.conj().T)
+        for rate, J, J_h in self._jumps:
+            out += rate * (J @ rho @ J_h)
+        return out
 
+    @cached_property
+    def matrix(self) -> "scipy.sparse.csr_matrix":
+        """The superoperator on row-major vec rho, written in one pass from the
+        nonzeros of each :meth:`_kron_terms` factor; coinciding entries are summed."""
+        import scipy.sparse as sp
+        rows, cols, vals = (np.concatenate(parts) for parts in
+                            zip(*(_kron_entries(a, b) for a, b in self._kron_terms(self.h_eff))))
+        L = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim ** 2,) * 2)
+        L.eliminate_zeros()
+        return L
 
-def _effective_hamiltonian(H: QOperator,
-                           collapse_ops: Sequence[tuple[float, QOperator]]) -> np.ndarray:
-    """H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution."""
-    return H.matrix - 0.5j * sum(rate * J.matrix.conj().T @ J.matrix
-                                 for rate, J in collapse_ops if rate > 0)
+    @cached_property
+    def real_generator(self) -> "scipy.sparse.csr_matrix":
+        """:func:`_real_generator` of this Liouvillian, built once."""
+        return _real_generator(self)
 
 
 def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,14 +202,8 @@ def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
-    """Assemble the Lindblad superoperator for H with decay channels
-    sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(gamma) sigma_-.
-
-    The matrix is written in one pass as
-    L = -i(H_eff (x) I - I (x) H_eff*) + sum_k kappa_k J_k (x) J_k*,
-    from the nonzeros of H_eff and of each J_k; coinciding entries are summed.
-    """
-    import scipy.sparse as sp
+    """Lindblad generator for H with decay channels sqrt(kappa_a) a,
+    sqrt(kappa_b) b, sqrt(gamma) sigma_-; its matrix is assembled on first use."""
     herm_defect = np.linalg.norm(H.matrix - H.matrix.conj().T)
     if herm_defect > 1e-12 * max(1.0, H.norm()):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
@@ -182,14 +213,7 @@ def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
         if rate < 0:
             raise ParameterError(f"negative decay rate {rate}")
         collapse.append((float(rate), op))
-    H_eff = _effective_hamiltonian(H, collapse)
-    eye = np.eye(H.dim)
-    terms = [_kron_entries(-1j * H_eff, eye), _kron_entries(eye, 1j * H_eff.conj())]
-    terms += [_kron_entries(rate * J.matrix, J.matrix.conj()) for rate, J in collapse if rate > 0]
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*terms))
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(H.dim ** 2,) * 2)
-    L.eliminate_zeros()
-    return Liouvillian(L, H.dims, H, tuple(collapse))
+    return Liouvillian(H, collapse)
 
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
@@ -218,10 +242,8 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     defect correction follows the sweeps.  Returns (rho or None, sweeps,
     last contraction ratio, reason for None).
     """
-    jumps = [(rate, op.matrix) for rate, op in L.collapse_ops if rate > 0]
-    H_eff = _effective_hamiltonian(L.hamiltonian, L.collapse_ops)
     try:
-        lam, V = np.linalg.eig(H_eff)
+        lam, V = np.linalg.eig(L.h_eff)
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return None, 0, np.nan, "H_eff not diagonalisable"
@@ -230,7 +252,7 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
         return None, 0, np.nan, "undamped pair of H_eff eigenstates"
     if np.linalg.cond(V) > MAX_EIGENBASIS_COND:
         return None, 0, np.nan, "ill-conditioned H_eff eigenbasis"
-    K = np.array([np.sqrt(rate) * (V_inv @ J @ V) for rate, J in jumps])[:, None]
+    K = np.array([np.sqrt(rate) * (V_inv @ J @ V) for rate, J, _ in L._jumps])[:, None]
     K_h = K.conj().swapaxes(-1, -2)
     gram = V.conj().T @ V  # Tr(V Y V') = Tr(gram Y)
 
@@ -280,14 +302,14 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
 
 
 def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, float]]:
-    """Hermitised, unit-trace state and its relative residual, if the
-    residual against the assembled L is below STEADY_RTOL."""
+    """Hermitised, unit-trace state and its relative residual ||L[rho]|| / ||L||,
+    from d x d products, if it is below STEADY_RTOL."""
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr) < 1e-300:
         return None
     mat = mat / tr
-    residual = np.linalg.norm(L.matrix @ mat.reshape(-1)) / max(L.norm, 1.0)
+    residual = np.linalg.norm(L.apply(mat)) / max(L.norm, 1.0)
     if residual > STEADY_RTOL:
         return None
     return DensityMatrix(mat, L.dims), float(residual)
@@ -343,7 +365,7 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
 
     Sums quantum-jump orders (see the module docstring) and falls back to
     the sparse LU when that is unsafe.  Either result must pass the
-    residual check against the assembled L and be positive.  A degenerate
+    residual check against L and be positive.  A degenerate
     null space raises :class:`NonUniqueSteadyStateError` instead of
     returning one of many steady states.  One debug line on this module's
     logger names the path taken, the sweeps, the last contraction ratio and
@@ -416,7 +438,7 @@ def _propagate(mat0: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     if t_grid[-1] == 0.0:
         return project(y)[:, None]
     start = time.perf_counter()
-    G = _real_generator(L)
+    G = L.real_generator
     out = np.empty((project(y).size, t_grid.size))
     h = 1.0 / max(float(abs(G).sum(axis=1).max()), 1e-300)  # 1/||G||_inf
     t = done = products = steps = rejected = 0

@@ -13,6 +13,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 from .errors import ParameterError
 from .hilbert import QOperator, TruncationConfig, annihilation, embed, qubit_lowering
 
@@ -86,26 +88,42 @@ def _hermitian_pair(op: QOperator) -> QOperator:
     return QOperator(op.matrix + op.matrix.conj().T, op.dims)
 
 
-def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> QOperator:
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=8)
+def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
+    """The fixed operator of each Hamiltonian term (read-only, cached per config)."""
     a, b, sm = _bare_ops(cfg)
-    H = (p.delta_a * (a.dag() @ a)
-         + p.delta_b * (b.dag() @ b)
-         + p.delta_q * (sm.dag() @ sm)
-         + p.g * _hermitian_pair(a.dag() @ sm))
     hop = a @ b.dag()
-    if sign > 0:
-        H = H + p.f * _hermitian_pair(hop)
-    else:
+    return {
+        "n_a": (a.dag() @ a).matrix,
+        "n_b": (b.dag() @ b).matrix,
+        "n_q": (sm.dag() @ sm).matrix,
+        "qubit_photon": _hermitian_pair(a.dag() @ sm).matrix,
+        "hop_plus": _hermitian_pair(hop).matrix,
         # H_-: the hopping enters through the anti-Hermitian combination
         # i*(a'b - a b') with real f, which keeps H exactly Hermitian.  This
         # phase choice is the one under which photon/phonon number
         # correlations match H_+ with the hybrid mode taken as (-i a + b)/sqrt2.
-        H = H + QOperator(1j * p.f * (hop.matrix.conj().T - hop.matrix), hop.dims)
+        "hop_minus": _read_only(hop.matrix.conj().T - hop.matrix),
+        "drive_a": _hermitian_pair(a).matrix,
+        "drive_b": _hermitian_pair(b).matrix,
+    }
+
+
+def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> QOperator:
+    t = _hamiltonian_terms(cfg)
+    H = (p.delta_a * t["n_a"] + p.delta_b * t["n_b"] + p.delta_q * t["n_q"]
+         + p.g * t["qubit_photon"])
+    H = H + (p.f * t["hop_plus"] if sign > 0 else 1j * p.f * t["hop_minus"])
     if drive == "a":
-        H = H + p.eta_a * _hermitian_pair(a)
+        H = H + p.eta_a * t["drive_a"]
     elif drive == "b":
-        H = H + p.eta_b * _hermitian_pair(b)
-    return H
+        H = H + p.eta_b * t["drive_b"]
+    return QOperator(H, cfg.dims)
 
 
 def hamiltonian_smr_driven(p: SystemParams, cfg: TruncationConfig) -> QOperator:
@@ -152,6 +170,14 @@ def hybrid_mode_operator(sel: Union[ModeSelector, str], cfg: TruncationConfig) -
         return c if sel is ModeSelector.C else d
     a, b, _ = _bare_ops(cfg)
     return a if sel is ModeSelector.A else b
+
+
+@lru_cache(maxsize=64)
+def mode_moment(sel: Union[ModeSelector, str], cfg: TruncationConfig, k: int = 1) -> np.ndarray:
+    """z'^k z^k of a bare or hybrid mode z: its number operator at k = 1
+    (read-only, cached per mode, order and cutoffs)."""
+    zk = np.linalg.matrix_power(hybrid_mode_operator(sel, cfg).matrix, k)
+    return _read_only(zk.conj().T @ zk)
 
 
 def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[QOperator, QOperator]:

@@ -337,6 +337,9 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 4}\nmodes: [a, a]"),
     ("g2sweep", G_SWEEP_BASE + "orders: [2, 2]"),
     ("spectrum", MANIFOLDS_BASE + "[1]}\nthreads: 3"),
+    ("g2tau", "preset: A3\npoints: [{g: .nan}, {g: 10.5}]\ntau: {stop: 0.3, count: 4}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, values: [.nan, 4.0]}"),
+    ("g2sweep --override g=.inf", G_SWEEP_BASE),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
@@ -346,7 +349,7 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "output.gnuplot=no", "tau.unit=ms", "spectrum.manifolds=[]",
         "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", 'sweep.resonant="false"',
         "sweep.resonant=maybe", "sweep.resonant=[1]", "modes=[a,a]", "orders=[2,2]",
-        "spectrum.threads=3"])
+        "spectrum.threads=3", "points.g=nan", "sweep.values=[nan,4]", "--override=g=inf"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"
@@ -402,7 +405,7 @@ def _fresh_run(code: str) -> tuple[set, str]:
     return set(done.stdout.split()), done.stderr
 
 
-def test_import_and_spectrum_load_no_scipy_and_a_sweep_only_scipy_sparse(tmp_path):
+def test_import_spectrum_and_jump_free_sweeps_load_no_scipy(tmp_path):
     assert not _fresh_run("import polariton.cli")[0]
     run = "from polariton.cli import main\nassert main({!r}) == 0"
     spectrum = write(tmp_path / "spectrum.yaml",
@@ -410,12 +413,11 @@ def test_import_and_spectrum_load_no_scipy_and_a_sweep_only_scipy_sparse(tmp_pat
     assert not _fresh_run(run.format(["spectrum", "--config", spectrum]))[0]
     sweep = write(tmp_path / "sweep.yaml", G_SWEEP_BASE + "truncation: {n_a_max: 2, n_b_max: 2}\n"
                   f"output: {{directory: {tmp_path}}}\n")
-    loaded, log = _fresh_run("import logging\nlogging.basicConfig(level=logging.DEBUG)\n"
-                             + run.format(["g2sweep", "--threads", "1", "--config", sweep]))
-    assert "steady state via jump-free" in log and "via LU" not in log
-    assert "scipy.sparse" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg",
-                                                   "scipy.sparse.linalg", "scipy.optimize"))]
+    for command in ("g2sweep", "oracle-compare"):
+        loaded, log = _fresh_run("import logging\nlogging.basicConfig(level=logging.DEBUG)\n"
+                                 + run.format([command, "--threads", "1", "--config", sweep]))
+        assert "steady state via jump-free" in log and "via LU" not in log
+        assert not loaded, (command, loaded)
 
 
 def test_g2tau_run_loads_scipy_sparse_only(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import logging
+import math
 import re
 import tracemalloc
 
@@ -80,6 +81,51 @@ def test_liouvillian_matches_kron_reference(case):
     ref = kron_liouvillian(H, p)
     assert L.matrix.nnz == ref.nnz
     assert abs(L.matrix - ref).max() <= 1e-13 * L.norm
+
+
+def bundle_liouvillian(bundle: str) -> Liouvillian:
+    p = bundle_params(bundle)
+    return build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
+
+
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_apply_matches_the_assembled_matrix(bundle):
+    L = bundle_liouvillian(bundle)
+    rho = random_composite_density(np.random.default_rng(3), TruncationConfig(3, 3)).matrix
+    expected = (L.matrix @ rho.reshape(-1)).reshape(L.dim, L.dim)
+    assert np.linalg.norm(L.apply(rho) - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_norm_is_the_frobenius_norm_of_the_assembled_matrix(bundle):
+    L = bundle_liouvillian(bundle)
+    # squares summed exactly, so the reference carries one rounding per entry
+    data = L.matrix.data
+    fro = math.sqrt(math.fsum(data.real ** 2) + math.fsum(data.imag ** 2))
+    assert abs(L.norm - fro) <= 1e-14 * fro
+
+
+def test_jump_free_steady_state_assembles_no_matrix(caplog):
+    L = bundle_liouvillian("hybrid-blockade-gsweep")
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        steady_state(L)
+    assert "via jump-free" in caplog.text
+    assert "matrix" not in vars(L)
+    assert "real_generator" not in vars(L)
+
+
+def test_g2_tau_builds_the_real_generator_once(monkeypatch):
+    rho, L = solve_point(preset_params("A3", g=10.5), CFG)
+    built = []
+    real_generator = _real_generator
+
+    def counted(L):
+        built.append(L)
+        return real_generator(L)
+    monkeypatch.setattr("polariton.lindblad._real_generator", counted)
+    for mode in "abcd":
+        g2_tau(rho, L, mode, np.linspace(0.0, 1.0, 11))
+    assert built == [L]
 
 
 def test_non_hermitian_hamiltonian_rejected():
@@ -207,13 +253,16 @@ def test_driven_degenerate_steady_state_detected():
 
 def test_no_zero_mode_raises_convergence_error():
     import scipy.sparse as sp
-    p = SystemParams(kappa_a=1.0, kappa_b=1.0, gamma=1.0)
+    # driven, so that the vacuum, which the shift leaves a solution of the
+    # LU's rows, is not the steady state of L
+    p = SystemParams(eta_a=0.5, kappa_a=1.0, kappa_b=1.0, gamma=1.0)
     L = make_L(p)
-    shifted = Liouvillian(
-        (L.matrix + 0.3 * sp.identity(L.matrix.shape[0], dtype=complex, format="csr")).tocsr(),
-        L.dims, L.hamiltonian, L.collapse_ops)
-    with pytest.raises(SteadyStateError):
-        steady_state(shifted)
+    # no H and jumps give this matrix, so it replaces the assembled one and
+    # goes to the LU fallback directly
+    L.matrix = (L.matrix + 0.3 * sp.identity(L.matrix.shape[0], dtype=complex,
+                                             format="csr")).tocsr()
+    with pytest.raises(SteadyStateError, match="no eigenvalue below the zero-mode tolerance"):
+        _lu_steady_state(L)
 
 
 def test_evolve_fixes_steady_state():
@@ -427,6 +476,7 @@ def test_g2_tau_memory_does_not_hold_the_trajectory():
     cfg = TruncationConfig(4, 4)
     rho, L = solve_point(preset_params("A3", g=10.5), cfg)
     grid = np.linspace(0.0, 6.0, 1201)
+    L.matrix  # propagation needs the matrix; it is assembled outside the traced window
     tracemalloc.start()
     try:
         g2_tau(rho, L, "c", grid)

@@ -5,6 +5,7 @@ from polariton import (FockLabel, ParameterError, QOperator, SystemParams,
                        TruncationConfig, basis_state, embed, hamiltonian_qd_driven,
                        hamiltonian_smr_driven, hamiltonian_undriven,
                        hybrid_mode_operator, linear_coupler, qubit_lowering, tau_to_us)
+from polariton.model import _bare_ops, _hamiltonian_terms, mode_moment
 from helpers import random_params
 
 CFG = TruncationConfig(3, 3)
@@ -66,6 +67,58 @@ def test_exact_hermiticity():
         for sign in (+1, -1):
             H = hamiltonian_undriven(pu, sign, CFG)
             assert np.array_equal(H.matrix, H.matrix.conj().T)
+
+
+def fresh_hamiltonian(p, cfg, drive, sign):
+    """The Hamiltonian summed term by term from fresh products of the bare
+    operators, in the order the cached terms are summed."""
+    def pair(op):
+        return QOperator(op.matrix + op.matrix.conj().T, op.dims)
+
+    a, b, sm = _bare_ops(cfg)
+    hop = a @ b.dag()
+    H = (p.delta_a * (a.dag() @ a) + p.delta_b * (b.dag() @ b)
+         + p.delta_q * (sm.dag() @ sm) + p.g * pair(a.dag() @ sm))
+    if sign > 0:
+        H = H + p.f * pair(hop)
+    else:
+        H = H + QOperator(1j * p.f * (hop.matrix.conj().T - hop.matrix), hop.dims)
+    if drive == "a":
+        H = H + p.eta_a * pair(a)
+    elif drive == "b":
+        H = H + p.eta_b * pair(b)
+    return H.matrix
+
+
+def test_cached_terms_give_the_fresh_hamiltonian_bitwise():
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        p = random_params(rng).with_(eta_a=rng.uniform(0.05, 0.8))
+        assert np.array_equal(hamiltonian_smr_driven(p, CFG).matrix,
+                              fresh_hamiltonian(p, CFG, "a", +1))
+        assert np.array_equal(hamiltonian_qd_driven(p, CFG).matrix,
+                              fresh_hamiltonian(p, CFG, "b", +1))
+        pu = p.with_(eta_a=0.0, eta_b=0.0)
+        for sign in (+1, -1):
+            assert np.array_equal(hamiltonian_undriven(pu, sign, CFG).matrix,
+                                  fresh_hamiltonian(pu, CFG, "", sign))
+
+
+def test_cached_operators_are_read_only():
+    arrays = list(_hamiltonian_terms(CFG).values())
+    arrays += [mode_moment(mode, CFG, k) for mode in "abcd" for k in (1, 2, 3, 4)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_mode_moments_match_fresh_powers():
+    for mode in "abcd":
+        z = hybrid_mode_operator(mode, CFG).matrix
+        for k in (1, 2, 3, 4):
+            zk = np.linalg.matrix_power(z, k)
+            assert np.array_equal(mode_moment(mode, CFG, k), zk.conj().T @ zk)
 
 
 def test_polariton_conservation_and_drive_breaking():
