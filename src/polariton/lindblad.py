@@ -15,11 +15,13 @@ and each sweep of that map adds one jump order.  The weak-drive oracle
 solves the same jump-free problem up to two excitations; here it is carried
 to all orders.  S is diagonal in the eigenbasis of H_eff, so S^-1 is an
 entrywise division there and a sweep costs a few dense d x d products.
-Where the sum is unsafe (an undamped pair of H_eff eigenstates, an
-ill-conditioned eigenbasis, slow or no convergence, or a failed residual
-check) the solve falls back to a sparse LU of the vectorised Liouvillian
-with one row replaced by the trace constraint, refined twice with its own
-factor.
+The sweeps write into work arrays allocated once per solve: at cutoff 5
+arrays made per sweep lie above glibc's mmap threshold and would be
+mapped, and page-faulted, afresh on every sweep.  Where the sum is unsafe
+(an undamped pair of H_eff eigenstates, an ill-conditioned eigenbasis,
+slow or no convergence, or a failed residual check) the solve falls back
+to a sparse LU of the vectorised Liouvillian with one row replaced by the
+trace constraint, refined twice with its own factor.
 
 A :class:`Liouvillian` holds H, H_eff and the jump operators.  It applies
 L[X] by d x d products and takes its Frobenius norm from d x d inner
@@ -231,7 +233,7 @@ def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
     return n_zero, np.asarray(vals)
 
 
-def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str]:
+def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str, int]:
     """Steady state of L summed over quantum-jump orders.
 
     In the eigenbasis H_eff = V diag(lam) V^-1 the sweep rho <- -S^-1 J[rho]
@@ -239,48 +241,59 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     D_ij = -i(lam_i - conj(lam_j)) and rho = V Y V'.  Each sweep is
     hermitised and trace-normalised.  A second start, diag(1, ..., d), runs
     beside I/d: a degenerate null space makes the two limits differ.  A
-    defect correction follows the sweeps.  Returns (rho or None, sweeps,
-    last contraction ratio, reason for None).
+    defect correction follows the sweeps.  Both loops write into work arrays
+    allocated once per call.  Returns (rho or None, sweeps, last contraction
+    ratio, reason for None, defect-correction sweeps).
     """
     try:
         lam, V = np.linalg.eig(L.h_eff)
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return None, 0, np.nan, "H_eff not diagonalisable"
+        return None, 0, np.nan, "H_eff not diagonalisable", 0
     denom = -1j * (lam[:, None] - lam.conj()[None, :])
     if np.abs(denom).min() <= UNDAMPED_RTOL * np.abs(lam).max():
-        return None, 0, np.nan, "undamped pair of H_eff eigenstates"
+        return None, 0, np.nan, "undamped pair of H_eff eigenstates", 0
     if np.linalg.cond(V) > MAX_EIGENBASIS_COND:
-        return None, 0, np.nan, "ill-conditioned H_eff eigenbasis"
+        return None, 0, np.nan, "ill-conditioned H_eff eigenbasis", 0
     K = np.array([np.sqrt(rate) * (V_inv @ J @ V) for rate, J, _ in L._jumps])[:, None]
     K_h = K.conj().swapaxes(-1, -2)
     gram = V.conj().T @ V  # Tr(V Y V') = Tr(gram Y)
+    d = L.dim
+    KY, KYK = np.empty((2, len(K), 2, d, d), dtype=complex)  # K Y and K Y K' per jump and start
 
-    def one_jump(Y: np.ndarray) -> np.ndarray:  # -S^-1 J[Y], a stack in the eigenbasis
-        return -(K @ Y @ K_h).sum(axis=0) / denom
+    def one_jump(Y: np.ndarray, out: np.ndarray) -> None:  # out = -S^-1 J[Y], in the eigenbasis
+        n = len(Y)
+        np.matmul(K, Y, out=KY[:, :n])
+        np.matmul(KY[:, :n], K_h, out=KYK[:, :n])
+        np.sum(KYK[:, :n], axis=0, out=out)
+        np.negative(out, out=out)
+        out /= denom
 
     def trace(Y: np.ndarray) -> np.ndarray:
         return np.einsum("ij,nji->n", gram, Y)[:, None, None]
 
-    d = L.dim
     starts = np.array([np.eye(d), np.diag(np.arange(1.0, d + 1))], dtype=complex)
     Y = V_inv @ starts @ V_inv.conj().T
+    new, scratch = np.empty_like(Y), np.empty_like(Y)
     change, ratio = np.inf, np.nan
     for sweep in range(1, MAX_SWEEPS + 1):
-        new = one_jump(Y)
-        new = 0.5 * (new + new.conj().swapaxes(-1, -2))
+        one_jump(Y, new)
+        np.conjugate(new.swapaxes(-1, -2), out=scratch)
+        new += scratch
+        new *= 0.5
         new /= trace(new).real
-        prev, change = change, np.abs(new - Y).max() / np.abs(new).max()
+        np.subtract(new, Y, out=scratch)
+        prev, change = change, np.abs(scratch).max() / np.abs(new).max()
         ratio = change / prev
-        Y = new
+        Y, new = new, Y
         if change <= SWEEP_RTOL:
             break
     else:
-        return None, MAX_SWEEPS, ratio, "jump-order sum did not converge"
+        return None, MAX_SWEEPS, ratio, "jump-order sum did not converge", 0
     if ratio > MAX_CONTRACTION:
-        return None, sweep, ratio, "slow contraction"
+        return None, sweep, ratio, "slow contraction", 0
     if np.abs(Y[-1] - Y[0]).max() > STEADY_RTOL * np.abs(Y[0]).max():
-        return None, sweep, ratio, "starts reach different steady states"
+        return None, sweep, ratio, "starts reach different steady states", 0
     # The dense transforms leave an error near machine epsilon on every
     # entry, which swamps the smallest populations: without a correction,
     # four-boson moments are off by up to 3e-8 relative.  One defect
@@ -290,15 +303,18 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     Y = Y[:1]
     rho = V @ Y[0] @ V.conj().T
     source = -(V_inv @ L.apply(rho) @ V_inv.conj().T) / denom
-    delta = source[None]
-    for _ in range(MAX_SWEEPS):
-        new = source + one_jump(delta)
-        new -= trace(new) * Y
-        done = np.abs(new - delta).max() <= CORRECTION_RTOL * np.abs(new).max()
-        delta = new
+    delta, new, spare, scratch = source[None], new[:1], new[1:], scratch[:1]
+    for correction in range(1, MAX_SWEEPS + 1):
+        one_jump(delta, new)
+        new += source
+        np.multiply(trace(new), Y, out=scratch)
+        new -= scratch
+        np.subtract(new, delta, out=scratch)
+        done = np.abs(scratch).max() <= CORRECTION_RTOL * np.abs(new).max()
+        delta, new, spare = new, spare, new
         if done:
-            return rho + V @ delta[0] @ V.conj().T, sweep, ratio, ""
-    return None, sweep, ratio, "defect correction did not converge"
+            return rho + V @ delta[0] @ V.conj().T, sweep, ratio, "", correction
+    return None, sweep, ratio, "defect correction did not converge", MAX_SWEEPS
 
 
 def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, float]]:
@@ -368,10 +384,10 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     residual check against L and be positive.  A degenerate
     null space raises :class:`NonUniqueSteadyStateError` instead of
     returning one of many steady states.  One debug line on this module's
-    logger names the path taken, the sweeps, the last contraction ratio and
-    the relative residual.
+    logger names the path taken, the sweeps, the defect-correction sweeps,
+    the last contraction ratio and the relative residual.
     """
-    mat, sweeps, ratio, reason = _sum_jump_orders(L)
+    mat, sweeps, ratio, reason, corrections = _sum_jump_orders(L)
     result = _accept(L, mat) if mat is not None else None
     path = "jump-free"
     if result is None:
@@ -381,8 +397,8 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     mineig = rho.min_eigenvalue()
     if mineig < -1e-10:
         raise SteadyStateError(f"steady state not positive: min eigenvalue {mineig:.2e}")
-    _log.debug("steady state via %s: %d sweeps, contraction ratio %.3g, relative residual %.2e",
-               path, sweeps, ratio, residual)
+    _log.debug("steady state via %s: %d sweeps, %d correction sweeps, contraction ratio %.3g, "
+               "relative residual %.2e", path, sweeps, corrections, ratio, residual)
     return rho
 
 

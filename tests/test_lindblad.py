@@ -3,6 +3,8 @@ import gc
 import logging
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,8 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationEr
 from polariton.lindblad import (Liouvillian, _lu_steady_state, _propagate, _real_form,
                                 _real_generator, _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
-from helpers import evolve, kron_liouvillian, random_composite_density, random_params
+from helpers import (evolve, fresh_env, kron_liouvillian, random_composite_density,
+                     random_params)
 
 CFG = TruncationConfig(2, 2)
 
@@ -249,6 +252,53 @@ def test_driven_degenerate_steady_state_detected():
     assert _sum_jump_orders(L)[3] == "starts reach different steady states"
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(L)
+
+
+def test_jump_order_sweeps_reuse_their_work_arrays():
+    # at cutoff 5 (d = 72) the sweep stacks lie above glibc's mmap
+    # threshold: arrays made per sweep were mapped afresh every time, at
+    # 7900-8400 minor page faults a call against 580-800 with work arrays
+    # allocated once per call.  It runs in a fresh interpreter, because a
+    # large array freed earlier in this process raises the threshold and
+    # hides the faults.
+    pytest.importorskip("resource")
+    code = """if True:
+        import resource
+        from polariton import TruncationConfig, build_liouvillian, bundle_params
+        from polariton.lindblad import _sum_jump_orders
+        from polariton.scenarios import build_hamiltonian
+        p = bundle_params("oracle-comparison")
+        L = build_liouvillian(build_hamiltonian(p, TruncationConfig(5, 5)), p)
+        _sum_jump_orders(L)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert _sum_jump_orders(L)[3] == ""
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2000
+
+
+def test_jump_order_sum_keeps_no_state_between_solves():
+    L1, L2 = (make_L(preset_params("A2", g=g), TruncationConfig(3, 3), driven="b")
+              for g in (1.0, 4.5))
+    first = _sum_jump_orders(L1)
+    other = _sum_jump_orders(L2)
+    again = _sum_jump_orders(L1)
+    assert not np.array_equal(first[0], other[0])
+    assert np.array_equal(first[0], again[0])
+    assert first[1:] == again[1:]
+
+
+def test_debug_line_counts_correction_sweeps(caplog):
+    L = bundle_liouvillian("oracle-comparison")
+    corrections = _sum_jump_orders(L)[4]
+    assert corrections >= 1
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        steady_state(L)
+    assert re.search(rf"via jump-free: \d+ sweeps, {corrections} correction sweeps,",
+                     caplog.text)
 
 
 def test_no_zero_mode_raises_convergence_error():
