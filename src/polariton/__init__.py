@@ -7,15 +7,15 @@ from .errors import (ClassificationError, ConfigError, DimensionError,
                      NonUniqueSteadyStateError, ParameterError, PolaritonError,
                      ResonanceSingularityError, SteadyStateError,
                      UndefinedCorrelationError)
-from .hilbert import (FockLabel, QOperator, TruncationConfig, annihilation,
-                      basis_state, embed, qubit_lowering)
-from .model import (GAMMA_RAD_PER_US, ModeSelector, SystemParams, hamiltonian_qd_driven,
+from .hilbert import (FockLabel, QOperator, TruncationConfig, annihilation, embed,
+                      qubit_lowering)
+from .model import (GAMMA_RAD_PER_US, MODES, SystemParams, hamiltonian_qd_driven,
                     hamiltonian_smr_driven, hamiltonian_undriven, hybrid_mode_operator,
                     linear_coupler, tau_to_us)
 from .lindblad import DensityMatrix, Liouvillian, build_liouvillian, steady_state
-from .correlations import (CorrelationPoint, DynamicsLabel, G2TauCurve, StatisticsCase,
-                           classify_dynamics, classify_statistics, dominant_period,
-                           g2_tau, g_k_zero, hybrid_moments_from_local)
+from .correlations import (DynamicsLabel, StatisticsCase, classify_dynamics,
+                           classify_statistics, dominant_period, g2_tau, g_k_zero,
+                           hybrid_moments_from_local)
 from .spectrum import (JCDoublet, ManifoldSpectrum, ResonanceDistances,
                        analytic_manifolds, jc_spectrum, manifold_spectrum,
                        minimum_gap, resonance_distances)

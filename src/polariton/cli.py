@@ -35,8 +35,8 @@ from .correlations import dominant_period
 from .errors import (ConfigError, DimensionError, InsufficientDataError, ParameterError,
                      PolaritonError)
 from .hilbert import TruncationConfig
-from .model import SystemParams
-from .scenarios import (DEFAULT_MODES, DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
+from .model import MODES, SystemParams, tau_to_us
+from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
                         pool_workers, resolve_params, resonance_distance_sweep, run_g2tau,
                         run_sweep, spectrum_sweep)
 
@@ -232,7 +232,7 @@ def _validate(config: dict, command: str):
         if not isinstance(config["output"].get("gnuplot", False), bool):
             raise ConfigError("output.gnuplot must be true or false")
     if "modes" in config:
-        bad = [m for m in _check_list(config["modes"], "modes") if m not in DEFAULT_MODES]
+        bad = [m for m in _check_list(config["modes"], "modes") if m not in MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}")
         _check_unique(config["modes"], "modes")
@@ -258,7 +258,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
             resonant=s.get("resonant", False),
             truncation=_truncation(config),
             overrides=dict(config.get("overrides", {})),
-            modes=tuple(config.get("modes", DEFAULT_MODES)),
+            modes=tuple(config.get("modes", MODES)),
             orders=tuple(config.get("orders", DEFAULT_ORDERS)),
             preset=config.get("preset"),
             params=SystemParams(**config["params"]) if "params" in config else None,
@@ -340,7 +340,7 @@ def _json_default(obj):
 
 
 _G2SWEEP_HEADER = (["sweep_var"]
-                   + [f"g{k}_{m}" for k in DEFAULT_ORDERS for m in DEFAULT_MODES]
+                   + [f"g{k}_{m}" for k in DEFAULT_ORDERS for m in MODES]
                    + ["case", "boundary", "g234_a", "g234_b", "g234_c", "error"])
 
 
@@ -366,6 +366,8 @@ def _cmd_g2sweep(config: dict) -> int:
 def _cmd_g2tau(config: dict) -> int:
     unit = config["tau"].get("unit", "inv_gamma")
     grid = np.linspace(0.0, float(config["tau"]["stop"]), config["tau"]["count"])
+    # the library works in 1/gamma; the table and the periods keep the config's unit
+    grid_inv_gamma = grid if unit == "inv_gamma" else grid * (1.0 / tau_to_us(1.0))
     modes = tuple(config.get("modes", ("a", "b", "c")))
     try:
         params = SystemParams(**config["params"]) if "params" in config else None
@@ -373,7 +375,7 @@ def _cmd_g2tau(config: dict) -> int:
         points = [base.with_(**point) for point in config["points"]]
     except ParameterError as exc:
         raise ConfigError(str(exc))
-    results = run_g2tau(points, _truncation(config), grid, modes, unit, config.get("threads"))
+    results = run_g2tau(points, _truncation(config), grid_inv_gamma, modes, config.get("threads"))
     writer = _OutputWriter(config, "g2tau")
     summary_points = []
     warnings: list[str] = []
@@ -382,7 +384,7 @@ def _cmd_g2tau(config: dict) -> int:
             warnings.append(f"point {i} failed: {type(curves).__name__}: {curves}")
             summary_points.append({"point": point, "error": str(curves)})
             continue
-        rows = [{"tau": float(tau), **{f"g2_{m}": float(curves[m]["curve"].values[j])
+        rows = [{"tau": float(tau), **{f"g2_{m}": float(curves[m]["curve"][j])
                                        for m in modes}} for j, tau in enumerate(grid)]
         writer.write_table(["tau"] + [f"g2_{m}" for m in modes], rows, suffix=f"_p{i}")
         info: dict = {"point": point, "file": writer.written[-1]}
@@ -390,7 +392,7 @@ def _cmd_g2tau(config: dict) -> int:
             dyn = curves[m]["dynamics"]
             info[f"dynamics_{m}"] = dataclasses.asdict(dyn) if dyn else None
             try:
-                info[f"dominant_period_{m}"] = dominant_period(grid, curves[m]["curve"].values)
+                info[f"dominant_period_{m}"] = dominant_period(grid, curves[m]["curve"])
             except InsufficientDataError:
                 info[f"dominant_period_{m}"] = None
         summary_points.append(info)

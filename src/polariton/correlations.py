@@ -26,9 +26,10 @@ from .errors import (ClassificationError, InsufficientDataError,
                      UndefinedCorrelationError)
 from .hilbert import QOperator, TruncationConfig
 from .lindblad import DensityMatrix, Liouvillian, _propagate, _real_form
-from .model import ModeSelector, SystemParams, hybrid_mode_operator, mode_moment, tau_to_us
+from .model import SystemParams, hybrid_mode_operator, mode_moment
 
-#: Mean occupations at or below this make g^(k) undefined (0/0 guard).
+#: Mean occupations, and the weak-drive oracle's |C|^2 denominators, at or
+#: below this make g^(k) undefined (0/0 guard).
 OCCUPANCY_FLOOR = 1e-12
 #: |g2 - 1| within this band is reported as Poissonian / boundary.
 POISSONIAN_BAND = 1e-2
@@ -37,35 +38,7 @@ UNBUNCHED_BAND = 1e-3
 #: dominant_period ignores lines slower than this many full cycles per window.
 MIN_CYCLES = 4.0
 
-ModeLike = Union[ModeSelector, str, QOperator]
-
-
-@dataclass(frozen=True)
-class CorrelationPoint:
-    """One zero-delay correlation value with its mean occupation."""
-
-    mode: str
-    order: int
-    value: float
-    mean_occupation: float
-
-
-@dataclass(frozen=True)
-class G2TauCurve:
-    """Delay-time second-order correlation sampled on a grid.
-
-    ``tau_unit`` is 'inv_gamma' (units of 1/gamma) or 'us' (microseconds,
-    using gamma = 10 pi rad/us).
-    """
-
-    mode: str
-    tau_grid: np.ndarray
-    values: np.ndarray
-    tau_unit: str = "inv_gamma"
-
-    def __post_init__(self):
-        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+ModeLike = Union[str, QOperator]
 
 
 @dataclass(frozen=True)
@@ -110,17 +83,17 @@ def _resolve_mode(mode: ModeLike, dims: tuple[int, ...],
         z = mode.matrix
         zk = np.linalg.matrix_power(z, k)
         return "custom", z, z.conj().T @ z, zk.conj().T @ zk
-    sel = ModeSelector(mode)
     cfg = TruncationConfig.from_dims(dims)
-    return (sel.value, hybrid_mode_operator(sel, cfg).matrix, mode_moment(sel, cfg, 1),
-            mode_moment(sel, cfg, k))
+    return (mode, hybrid_mode_operator(mode, cfg).matrix, mode_moment(mode, cfg, 1),
+            mode_moment(mode, cfg, k))
 
 
-def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> CorrelationPoint:
+def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> float:
     """k-th order zero-delay intensity correlation of the selected mode.
 
     Raises :class:`UndefinedCorrelationError` when the mean occupation is
-    at or below the occupancy floor.
+    at or below the occupancy floor, or when the k-th moment is negative,
+    which no state allows: it then carries the steady state's solve error.
     """
     if k < 2:
         raise ValueError(f"correlation order must be >= 2, got {k}")
@@ -135,12 +108,17 @@ def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> CorrelationPoint
             f"mode {name}: the k={k} moment is identically zero at this truncation; "
             "raise the Fock cutoffs to represent it")
     num = float(np.einsum("ij,ji->", rho.matrix, moment).real)
-    return CorrelationPoint(name, k, num / n_mean**k, n_mean)
+    if num < 0.0:
+        raise UndefinedCorrelationError(
+            f"mode {name}: the k={k} moment {num:.3e} is negative; the steady state "
+            "does not resolve it")
+    return num / n_mean**k
 
 
 def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
-           tau_grid: Sequence[float], tau_unit: str = "inv_gamma") -> G2TauCurve:
-    """Delay-time g^(2)(tau) via the quantum regression theorem.
+           tau_grid: Sequence[float]) -> np.ndarray:
+    """Delay-time g^(2)(tau) on a grid in units of 1/gamma, via the quantum
+    regression theorem.
 
     ``rho_ss`` must be the steady state of ``L``.  The grid must start at
     tau = 0 so the zero-delay consistency invariant is meaningful.
@@ -148,8 +126,6 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
-    if tau_unit not in ("inv_gamma", "us"):
-        raise ValueError(f"unknown tau_unit {tau_unit!r}")
     name, z, n_op, _ = _resolve_mode(mode, rho_ss.dims, 1)
     n_mean = float(np.einsum("ij,ji->", rho_ss.matrix, n_op).real)
     if n_mean <= OCCUPANCY_FLOOR:
@@ -157,11 +133,9 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
             f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor")
     dressed = z @ rho_ss.matrix @ z.conj().T
     weight = float(np.trace(dressed).real)  # equals n_mean
-    grid_internal = tau_grid if tau_unit == "inv_gamma" else tau_grid * (1.0 / tau_to_us(1.0))
     # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n)
     c = _real_form(n_op).reshape(1, -1)
-    values = _propagate(dressed / weight, L, grid_internal, c)[0] * (weight / n_mean**2)
-    return G2TauCurve(name, tau_grid, values, tau_unit)
+    return _propagate(dressed / weight, L, tau_grid, c)[0] * (weight / n_mean**2)
 
 
 def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase:
@@ -174,8 +148,10 @@ def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase
     return StatisticsCase(_SIGN_TO_CASE.get(signs), signs, boundary)
 
 
-def classify_dynamics(curve: G2TauCurve, p: SystemParams) -> DynamicsLabel:
-    """Classify a g2(tau) curve into a blockade/tunnelling dynamics case.
+def classify_dynamics(taus: Sequence[float], values: Sequence[float],
+                      p: SystemParams) -> DynamicsLabel:
+    """Classify a g2(tau) curve, sampled at delays ``taus`` in units of
+    1/gamma, into a blockade/tunnelling dynamics case.
 
     The comparison window is tau_w = 1/max(kappa_a, kappa_b, gamma).
     Within (0, tau_w] the curve's dominant deviation from g2(0) decides
@@ -184,9 +160,7 @@ def classify_dynamics(curve: G2TauCurve, p: SystemParams) -> DynamicsLabel:
     Cases I..IV require strict sub/super statistics as well.
     """
     tau_w = 1.0 / p.kappa_max
-    if curve.tau_unit == "us":
-        tau_w = tau_to_us(tau_w)
-    taus, vals = curve.tau_grid, curve.values
+    taus, vals = np.asarray(taus, dtype=float), np.asarray(values, dtype=float)
     if taus[-1] < tau_w * (1.0 - 1e-9):
         raise InsufficientDataError(
             f"curve covers tau <= {taus[-1]:.4g} but the window is {tau_w:.4g}")
@@ -232,8 +206,8 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     using f_kl = a'^k a^l and g_mn = b'^m b^n.  Both identities are exact.
     """
     cfg = TruncationConfig.from_dims(rho.dims)
-    a = hybrid_mode_operator(ModeSelector.A, cfg).matrix
-    b = hybrid_mode_operator(ModeSelector.B, cfg).matrix
+    a = hybrid_mode_operator("a", cfg).matrix
+    b = hybrid_mode_operator("b", cfg).matrix
     ad, bd = a.conj().T, b.conj().T
 
     def ev(mat: np.ndarray) -> complex:

@@ -56,13 +56,6 @@ class TruncationConfig:
         da, db, dq = self.dims
         return da * db * dq
 
-    def index_of(self, label: "FockLabel") -> int:
-        """Canonical basis index of a Fock label (pure function, stable)."""
-        if not (0 <= label.n_a <= self.n_a_max and 0 <= label.n_b <= self.n_b_max):
-            raise DimensionError(f"label {label} exceeds cutoffs {self.n_a_max}, {self.n_b_max}")
-        q = 0 if label.q == "g" else 1
-        return (label.n_a * (self.n_b_max + 1) + label.n_b) * 2 + q
-
     def labels(self) -> Iterator["FockLabel"]:
         """All Fock labels in canonical index order."""
         for n_a in range(self.n_a_max + 1):
@@ -194,10 +187,3 @@ def embed(op: QOperator, slot: str, cfg: TruncationConfig) -> QOperator:
     for k, d in enumerate(dims):
         mat = np.kron(mat, op.matrix if k == k_slot else np.eye(d, dtype=complex))
     return QOperator(mat, dims)
-
-
-def basis_state(label: FockLabel, cfg: TruncationConfig) -> np.ndarray:
-    """Unit column vector for |n_a, n_b, q> at the canonical index."""
-    vec = np.zeros(cfg.dim, dtype=complex)
-    vec[cfg.index_of(label)] = 1.0
-    return vec

@@ -23,7 +23,7 @@ slow or no convergence, or a failed residual check) the solve falls back
 to a sparse LU of the vectorised Liouvillian with one row replaced by the
 trace constraint, refined twice with its own factor.
 
-A :class:`Liouvillian` holds H, H_eff and the jump operators.  It applies
+A :class:`Liouvillian` holds H_eff and the jump operators.  It applies
 L[X] by d x d products and takes its Frobenius norm from d x d inner
 products, since <A (x) B, C (x) D> = <A, C><B, D>; so the residual check
 of a steady state, relative to ||L||, needs no superoperator.  The sparse
@@ -91,8 +91,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of the composite system.
 
     Construction stores the matrix as given (read-only); solver routines
-    hermitise before constructing.  :meth:`validate` checks the numerical
-    invariants explicitly.
+    hermitise before constructing.
     """
 
     matrix: np.ndarray
@@ -104,51 +103,26 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def expect(self, op: QOperator) -> complex:
-        return complex(np.einsum("ij,ji->", self.matrix, op.matrix))
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
-    def hermiticity_defect(self) -> float:
-        """Relative Frobenius distance from the Hermitian part."""
-        scale = max(1.0, float(np.linalg.norm(self.matrix)))
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) / scale
-
-    def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-12,
-                 herm_tol: float = 1e-12) -> "DensityMatrix":
-        """Check Hermiticity, unit trace and numerical positivity; return self."""
-        if self.hermiticity_defect() > herm_tol:
-            raise SteadyStateError(f"not Hermitian: defect {self.hermiticity_defect():.2e}")
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise SteadyStateError(f"trace {self.trace()!r} differs from 1")
-        mineig = self.min_eigenvalue()
-        if mineig < -psd_tol:
-            raise SteadyStateError(f"minimum eigenvalue {mineig:.2e} below -{psd_tol:.0e}")
-        return self
-
 
 class Liouvillian:
-    """Lindblad generator of the master equation, held as H, H_eff and the
+    """Lindblad generator of the master equation, held as H_eff and the
     jump operators; the sparse d^2 x d^2 matrix is assembled on first use."""
 
     def __init__(self, hamiltonian: QOperator, collapse_ops: Sequence[tuple[float, QOperator]]):
-        self.hamiltonian = hamiltonian
-        self.collapse_ops = tuple(collapse_ops)
         self.dims = hamiltonian.dims
+        #: (kappa_k, J_k, J_k') of each channel with a nonzero rate.
+        self._jumps = [(rate, J.matrix, J.matrix.conj().T) for rate, J in collapse_ops if rate > 0]
         #: H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution.
         self.h_eff = hamiltonian.matrix - 0.5j * sum(
-            rate * J.matrix.conj().T @ J.matrix for rate, J in self.collapse_ops if rate > 0)
-        self._jumps = [(rate, J.matrix, J.matrix.conj().T)
-                       for rate, J in self.collapse_ops if rate > 0]
+            rate * J_h @ J for rate, J, J_h in self._jumps)
 
     @property
     def dim(self) -> int:
         """Hilbert-space dimension (the superoperator has side dim^2)."""
-        return self.hamiltonian.dim
+        return self.h_eff.shape[0]
 
     def _kron_terms(self, H_eff: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """The pairs (A_m, B_m) of L = sum_m A_m (x) B_m =
@@ -210,12 +184,7 @@ def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
     if herm_defect > 1e-12 * max(1.0, H.norm()):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
     a, b, sm = _bare_ops(TruncationConfig.from_dims(H.dims))
-    collapse = []
-    for rate, op in ((p.kappa_a, a), (p.kappa_b, b), (p.gamma, sm)):
-        if rate < 0:
-            raise ParameterError(f"negative decay rate {rate}")
-        collapse.append((float(rate), op))
-    return Liouvillian(H, collapse)
+    return Liouvillian(H, [(float(p.kappa_a), a), (float(p.kappa_b), b), (float(p.gamma), sm)])
 
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:

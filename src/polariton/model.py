@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -65,13 +63,9 @@ class SystemParams:
         return max(self.kappa_a, self.kappa_b, self.gamma)
 
 
-class ModeSelector(str, Enum):
-    """Bare photon/phonon modes and their balanced hybrid combinations."""
-
-    A = "a"
-    B = "b"
-    C = "c"  # (a + b) / sqrt(2)
-    D = "d"  # (a - b) / sqrt(2)
+#: Bare photon/phonon modes a, b and their balanced hybrid combinations
+#: c = (a + b)/sqrt(2), d = (a - b)/sqrt(2).
+MODES = ("a", "b", "c", "d")
 
 
 @lru_cache(maxsize=8)
@@ -158,25 +152,26 @@ def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> Q
 
 
 @lru_cache(maxsize=16)
-def hybrid_mode_operator(sel: Union[ModeSelector, str], cfg: TruncationConfig) -> QOperator:
-    """Annihilation operator of a bare or hybrid mode on the composite space.
+def hybrid_mode_operator(mode: str, cfg: TruncationConfig) -> QOperator:
+    """Annihilation operator of a mode in :data:`MODES` on the composite space.
 
     Modes c and d are the balanced combinations (a +/- b)/sqrt(2), the
     outputs of :func:`linear_coupler` at theta = pi/4.  Cached per mode and cutoffs.
     """
-    sel = ModeSelector(sel)
-    if sel in (ModeSelector.C, ModeSelector.D):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
+    if mode in ("c", "d"):
         c, d = linear_coupler(math.pi / 4, cfg)
-        return c if sel is ModeSelector.C else d
+        return c if mode == "c" else d
     a, b, _ = _bare_ops(cfg)
-    return a if sel is ModeSelector.A else b
+    return a if mode == "a" else b
 
 
 @lru_cache(maxsize=64)
-def mode_moment(sel: Union[ModeSelector, str], cfg: TruncationConfig, k: int = 1) -> np.ndarray:
+def mode_moment(mode: str, cfg: TruncationConfig, k: int = 1) -> np.ndarray:
     """z'^k z^k of a bare or hybrid mode z: its number operator at k = 1
     (read-only, cached per mode, order and cutoffs)."""
-    zk = np.linalg.matrix_power(hybrid_mode_operator(sel, cfg).matrix, k)
+    zk = np.linalg.matrix_power(hybrid_mode_operator(mode, cfg).matrix, k)
     return _read_only(zk.conj().T @ zk)
 
 

@@ -24,41 +24,36 @@ from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_z
 from .errors import ParameterError, PolaritonError
 from .hilbert import QOperator, TruncationConfig
 from .lindblad import build_liouvillian, steady_state
-from .model import (SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
+from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
 from .spectrum import manifold_spectrum, minimum_gap, resonance_distances
 from .weakdrive import oracle_g2, steady_amplitudes
 
 SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b")
-DEFAULT_MODES = ("a", "b", "c", "d")
 DEFAULT_ORDERS = (2, 3, 4)
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class Preset:
-    """A named parameter set with its absolute mode frequencies."""
+    """A parameter set with its absolute mode frequencies."""
 
-    name: str
     params: SystemParams
     frequencies: tuple[float, float, float]  # (omega_smr, omega_m, omega_q), units of gamma
 
 
 PRESETS: dict[str, Preset] = {
     "A1": Preset(
-        name="A1",
         params=SystemParams(delta_a=-3.0, delta_b=3.0, delta_q=-6.0, f=5.0,
                             eta_a=0.7, eta_b=0.0, kappa_a=1.5, kappa_b=6.0),
         frequencies=(1554.0, 1560.0, 1551.0),
     ),
     "A2": Preset(
-        name="A2",
         params=SystemParams(delta_a=5.0, delta_b=-5.0, delta_q=3.0, f=7.0,
                             eta_a=0.0, eta_b=0.5, kappa_a=7.5, kappa_b=6.0),
         frequencies=(1570.0, 1560.0, 1568.0),
     ),
     "A3": Preset(
-        name="A3",
         params=SystemParams(delta_a=4.0, delta_b=-4.0, delta_q=7.0, f=6.4,
                             eta_a=0.0, eta_b=0.22, kappa_a=3.5, kappa_b=0.002),
         frequencies=(1568.0, 1560.0, 1571.0),
@@ -131,7 +126,7 @@ class SweepSpec:
     overrides: dict = field(default_factory=dict)
     resonant: bool = False
     truncation: TruncationConfig = TruncationConfig()
-    modes: tuple[str, ...] = DEFAULT_MODES
+    modes: tuple[str, ...] = MODES
     orders: tuple[int, ...] = DEFAULT_ORDERS
 
     def __post_init__(self):
@@ -200,13 +195,10 @@ def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig,
     for mode in modes:
         for k in orders:
             try:
-                pt = g_k_zero(rho, mode, k)
+                values[(k, mode)] = row[f"g{k}_{mode}"] = g_k_zero(rho, mode, k)
             except PolaritonError as exc:
-                # undefined cell (occupancy floor / truncation); leave it empty
+                # undefined cell (occupancy floor, truncation, negative moment); leave it empty
                 cell_errors.append(f"g{k}_{mode}: {exc}")
-                continue
-            values[(k, mode)] = pt.value
-            row[f"g{k}_{mode}"] = pt.value
     if all((2, m) in values for m in ("a", "b", "c")):
         stat = classify_statistics(values[(2, "a")], values[(2, "b")], values[(2, "c")])
         row["case"] = stat.case
@@ -422,15 +414,15 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
 
 
 def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float],
-                modes: Sequence[str] = ("a", "b", "c"),
-                tau_unit: str = "inv_gamma") -> dict[str, dict]:
-    """Delay-time curves and dynamics labels for one operating point."""
+                modes: Sequence[str] = ("a", "b", "c")) -> dict[str, dict]:
+    """Delay-time curves, on a grid in units of 1/gamma, and dynamics labels
+    for one operating point."""
     out: dict[str, dict] = {}
     rho, L = solve_point(p, cfg)
     for mode in modes:
-        curve = g2_tau(rho, L, mode, tau_grid, tau_unit)
+        curve = g2_tau(rho, L, mode, tau_grid)
         try:
-            label = classify_dynamics(curve, p)
+            label = classify_dynamics(tau_grid, curve, p)
         except PolaritonError:
             label = None
         out[mode] = {"curve": curve, "dynamics": label}
@@ -445,11 +437,11 @@ def _g2tau_point_or_error(*args):
 
 
 def run_g2tau(points: Sequence[SystemParams], cfg: TruncationConfig, tau_grid: Sequence[float],
-              modes: Sequence[str], tau_unit: str, threads: Optional[int] = None) -> list:
+              modes: Sequence[str], threads: Optional[int] = None) -> list:
     """:func:`g2tau_point` at every operating point, in order; a point that
     fails gives its :class:`PolaritonError` and does not stop the others."""
     return _map_points(_g2tau_point_or_error,
-                       [(p, cfg, tau_grid, modes, tau_unit) for p in points], threads)
+                       [(p, cfg, tau_grid, modes) for p in points], threads)
 
 
 @dataclass

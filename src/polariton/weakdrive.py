@@ -22,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import OCCUPANCY_FLOOR
 from .errors import ParameterError, ResonanceSingularityError, UndefinedCorrelationError
 from .model import SystemParams
-
-#: |C|^2 denominators at or below this make the oracle g2 undefined.
-OCCUPANCY_FLOOR = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -8,9 +8,52 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 import polariton
-from polariton import (DensityMatrix, Liouvillian, QOperator, SystemParams,
-                       TruncationConfig, closed_form_double, closed_form_single)
+from polariton import (DensityMatrix, DimensionError, FockLabel, Liouvillian, QOperator,
+                       SteadyStateError, SystemParams, TruncationConfig, closed_form_double,
+                       closed_form_single)
 from polariton.lindblad import _propagate
+
+
+def index_of(cfg: TruncationConfig, label: FockLabel) -> int:
+    """Canonical basis index of a Fock label (pure function, stable)."""
+    if not (0 <= label.n_a <= cfg.n_a_max and 0 <= label.n_b <= cfg.n_b_max):
+        raise DimensionError(f"label {label} exceeds cutoffs {cfg.n_a_max}, {cfg.n_b_max}")
+    q = 0 if label.q == "g" else 1
+    return (label.n_a * (cfg.n_b_max + 1) + label.n_b) * 2 + q
+
+
+def basis_state(label: FockLabel, cfg: TruncationConfig) -> np.ndarray:
+    """Unit column vector for |n_a, n_b, q> at the canonical index."""
+    vec = np.zeros(cfg.dim, dtype=complex)
+    vec[index_of(cfg, label)] = 1.0
+    return vec
+
+
+def trace(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.matrix).real)
+
+
+def expect(rho: DensityMatrix, op: QOperator) -> complex:
+    return complex(np.einsum("ij,ji->", rho.matrix, op.matrix))
+
+
+def hermiticity_defect(rho: DensityMatrix) -> float:
+    """Relative Frobenius distance from the Hermitian part."""
+    scale = max(1.0, float(np.linalg.norm(rho.matrix)))
+    return float(np.linalg.norm(rho.matrix - rho.matrix.conj().T)) / scale
+
+
+def validate(rho: DensityMatrix, psd_tol: float = 1e-10, trace_tol: float = 1e-12,
+             herm_tol: float = 1e-12) -> DensityMatrix:
+    """Check Hermiticity, unit trace and numerical positivity; return rho."""
+    if hermiticity_defect(rho) > herm_tol:
+        raise SteadyStateError(f"not Hermitian: defect {hermiticity_defect(rho):.2e}")
+    if abs(trace(rho) - 1.0) > trace_tol:
+        raise SteadyStateError(f"trace {trace(rho)!r} differs from 1")
+    mineig = rho.min_eigenvalue()
+    if mineig < -psd_tol:
+        raise SteadyStateError(f"minimum eigenvalue {mineig:.2e} below -{psd_tol:.0e}")
+    return rho
 
 
 def random_density(rng: np.random.Generator, dim: int,

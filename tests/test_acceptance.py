@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from polariton import (DensityMatrix, FockLabel, SweepSpec, SystemParams,
-                       TruncationConfig, analytic_manifolds, basis_state,
+                       TruncationConfig, analytic_manifolds,
                        build_liouvillian, bundle_params, classify_dynamics,
                        compare_oracle, dominant_period, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
@@ -18,7 +18,8 @@ from polariton import (DensityMatrix, FockLabel, SweepSpec, SystemParams,
                        hybrid_moments_from_local, manifold_spectrum,
                        preset_params, run_sweep, solve_point, steady_state,
                        tau_to_us)
-from helpers import closed_form_g2_b_dip, evolve, random_composite_density, random_params
+from helpers import (basis_state, closed_form_g2_b_dip, evolve, expect, hermiticity_defect,
+                     random_composite_density, random_params, trace)
 
 THREADS = int(os.environ.get("POLARITON_THREADS", "2"))
 CUTOFF5 = TruncationConfig(5, 5)
@@ -139,7 +140,7 @@ def test_criterion_5_dynamics_cases():
         p = p3.with_(g=ratio * p3.kappa_a)
         rho, L = solve_point(p, CUTOFF5)
         curve = g2_tau(rho, L, "b", grid)
-        label = classify_dynamics(curve, p)
+        label = classify_dynamics(grid, curve, p)
         outcomes[ratio] = (label.case, expected)
     ok = all(case == expected for case, expected in outcomes.values())
     _report(5, "dynamics cases I..IV for the phonon mode",
@@ -153,7 +154,7 @@ def test_criterion_6_oscillation_period():
     rho, L = solve_point(p, CUTOFF5)
     grid = np.linspace(0.0, 6.0, 1201)
     curve = g2_tau(rho, L, "c", grid)
-    period = dominant_period(grid, curve.values)
+    period = dominant_period(grid, curve)
     period_us = tau_to_us(period)
     target_us = tau_to_us(2 * np.pi / p.f)
     rel = abs(period_us - target_us) / target_us
@@ -185,11 +186,11 @@ def test_criterion_7_property_suite():
         rho0 = random_composite_density(rng, cfg2)
         times = [0.0, 0.7, 1.9, 3.0]
         for t, rho_t in zip(times, evolve(rho0, L, times)):
-            if abs(rho_t.trace() - 1.0) > 1e-9 * (1.0 + p.gamma * t):
+            if abs(trace(rho_t) - 1.0) > 1e-9 * (1.0 + p.gamma * t):
                 failures.append(f"trace drift at draw {i}")
             if rho_t.min_eigenvalue() < -1e-8:
                 failures.append(f"negative eigenvalue at draw {i}")
-            if rho_t.hermiticity_defect() > 1e-12:
+            if hermiticity_defect(rho_t) > 1e-12:
                 failures.append(f"hermiticity defect at draw {i}")
 
     # Fock-state law g2 = 1 - 1/n, exact
@@ -197,7 +198,7 @@ def test_criterion_7_property_suite():
     for n in range(1, 5):
         vec = basis_state(FockLabel(n, 0, "g"), cfg_f)
         rho = DensityMatrix(np.outer(vec, vec.conj()), cfg_f.dims)
-        if abs(g_k_zero(rho, "a", 2).value - (1.0 - 1.0 / n)) > 1e-12:
+        if abs(g_k_zero(rho, "a", 2) - (1.0 - 1.0 / n)) > 1e-12:
             failures.append(f"Fock law violated at n={n}")
 
     # hybrid-moment identities on 100 random density matrices
@@ -219,8 +220,8 @@ def test_criterion_7_property_suite():
         rho, L = solve_point(p, CUTOFF5)
         for mode in ("a", "b", "c", "d"):
             curve = g2_tau(rho, L, mode, [0.0, 0.02, 0.05])
-            ref = g_k_zero(rho, mode, 2).value
-            if abs(curve.values[0] - ref) > 1e-8 * abs(ref):
+            ref = g_k_zero(rho, mode, 2)
+            if abs(curve[0] - ref) > 1e-8 * abs(ref):
                 failures.append(f"regression consistency {preset}/{mode}")
 
     # H+/H- number-correlation equivalence
@@ -240,8 +241,8 @@ def test_criterion_7_property_suite():
     c_minus = ((-1j) * a_op + b_op) * (1 / np.sqrt(2))
     for mode_p, mode_m, name in ((a_op, a_op, "a"), (b_op, b_op, "b"),
                                  (c_plus, c_minus, "c")):
-        v_p = g_k_zero(rho_p, mode_p, 2).value
-        v_m = g_k_zero(rho_m, mode_m, 2).value
+        v_p = g_k_zero(rho_p, mode_p, 2)
+        v_m = g_k_zero(rho_m, mode_m, 2)
         if abs(v_p - v_m) > 1e-8 * abs(v_p):
             failures.append(f"H+/H- equivalence mode {name}: {v_p} vs {v_m}")
 
@@ -253,8 +254,8 @@ def test_criterion_7_property_suite():
         rho5, _ = solve_point(p, CUTOFF5)
         rho7, _ = solve_point(p, cfg7)
         for mode in ("a", "b", "c"):
-            v5 = g_k_zero(rho5, mode, 2).value
-            v7 = g_k_zero(rho7, mode, 2).value
+            v5 = g_k_zero(rho5, mode, 2)
+            v7 = g_k_zero(rho7, mode, 2)
             rel = abs(v5 - v7) / abs(v7)
             worst = max(worst, rel)
             if rel >= 1e-3:
@@ -274,8 +275,8 @@ def test_criterion_8_linear_cavity_oracle():
     rho = steady_state(build_liouvillian(hamiltonian_smr_driven(p, cfg), p))
     a = hybrid_mode_operator("a", cfg)
     n_expected = abs(-eta / (delta - 0.5j * kappa)) ** 2
-    n_mean = rho.expect(a.dag() @ a).real
-    g2 = g_k_zero(rho, "a", 2).value
+    n_mean = expect(rho, a.dag() @ a).real
+    g2 = g_k_zero(rho, "a", 2)
     dev_n = abs(n_mean - n_expected) / n_expected
     dev_g2 = abs(g2 - 1.0)
     ok = dev_n <= 1e-8 and dev_g2 <= 1e-6

@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polariton import ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point
+from polariton import (ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point,
+                       tau_to_us)
 from polariton.cli import load_config, main
 from helpers import fresh_env
 
@@ -106,8 +109,28 @@ def test_g2sweep_drives_the_photon_mode_of_a2(tmp_path):
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     p = preset_params("A2", g=4.5, eta_a=0.5, eta_b=0.0)
     rho, _ = solve_point(p, TruncationConfig(3, 3))
-    assert row["g2_a"] == f"{g_k_zero(rho, 'a').value:.11e}"
+    assert row["g2_a"] == f"{g_k_zero(rho, 'a'):.11e}"
     assert row["error"] == ""
+
+
+def test_g2sweep_leaves_negative_moments_empty(tmp_path):
+    """At the weakest drives the four-boson moments lie below the steady
+    state's accuracy and come out negative; those cells stay empty and are
+    named in the row's error, and the stronger drives keep every cell."""
+    cfg = write(tmp_path / "cfg.yaml", "preset: A2\noverrides: {g: 4.5}\n"
+                "sweep: {variable: eta_b, values: [0.001, 0.003, 0.01, 0.03, 0.1]}\n"
+                f"output: {{directory: {tmp_path}, basename: weak}}\n")
+    assert main(["g2sweep", "--config", cfg, "--threads", "1"]) == 0
+    with open(tmp_path / "weak.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = [f"g{k}_{m}" for k in (2, 3, 4) for m in "abcd"]
+    for row in rows:
+        assert all(float(row[c]) >= 0.0 for c in cells if row[c])
+        assert all(f"{c}: " in row["error"] for c in cells if not row[c])
+    for row in rows[:2]:
+        assert row["g4_c"] == row["g4_d"] == ""
+    for row in rows[2:]:
+        assert all(row[c] for c in cells) and row["error"] == ""
 
 
 def test_g2sweep_rejects_two_drives_at_every_point(tmp_path, capsys):
@@ -135,7 +158,7 @@ output: {{directory: {out}, basename: tau}}
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     rho, _ = solve_point(preset_params("A2", g=4.5, eta_a=0.5, eta_b=0.0),
                          TruncationConfig(3, 3))
-    assert float(first["g2_a"]) == pytest.approx(g_k_zero(rho, "a").value, rel=1e-10)
+    assert float(first["g2_a"]) == pytest.approx(g_k_zero(rho, "a"), rel=1e-10)
 
 
 def test_g2tau_tables_identical_for_one_and_two_workers(tmp_path):
@@ -210,10 +233,49 @@ output: {{directory: {out}, basename: tau}}
     assert float(first["tau"]) == 0.0
     for mode in ("a", "b", "c"):
         assert float(first[f"g2_{mode}"]) == pytest.approx(
-            g_k_zero(rho, mode, 2).value, rel=1e-10)
+            g_k_zero(rho, mode, 2), rel=1e-10)
     summary = json.loads((out / "tau.summary.json").read_text())
     assert summary["schema"] == "g2tau-v1"
     assert summary["points"][0]["dynamics_b"] is not None
+
+
+def test_g2tau_in_microseconds_matches_inverse_gamma(tmp_path):
+    """The same delays given in microseconds: the table keeps the
+    microsecond grid, the curves and labels do not change, and each period
+    is the 1/gamma one in microseconds."""
+    stop, count = 3.0, 301
+    runs = {}
+    for unit, unit_stop in (("inv_gamma", stop), ("us", tau_to_us(stop))):
+        cfg = write(tmp_path / f"{unit}.yaml", f"""
+preset: A1
+points: [{{f: 5.5, g: 1.2}}, {{g: 7.5}}]
+truncation: {{n_a_max: 3, n_b_max: 3}}
+tau: {{stop: {unit_stop!r}, count: {count}, unit: {unit}}}
+modes: [a, b, c, d]
+output: {{directory: {tmp_path / unit}, basename: tau}}
+""")
+        assert main(["g2tau", "--config", cfg, "--threads", "1"]) == 0
+        summary = json.loads((tmp_path / unit / "tau.summary.json").read_text())
+        tables = []
+        for i in range(2):
+            with open(tmp_path / unit / f"tau_p{i}.csv") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        runs[unit] = summary["points"], tables
+    us_grid = [f"{t:.11e}" for t in np.linspace(0.0, tau_to_us(stop), count)]
+    (points_g, tables_g), (points_us, tables_us) = runs["inv_gamma"], runs["us"]
+    for point_g, table_g, point_us, table_us in zip(points_g, tables_g, points_us, tables_us):
+        assert [row["tau"] for row in table_us] == us_grid
+        for row_g, row_us in zip(table_g, table_us):
+            for m in "abcd":  # the CSV carries 12 significant digits
+                assert float(row_us[f"g2_{m}"]) == pytest.approx(float(row_g[f"g2_{m}"]),
+                                                                 rel=1e-11)
+        for m in "abcd":
+            assert point_us[f"dynamics_{m}"] == point_g[f"dynamics_{m}"]
+            period_g, period_us = point_g[f"dominant_period_{m}"], point_us[f"dominant_period_{m}"]
+            if period_g is None or period_us is None:
+                assert period_g is period_us is None
+            else:
+                assert period_us == pytest.approx(tau_to_us(period_g), rel=1e-9)
 
 
 def test_spectrum_manifolds_resonant_offsets(tmp_path):
@@ -431,3 +493,22 @@ def test_g2tau_run_loads_scipy_sparse_only(tmp_path):
     assert "scipy.sparse" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.linalg",
                                                    "scipy.sparse.linalg", "scipy.optimize"))]
+
+
+def test_every_traced_name_resolves():
+    """bench/spans.py times these functions by name: a name that no longer
+    resolves would leave its layer's spans at zero."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import polariton.cli  # noqa: F401  loads every traced module
+    missing = []
+    for module, attribute, _ in spans.TRACED:
+        owner = sys.modules[module]
+        try:
+            for part in attribute.split("."):
+                owner = getattr(owner, part)
+        except AttributeError:
+            missing.append(f"{module}.{attribute}")
+    assert spans.TRACED and not missing, missing

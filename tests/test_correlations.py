@@ -3,14 +3,14 @@ import pytest
 
 from polariton import (DensityMatrix, FockLabel, InsufficientDataError,
                        ClassificationError, SystemParams, TruncationConfig,
-                       UndefinedCorrelationError, annihilation, basis_state,
+                       UndefinedCorrelationError, annihilation,
                        build_liouvillian, classify_dynamics, classify_statistics,
                        dominant_period, embed, g2_tau, g_k_zero,
                        hybrid_moments_from_local,
                        hybrid_mode_operator, preset_params, qubit_lowering,
                        steady_state, solve_point)
-from polariton.correlations import POISSONIAN_BAND, G2TauCurve, sign_pattern
-from helpers import coherent_vector, random_composite_density
+from polariton.correlations import POISSONIAN_BAND, sign_pattern
+from helpers import basis_state, coherent_vector, random_composite_density
 
 CFG = TruncationConfig(2, 2)
 
@@ -24,17 +24,17 @@ def test_fock_state_law_exact():
     cfg = TruncationConfig(5, 2)
     for n in range(1, 5):
         rho = fock_density(n, 0, "g", cfg)
-        val = g_k_zero(rho, "a", 2).value
+        val = g_k_zero(rho, "a", 2)
         assert abs(val - (1.0 - 1.0 / n)) < 1e-12
     cfg_b = TruncationConfig(2, 5)
     for n in range(1, 5):
         rho = fock_density(0, n, "g", cfg_b)
-        assert abs(g_k_zero(rho, "b", 2).value - (1.0 - 1.0 / n)) < 1e-12
+        assert abs(g_k_zero(rho, "b", 2) - (1.0 - 1.0 / n)) < 1e-12
 
 
 def test_two_photon_fock_gives_half():
     rho = fock_density(2, 0, "g", TruncationConfig(3, 2))
-    assert g_k_zero(rho, "a", 2).value == pytest.approx(0.5, abs=1e-14)
+    assert g_k_zero(rho, "a", 2) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_vacuum_undefined():
@@ -60,7 +60,7 @@ def test_coherent_state_poissonian():
     alpha = 0.4
     vec = np.kron(np.kron(coherent_vector(alpha, 10), [1, 0, 0]), [1, 0])
     rho = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
-    assert g_k_zero(rho, "a", 2).value == pytest.approx(1.0, abs=1e-6)
+    assert g_k_zero(rho, "a", 2) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_g2_tau_zero_delay_consistency_and_long_time_factorisation():
@@ -70,9 +70,9 @@ def test_g2_tau_zero_delay_consistency_and_long_time_factorisation():
     grid = np.linspace(0.0, 20.0, 41)
     for mode in ("a", "b", "c", "d"):
         curve = g2_tau(rho, L, mode, grid)
-        ref = g_k_zero(rho, mode, 2).value
-        assert abs(curve.values[0] - ref) <= 1e-8 * abs(ref)
-        assert abs(curve.values[-1] - 1.0) <= 1e-3  # ergodic factorisation
+        ref = g_k_zero(rho, mode, 2)
+        assert abs(curve[0] - ref) <= 1e-8 * abs(ref)
+        assert abs(curve[-1] - 1.0) <= 1e-3  # ergodic factorisation
 
 
 def test_g2_tau_grid_must_start_at_zero():
@@ -114,30 +114,41 @@ def test_classify_statistics_boundary():
 
 def _curve(values, tau_max=1.0):
     taus = np.linspace(0.0, tau_max, len(values))
-    return G2TauCurve("b", taus, np.asarray(values))
+    return taus, np.asarray(values)
+
+
+def test_negative_moment_is_undefined():
+    """At g = 0 the driven modes are coherent, so every g^(k) is 1.  At this
+    weak drive the four-boson moments lie below the steady state's accuracy
+    and come out negative: g^(4) is undefined, not a negative number."""
+    rho, _ = solve_point(preset_params("A2", g=0.0, eta_b=0.003), TruncationConfig())
+    for mode in ("a", "b", "c", "d"):
+        assert g_k_zero(rho, mode, 2) == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(UndefinedCorrelationError, match="negative"):
+            g_k_zero(rho, mode, 4)
 
 
 def test_classify_dynamics_four_cases():
     p = SystemParams(kappa_a=1.0, kappa_b=0.5, gamma=1.0)  # tau_w = 1
     taus = np.linspace(0.0, 1.0, 51)
     rising_sub = _curve(0.5 + 0.4 * taus)
-    assert classify_dynamics(rising_sub, p).case == "I"
+    assert classify_dynamics(*rising_sub, p).case == "I"
     falling_super = _curve(1.5 - 0.4 * taus)
-    assert classify_dynamics(falling_super, p).case == "II"
+    assert classify_dynamics(*falling_super, p).case == "II"
     rising_super = _curve(1.5 + 0.4 * taus)
-    assert classify_dynamics(rising_super, p).case == "III"
+    assert classify_dynamics(*rising_super, p).case == "III"
     falling_sub = _curve(0.5 - 0.3 * taus)  # monotone decreasing from 0.5
-    label = classify_dynamics(falling_sub, p)
+    label = classify_dynamics(*falling_sub, p)
     assert label.case == "IV" and label.statistics == "sub" and label.bunching == "bunched"
 
 
 def test_classify_dynamics_unbunched_and_poissonian():
     p = SystemParams(kappa_a=1.0, kappa_b=0.5, gamma=1.0)
     flat = _curve(np.full(51, 0.7))
-    label = classify_dynamics(flat, p)
+    label = classify_dynamics(*flat, p)
     assert label.case is None and label.bunching == "unbunched"
     poissonian = _curve(1.0 + 0.3 * np.linspace(0, 1, 51))
-    label = classify_dynamics(poissonian, p)
+    label = classify_dynamics(*poissonian, p)
     assert label.case is None and label.statistics == "poissonian"
 
 
@@ -145,12 +156,12 @@ def test_classify_dynamics_window_errors():
     p = SystemParams(kappa_a=0.5, kappa_b=0.5, gamma=1.0)  # tau_w = 1
     short = _curve(np.linspace(0.5, 0.6, 21), tau_max=0.5)
     with pytest.raises(InsufficientDataError):
-        classify_dynamics(short, p)
+        classify_dynamics(*short, p)
 
 
 def g234_signature(rho, mode):
     """Signs of log g^(k)(0) for k = 2, 3, 4 and their Poissonian-band flags."""
-    values = [g_k_zero(rho, mode, k).value for k in (2, 3, 4)]
+    values = [g_k_zero(rho, mode, k) for k in (2, 3, 4)]
     signs, _ = sign_pattern(values)
     return signs, [abs(v - 1.0) <= POISSONIAN_BAND for v in values]
 
@@ -239,8 +250,8 @@ def test_exchange_symmetry_against_mirrored_construction():
     rho_sw = steady_state(L)
 
     for mode, partner in (("a", "b"), ("b", "a"), ("c", "c")):
-        v1 = g_k_zero(rho, mode, 2).value
-        v2 = g_k_zero(rho_sw, partner, 2).value
+        v1 = g_k_zero(rho, mode, 2)
+        v2 = g_k_zero(rho_sw, partner, 2)
         assert v1 == pytest.approx(v2, rel=1e-9)
 
 

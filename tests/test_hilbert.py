@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from polariton import (DimensionError, FockLabel, QOperator, TruncationConfig,
-                       annihilation, basis_state, embed, qubit_lowering)
+                       annihilation, embed, qubit_lowering)
+from helpers import basis_state, index_of
 
 
 def test_annihilation_ladder_entries():
@@ -40,9 +41,9 @@ def test_canonical_index_formula():
     cfg = TruncationConfig(3, 4)
     for lab in cfg.labels():
         q = 0 if lab.q == "g" else 1
-        assert cfg.index_of(lab) == (lab.n_a * (cfg.n_b_max + 1) + lab.n_b) * 2 + q
+        assert index_of(cfg, lab) == (lab.n_a * (cfg.n_b_max + 1) + lab.n_b) * 2 + q
     # enumeration order matches index order
-    indices = [cfg.index_of(lab) for lab in cfg.labels()]
+    indices = [index_of(cfg, lab) for lab in cfg.labels()]
     assert indices == list(range(cfg.dim))
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from polariton import (FockLabel, ParameterError, QOperator, SystemParams,
-                       TruncationConfig, basis_state, embed, hamiltonian_qd_driven,
+                       TruncationConfig, embed, hamiltonian_qd_driven,
                        hamiltonian_smr_driven, hamiltonian_undriven,
                        hybrid_mode_operator, linear_coupler, qubit_lowering, tau_to_us)
 from polariton.model import _bare_ops, _hamiltonian_terms, mode_moment
-from helpers import random_params
+from helpers import basis_state, random_params
 
 CFG = TruncationConfig(3, 3)
 

@@ -78,7 +78,7 @@ def test_single_point_sweep_matches_direct_calls():
     row = result.rows[0]
     rho, _ = solve_point(preset_params("A2", g=4.5), CFG3)
     for mode in ("a", "b", "c"):
-        assert row[f"g2_{mode}"] == g_k_zero(rho, mode, 2).value
+        assert row[f"g2_{mode}"] == g_k_zero(rho, mode, 2)
     assert row["case"] == 7
 
 
@@ -195,7 +195,7 @@ def test_g2tau_point_runs_one_blas_thread(monkeypatch):
         for _, set_threads in controls:
             set_threads(2)
         run_g2tau([preset_params("A2", g=4.5)], TruncationConfig(2, 2), [0.0, 0.5],
-                  ("a", "b"), "inv_gamma", threads=1)
+                  ("a", "b"), threads=1)
         assert seen == [[1] * len(controls)] * 2
         assert _openblas_thread_counts() == [2] * len(controls)
     finally:
@@ -240,7 +240,7 @@ scenarios.g2tau_point = counts_after_point  # module level: spawned workers patc
 if __name__ == "__main__":
     controls, env = _openblas_thread_controls(), os.environ.get("OPENBLAS_NUM_THREADS")
     before = [get() for get, _ in controls]
-    args = TruncationConfig(2, 2), [0.0, 0.5], ("a",), "inv_gamma"
+    args = TruncationConfig(2, 2), [0.0, 0.5], ("a",)
     pooled = run_g2tau([preset_params("A2", g=4.5)] * 2, *args, threads=2)
     serial = run_g2tau([preset_params("A2", g=4.5)], *args, threads=1)
     print(json.dumps({"before": before, "pooled": pooled, "serial": serial, "env": env,
