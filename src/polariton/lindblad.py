@@ -99,10 +99,6 @@ class DensityMatrix:
 
     __post_init__ = _freeze_matrix
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
