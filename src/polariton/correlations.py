@@ -132,10 +132,11 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
         raise UndefinedCorrelationError(
             f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor")
     dressed = z @ rho_ss.matrix @ z.conj().T
-    weight = float(np.trace(dressed).real)  # equals n_mean
-    # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n)
+    # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n).  The
+    # dressed state is propagated unnormalised, so that _propagate rejects a
+    # non-finite one before anything divides by its trace
     c = _real_form(n_op).reshape(1, -1)
-    return _propagate(dressed / weight, L, tau_grid, c)[0] * (weight / n_mean**2)
+    return _propagate(dressed, L, tau_grid, c)[0] / n_mean**2
 
 
 def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase:

@@ -15,6 +15,13 @@ and each sweep of that map adds one jump order.  The weak-drive oracle
 solves the same jump-free problem up to two excitations; here it is carried
 to all orders.  S is diagonal in the eigenbasis of H_eff, so S^-1 is an
 entrywise division there and a sweep costs a few dense d x d products.
+Each sweep moves weight one excitation down, so weight on the top manifold
+(11 excitations at cutoff 5) takes about 11 sweeps to drain.  The sum
+therefore starts from states graded by excitation number, with weight x^n
+on a Fock state of n excitations, and the shipped operating points
+converge in 7-13 sweeps.  Two such starts run side by side; a degenerate
+null space whose sector starts at m <= 3 excitations makes them disagree,
+and the LU fallback then counts the zero modes.
 The sweeps write into work arrays allocated once per solve: at cutoff 5
 arrays made per sweep lie above glibc's mmap threshold and would be
 mapped, and page-faulted, afresh on every sweep.  Where the sum is unsafe
@@ -61,6 +68,10 @@ from .model import SystemParams, _bare_ops
 STEADY_RTOL = 1e-10
 #: Singular values of L below this fraction of the norm scale count as zero modes.
 ZERO_MODE_RTOL = 1e-8
+#: An LU pivot at or below this fraction of the largest one triggers a zero-mode
+#: count.  Measured smallest-to-largest pivot ratios at cutoffs 3 to 6: 1e-17
+#: to 1.1e-10 with a degenerate null space, 5.9e-3 and above without.
+LU_PIVOT_RTOL = 1e-6
 #: Limits of the jump-order sum; outside them the solve falls back to the LU.
 #: |lam_i - conj(lam_j)| at or below this fraction of max |lam| is an undamped pair.
 UNDAMPED_RTOL = 1e-9
@@ -71,6 +82,12 @@ MAX_CONTRACTION = 0.5
 #: The sum has converged when a sweep changes no entry by more than this
 #: fraction of the largest one.
 SWEEP_RTOL = 1e-14
+#: Weight x per excitation of the jump-order sum's starts.  It sets which
+#: degenerate null spaces the start-agreement check sees (sectors from m <= 3
+#: excitations, see _sum_jump_orders); a smaller x needs that bound re-derived.
+START_GRADING = 1e-3
+#: Why the jump-order sum gives way to the LU when its two starts disagree.
+TWO_STEADY_STATES = "starts reach different steady states"
 #: Sweeps after which an unconverged sum gives way to the LU.
 MAX_SWEEPS = 100
 #: Convergence of the defect correction, relative to its own largest entry.
@@ -204,11 +221,19 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     In the eigenbasis H_eff = V diag(lam) V^-1 the sweep rho <- -S^-1 J[rho]
     reads Y <- -(sum_k K_k Y K_k') / D with K_k = sqrt(kappa_k) V^-1 J_k V,
     D_ij = -i(lam_i - conj(lam_j)) and rho = V Y V'.  Each sweep is
-    hermitised and trace-normalised.  A second start, diag(1, ..., d), runs
-    beside I/d: a degenerate null space makes the two limits differ.  A
-    defect correction follows the sweeps.  Both loops write into work arrays
-    allocated once per call.  Returns (rho or None, sweeps, last contraction
-    ratio, reason for None, defect-correction sweeps).
+    hermitised and trace-normalised.  The sum starts from diag(w), with
+    w = x^n for a Fock state of n excitations and x = START_GRADING, since
+    each sweep lowers the excitation number by one and weight put on the
+    top manifold takes as many sweeps to drain.  A second start,
+    diag(w * (1, ..., d)), runs beside it: a degenerate null space makes the
+    two limits differ.  A steady state confined to a conserved sector whose
+    lowest state holds m excitations enters both starts at about x^m, so the
+    check (to STEADY_RTOL) sees it for m <= 3 at x = 1e-3; every degeneracy
+    these parameters can build has such a sector at m = 1 (an undamped,
+    decoupled qubit, phonon, or photon-qubit pair).  A defect correction
+    follows the sweeps.  Both loops write into work arrays allocated once
+    per call.  Returns (rho or None, sweeps, last contraction ratio, reason
+    for None, defect-correction sweeps).
     """
     try:
         lam, V = np.linalg.eig(L.h_eff)
@@ -237,7 +262,9 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     def trace(Y: np.ndarray) -> np.ndarray:
         return np.einsum("ij,nji->n", gram, Y)[:, None, None]
 
-    starts = np.array([np.eye(d), np.diag(np.arange(1.0, d + 1))], dtype=complex)
+    labels = TruncationConfig.from_dims(L.dims).labels()
+    w = START_GRADING ** np.array([label.excitations for label in labels], dtype=float)
+    starts = np.array([np.diag(w), np.diag(w * np.arange(1.0, d + 1))], dtype=complex)
     Y = V_inv @ starts @ V_inv.conj().T
     new, scratch = np.empty_like(Y), np.empty_like(Y)
     change, ratio = np.inf, np.nan
@@ -258,7 +285,7 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     if ratio > MAX_CONTRACTION:
         return None, sweep, ratio, "slow contraction", 0
     if np.abs(Y[-1] - Y[0]).max() > STEADY_RTOL * np.abs(Y[0]).max():
-        return None, sweep, ratio, "starts reach different steady states", 0
+        return None, sweep, ratio, TWO_STEADY_STATES, 0
     # The dense transforms leave an error near machine epsilon on every
     # entry, which swamps the smallest populations: without a correction,
     # four-boson moments are off by up to 3e-8 relative.  One defect
@@ -296,14 +323,16 @@ def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, fl
     return DensityMatrix(mat, L.dims), float(residual)
 
 
-def _lu_steady_state(L: Liouvillian) -> tuple[DensityMatrix, float]:
+def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatrix, float]:
     """Sparse LU of L with its first row replaced by the trace constraint.
 
     Two steps of iterative refinement with the same factor give the
     smallest populations their relative accuracy.  A zero column (an
-    undamped coherence that nothing feeds), a tiny pivot or a failed solve
-    triggers an explicit count of near-zero modes, so a degenerate null
-    space raises NonUniqueSteadyStateError.
+    undamped coherence that nothing feeds), a small pivot, a failed solve
+    or ``suspect`` (the jump-order sum found two steady states) triggers an
+    explicit count of near-zero modes, so a degenerate null space raises
+    NonUniqueSteadyStateError: its residual check cannot, since every state
+    in the null space passes it.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -320,7 +349,7 @@ def _lu_steady_state(L: Liouvillian) -> tuple[DensityMatrix, float]:
         try:
             lu = spla.splu(M)
             udiag = np.abs(lu.U.diagonal())
-            suspicious = udiag.min() <= 1e-12 * udiag.max()
+            suspicious = suspect or udiag.min() <= LU_PIVOT_RTOL * udiag.max()
             x = lu.solve(rhs)
             for _ in range(2):
                 x -= lu.solve(M @ x - rhs)
@@ -357,7 +386,7 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     path = "jump-free"
     if result is None:
         path = f"LU ({reason or 'jump-free residual check failed'})"
-        result = _lu_steady_state(L)
+        result = _lu_steady_state(L, suspect=reason == TWO_STEADY_STATES)
     rho, residual = result
     mineig = rho.min_eigenvalue()
     if mineig < -1e-10:

@@ -161,8 +161,20 @@ def test_jump_free_path_matches_lu(bundle, caplog):
     lu, _ = _lu_steady_state(L)
     assert np.linalg.norm(rho.matrix - lu.matrix) <= 1e-10 * np.linalg.norm(lu.matrix)
     for mode in "abcd":
-        assert g_k_zero(rho, mode, 2) == pytest.approx(
-            g_k_zero(lu, mode, 2), rel=1e-10)
+        # a^4 and b^4 vanish at cutoff 3
+        for k in (2, 3, 4) if mode in "cd" else (2, 3):
+            assert g_k_zero(rho, mode, k) == pytest.approx(
+                g_k_zero(lu, mode, k), rel=1e-10)
+
+
+def test_graded_starts_converge_in_few_sweeps():
+    # flat starts put O(1) weight on the top manifold (11 excitations at
+    # cutoff 5) and need 18 sweeps here, the first ones only draining it
+    p = bundle_params("oracle-comparison")
+    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(5, 5)), p)
+    _, sweeps, _, reason, _ = _sum_jump_orders(L)
+    assert reason == ""
+    assert sweeps <= 10
 
 
 def refined_lu_state(L: Liouvillian) -> np.ndarray:
@@ -251,6 +263,53 @@ def test_driven_degenerate_steady_state_detected():
                      kappa_a=1.0, kappa_b=1.0, gamma=0.0)
     L = make_L(p)
     assert _sum_jump_orders(L)[3] == "starts reach different steady states"
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(L)
+
+
+#: Conserved sectors whose lowest state holds one excitation: an undamped,
+#: decoupled qubit, phonon, or photon-qubit pair, beside a driven damped mode.
+DEGENERATE = {
+    "qubit": (SystemParams(delta_a=1.0, delta_b=2.0, g=0.0, f=1.0, eta_a=0.5,
+                           kappa_a=1.0, kappa_b=1.0, gamma=0.0), "a"),
+    "phonon": (SystemParams(delta_a=1.0, delta_b=2.0, delta_q=0.5, g=1.0, f=0.0, eta_a=0.5,
+                            kappa_a=1.0, kappa_b=0.0, gamma=1.0), "a"),
+    "photon-qubit": (SystemParams(delta_a=1.0, delta_b=2.0, delta_q=0.5, g=1.0, f=0.0,
+                                  eta_b=0.5, kappa_a=0.0, kappa_b=1.0, gamma=0.0), "b"),
+}
+
+
+@pytest.mark.parametrize("cutoff", [3, 5])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_graded_starts_detect_degenerate_steady_states(case, cutoff):
+    # the graded starts enter a sector whose lowest state holds m
+    # excitations at 1e-3^m; with m = 1 the two limits still disagree
+    p, driven = DEGENERATE[case]
+    L = make_L(p, TruncationConfig(cutoff, cutoff), driven)
+    assert _sum_jump_orders(L)[3] == "starts reach different steady states"
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(L)
+
+
+@pytest.mark.parametrize("case, cutoff", [("phonon", 5), ("phonon", 6), ("qubit", 6)])
+def test_lu_fallback_detects_degenerate_steady_states(case, cutoff):
+    # smallest-to-largest LU pivot ratios are 3.1e-12 to 1.1e-10 here, so a
+    # count triggered only by pivots near 1e-12 returns one of many states
+    p, driven = DEGENERATE[case]
+    L = make_L(p, TruncationConfig(cutoff, cutoff), driven)
+    with pytest.raises(NonUniqueSteadyStateError):
+        _lu_steady_state(L)
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(L)
+
+
+def test_lu_fallback_counts_zero_modes_when_the_starts_disagree(monkeypatch):
+    # with no pivot small enough to trigger the count, the jump-order sum's
+    # report of two steady states still does
+    monkeypatch.setattr("polariton.lindblad.LU_PIVOT_RTOL", 0.0)
+    p, driven = DEGENERATE["phonon"]
+    L = make_L(p, TruncationConfig(5, 5), driven)
+    _lu_steady_state(L)  # no pivot triggers the count
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(L)
 
