@@ -206,18 +206,24 @@ def _validate(config: dict, command: str):
     _check_list(config.get("points", []), "points",
                 lambda point, where: _check_numbers(point, set(_PARAM_FIELDS), where))
     if "spectrum" in config:
-        _check_keys(config["spectrum"], _SPECTRUM_KEYS, "spectrum")
-        if config["spectrum"].get("kind") not in ("manifolds", "distances"):
+        spec = config["spectrum"]
+        _check_keys(spec, _SPECTRUM_KEYS, "spectrum")
+        if spec.get("kind") not in ("manifolds", "distances"):
             raise ConfigError("spectrum.kind must be 'manifolds' or 'distances'")
-        sweep = config["spectrum"].get("sweep", {})
+        if spec["kind"] == "distances":  # the distances use manifolds 1-3 at preset frequencies
+            _check_keys(spec, _SPECTRUM_KEYS - {"manifolds", "frequencies"},
+                        "spectrum with kind 'distances'")
+        sweep = spec.get("sweep", {})
         _check_keys(sweep, {"start", "stop", "count"}, "spectrum.sweep")
         for key in ("start", "stop"):
             _check_number(sweep.get(key), f"spectrum.sweep.{key}")
         _check_count(sweep.get("count"), "spectrum.sweep.count")
-        if not _check_list(config["spectrum"].get("manifolds", [1, 2, 3]), "spectrum.manifolds",
-                           _check_count):
+        manifolds = _check_list(spec.get("manifolds", [1, 2, 3]), "spectrum.manifolds",
+                                _check_count)
+        if not manifolds:
             raise ConfigError("spectrum.manifolds: expected a non-empty list")
-        freqs = config["spectrum"].get("frequencies", [0.0, 0.0])
+        _check_unique(manifolds, "spectrum.manifolds")
+        freqs = spec.get("frequencies", [0.0, 0.0])
         if len(_check_list(freqs, "spectrum.frequencies", _check_number)) != 2:
             raise ConfigError("spectrum.frequencies must be [omega_smr, omega_q]")
     elif command == "spectrum":

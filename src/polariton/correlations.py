@@ -4,7 +4,10 @@ Zero-delay correlations g^(k)(0) = <z'^k z^k> / <z'z>^k are evaluated for
 the bare modes a, b and the balanced hybrid modes c, d.  Hybrid-mode
 moments are always computed by expanding the mode operator in a and b
 first, so only annihilation products act on the truncated space and no
-cutoff-boundary commutations occur.
+cutoff-boundary commutations occur.  A mode is named by a letter of
+:data:`polariton.model.MODES`, whose operators are cached per truncation and
+read from the state's ``cfg``, or given as a custom annihilation operator: a
+d x d array on the same composite space, whose side is checked against it.
 
 Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import (ClassificationError, InsufficientDataError,
                      UndefinedCorrelationError)
-from .hilbert import QOperator, TruncationConfig
+from .hilbert import TruncationConfig
 from .lindblad import DensityMatrix, Liouvillian, _propagate, _real_form
 from .model import SystemParams, hybrid_mode_operator, mode_moment
 
@@ -38,7 +41,7 @@ UNBUNCHED_BAND = 1e-3
 #: dominant_period ignores lines slower than this many full cycles per window.
 MIN_CYCLES = 4.0
 
-ModeLike = Union[str, QOperator]
+ModeLike = Union[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -75,16 +78,15 @@ _SIGN_TO_CASE = {
 }
 
 
-def _resolve_mode(mode: ModeLike, dims: tuple[int, ...],
+def _resolve_mode(mode: ModeLike, cfg: TruncationConfig,
                   k: int) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """Name, operator z, number operator z'z and moment z'^k z^k of a mode;
     cached per truncation for the named modes, built per call for a custom one."""
-    if isinstance(mode, QOperator):
-        z = mode.matrix
-        zk = np.linalg.matrix_power(z, k)
-        return "custom", z, z.conj().T @ z, zk.conj().T @ zk
-    cfg = TruncationConfig.from_dims(dims)
-    return (mode, hybrid_mode_operator(mode, cfg).matrix, mode_moment(mode, cfg, 1),
+    if isinstance(mode, np.ndarray):
+        cfg.check_operator(mode, "mode operator")
+        zk = np.linalg.matrix_power(mode, k)
+        return "custom", mode, mode.conj().T @ mode, zk.conj().T @ zk
+    return (mode, hybrid_mode_operator(mode, cfg), mode_moment(mode, cfg, 1),
             mode_moment(mode, cfg, k))
 
 
@@ -97,7 +99,7 @@ def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> float:
     """
     if k < 2:
         raise ValueError(f"correlation order must be >= 2, got {k}")
-    name, _, n_op, moment = _resolve_mode(mode, rho.dims, k)
+    name, _, n_op, moment = _resolve_mode(mode, rho.cfg, k)
     n_mean = float(np.einsum("ij,ji->", rho.matrix, n_op).real)
     if n_mean <= OCCUPANCY_FLOOR:
         raise UndefinedCorrelationError(
@@ -126,7 +128,7 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
-    name, z, n_op, _ = _resolve_mode(mode, rho_ss.dims, 1)
+    name, z, n_op, _ = _resolve_mode(mode, rho_ss.cfg, 1)
     n_mean = float(np.einsum("ij,ji->", rho_ss.matrix, n_op).real)
     if n_mean <= OCCUPANCY_FLOOR:
         raise UndefinedCorrelationError(
@@ -206,9 +208,8 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     occupation from four local moments and the two-boson moment from nine,
     using f_kl = a'^k a^l and g_mn = b'^m b^n.  Both identities are exact.
     """
-    cfg = TruncationConfig.from_dims(rho.dims)
-    a = hybrid_mode_operator("a", cfg).matrix
-    b = hybrid_mode_operator("b", cfg).matrix
+    a = hybrid_mode_operator("a", rho.cfg)
+    b = hybrid_mode_operator("b", rho.cfg)
     ad, bd = a.conj().T, b.conj().T
 
     def ev(mat: np.ndarray) -> complex:

@@ -30,7 +30,10 @@ slow or no convergence, or a failed residual check) the solve falls back
 to a sparse LU of the vectorised Liouvillian with one row replaced by the
 trace constraint, refined twice with its own factor.
 
-A :class:`Liouvillian` holds H_eff and the jump operators.  It applies
+Operators are plain complex arrays.  A :class:`Liouvillian` and a
+:class:`DensityMatrix` each carry the :class:`TruncationConfig` of their
+space, so a state names the layout its mode operators are built on.  A
+:class:`Liouvillian` holds H_eff and the jump operators.  It applies
 L[X] by d x d products and takes its Frobenius norm from d x d inner
 products, since <A (x) B, C (x) D> = <A, C><B, D>; so the residual check
 of a steady state, relative to ||L||, needs no superoperator.  The sparse
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -61,7 +64,7 @@ import numpy as np
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
-from .hilbert import QOperator, TruncationConfig, _freeze_matrix
+from .hilbert import TruncationConfig
 from .model import SystemParams, _bare_ops
 
 #: Relative residual bound for accepted steady states, ||L rho|| <= RTOL ||L||.
@@ -107,40 +110,42 @@ _log = logging.getLogger(__name__)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of the composite system.
 
-    Construction stores the matrix as given (read-only); solver routines
-    hermitise before constructing.
+    Construction stores a read-only complex copy of the matrix as given,
+    after checking its side against ``cfg``; solver routines hermitise
+    before constructing.  The state names its truncation so that the mode
+    operators read from it match its layout.
     """
 
     matrix: np.ndarray
-    dims: tuple[int, ...] = field(default=())
+    cfg: TruncationConfig
 
-    __post_init__ = _freeze_matrix
+    def __post_init__(self):
+        self.cfg.check_operator(self.matrix, "density matrix")
+        mat = np.array(self.matrix, dtype=complex)
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
 
 
 class Liouvillian:
-    """Lindblad generator of the master equation, held as H_eff and the
-    jump operators; the sparse d^2 x d^2 matrix is assembled on first use."""
+    """Lindblad generator of the master equation on the composite space of
+    ``cfg``, held as H_eff and the jump operators; the sparse d^2 x d^2
+    matrix is assembled on first use."""
 
-    def __init__(self, hamiltonian: QOperator, collapse_ops: Sequence[tuple[float, QOperator]]):
-        self.dims = hamiltonian.dims
+    def __init__(self, hamiltonian: np.ndarray, collapse_ops: Sequence[tuple[float, np.ndarray]],
+                 cfg: TruncationConfig):
+        self.cfg = cfg
         #: (kappa_k, J_k, J_k') of each channel with a nonzero rate.
-        self._jumps = [(rate, J.matrix, J.matrix.conj().T) for rate, J in collapse_ops if rate > 0]
+        self._jumps = [(rate, J, J.conj().T) for rate, J in collapse_ops if rate > 0]
         #: H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution.
-        self.h_eff = hamiltonian.matrix - 0.5j * sum(
-            rate * J_h @ J for rate, J, J_h in self._jumps)
-
-    @property
-    def dim(self) -> int:
-        """Hilbert-space dimension (the superoperator has side dim^2)."""
-        return self.h_eff.shape[0]
+        self.h_eff = hamiltonian - 0.5j * sum(rate * J_h @ J for rate, J, J_h in self._jumps)
 
     def _kron_terms(self, H_eff: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """The pairs (A_m, B_m) of L = sum_m A_m (x) B_m =
         -i(H_eff (x) I - I (x) H_eff*) + sum_k kappa_k J_k (x) J_k*."""
-        eye = np.eye(self.dim)
+        eye = np.eye(self.cfg.dim)
         return ([(-1j * H_eff, eye), (eye, 1j * H_eff.conj())]
                 + [(rate * J, J.conj()) for rate, J, _ in self._jumps])
 
@@ -150,8 +155,8 @@ class Liouvillian:
         ||sum_m A_m (x) B_m||^2 = sum_mn <A_m, A_n><B_m, B_n>.  H_eff enters
         less its mean real diagonal, which leaves L unchanged and keeps the
         commutator's cross term from cancelling against its squares."""
-        terms = self._kron_terms(self.h_eff - np.trace(self.h_eff).real / self.dim
-                                 * np.eye(self.dim))
+        d = self.cfg.dim
+        terms = self._kron_terms(self.h_eff - np.trace(self.h_eff).real / d * np.eye(d))
         A = np.array([a.ravel() for a, _ in terms])
         B = np.array([b.ravel() for _, b in terms])
         return float(np.sqrt(np.sum((A.conj() @ A.T) * (B.conj() @ B.T)).real))
@@ -171,7 +176,7 @@ class Liouvillian:
         import scipy.sparse as sp
         rows, cols, vals = (np.concatenate(parts) for parts in
                             zip(*(_kron_entries(a, b) for a, b in self._kron_terms(self.h_eff))))
-        L = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim ** 2,) * 2)
+        L = sp.csr_matrix((vals, (rows, cols)), shape=(self.cfg.dim ** 2,) * 2)
         L.eliminate_zeros()
         return L
 
@@ -190,21 +195,24 @@ def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray,
             np.outer(A[ai, aj], B[bi, bj]).ravel())
 
 
-def build_liouvillian(H: QOperator, p: SystemParams) -> Liouvillian:
-    """Lindblad generator for H with decay channels sqrt(kappa_a) a,
-    sqrt(kappa_b) b, sqrt(gamma) sigma_-; its matrix is assembled on first use."""
-    herm_defect = np.linalg.norm(H.matrix - H.matrix.conj().T)
-    if herm_defect > 1e-12 * max(1.0, H.norm()):
+def build_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> Liouvillian:
+    """Lindblad generator for H on the space of ``cfg`` with decay channels
+    sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(gamma) sigma_-; its matrix is
+    assembled on first use."""
+    cfg.check_operator(H, "Hamiltonian")
+    herm_defect = np.linalg.norm(H - H.conj().T)
+    if herm_defect > 1e-12 * max(1.0, np.linalg.norm(H)):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
-    a, b, sm = _bare_ops(TruncationConfig.from_dims(H.dims))
-    return Liouvillian(H, [(float(p.kappa_a), a), (float(p.kappa_b), b), (float(p.gamma), sm)])
+    a, b, sm = _bare_ops(cfg)
+    return Liouvillian(H, [(float(p.kappa_a), a), (float(p.kappa_b), b), (float(p.gamma), sm)],
+                       cfg)
 
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
     """Count eigenvalues of L with magnitude below the zero-mode tolerance."""
     import scipy.sparse.linalg as spla
     scale = max(L.norm, 1e-300)
-    sigma = 1e-6 * scale / L.dim  # small positive shift; L has no eigenvalue there
+    sigma = 1e-6 * scale / L.cfg.dim  # small positive shift; L has no eigenvalue there
     try:
         vals = spla.eigs(L.matrix, k=k, sigma=sigma, which="LM",
                          return_eigenvectors=False)
@@ -248,7 +256,7 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     K = np.array([np.sqrt(rate) * (V_inv @ J @ V) for rate, J, _ in L._jumps])[:, None]
     K_h = K.conj().swapaxes(-1, -2)
     gram = V.conj().T @ V  # Tr(V Y V') = Tr(gram Y)
-    d = L.dim
+    d = L.cfg.dim
     KY, KYK = np.empty((2, len(K), 2, d, d), dtype=complex)  # K Y and K Y K' per jump and start
 
     def one_jump(Y: np.ndarray, out: np.ndarray) -> None:  # out = -S^-1 J[Y], in the eigenbasis
@@ -262,8 +270,7 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     def trace(Y: np.ndarray) -> np.ndarray:
         return np.einsum("ij,nji->n", gram, Y)[:, None, None]
 
-    labels = TruncationConfig.from_dims(L.dims).labels()
-    w = START_GRADING ** np.array([label.excitations for label in labels], dtype=float)
+    w = START_GRADING ** np.array([label.excitations for label in L.cfg.labels()], dtype=float)
     starts = np.array([np.diag(w), np.diag(w * np.arange(1.0, d + 1))], dtype=complex)
     Y = V_inv @ starts @ V_inv.conj().T
     new, scratch = np.empty_like(Y), np.empty_like(Y)
@@ -320,7 +327,7 @@ def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, fl
     residual = np.linalg.norm(L.apply(mat)) / max(L.norm, 1.0)
     if residual > STEADY_RTOL:
         return None
-    return DensityMatrix(mat, L.dims), float(residual)
+    return DensityMatrix(mat, L.cfg), float(residual)
 
 
 def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatrix, float]:
@@ -336,7 +343,7 @@ def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatr
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    d = L.dim
+    d = L.cfg.dim
     trace_row = sp.csr_matrix((np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))),
                               shape=(1, d * d))
     M = sp.vstack([trace_row, L.matrix[1:]], format="csc")
@@ -409,7 +416,7 @@ def _real_generator(L: Liouvillian) -> "scipy.sparse.csr_matrix":
     transposition of row-major vec, G = Re(L A) + Im(L A) = Re L + (Im L) P.
     """
     import scipy.sparse as sp
-    d = L.dim
+    d = L.cfg.dim
     M = L.matrix.tocoo()
     swap = np.arange(d * d).reshape(d, d).T.ravel()
     G = sp.csr_matrix((np.concatenate([M.data.real, M.data.imag]),

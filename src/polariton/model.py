@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .hilbert import QOperator, TruncationConfig, annihilation, embed, qubit_lowering
+from .hilbert import TruncationConfig, annihilation, embed, qubit_lowering
 
 #: Qubit decay rate in angular frequency units, rad / microsecond.
 GAMMA_RAD_PER_US = 10.0 * math.pi
@@ -69,17 +69,12 @@ MODES = ("a", "b", "c", "d")
 
 
 @lru_cache(maxsize=8)
-def _bare_ops(cfg: TruncationConfig) -> tuple[QOperator, QOperator, QOperator]:
-    """Composite-space a, b, sigma_- operators (immutable, cached per config)."""
+def _bare_ops(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite-space a, b, sigma_- operators (read-only, cached per config)."""
     a = embed(annihilation(cfg.n_a_max + 1), "photon", cfg)
     b = embed(annihilation(cfg.n_b_max + 1), "phonon", cfg)
     sm = embed(qubit_lowering(), "qubit", cfg)
     return a, b, sm
-
-
-def _hermitian_pair(op: QOperator) -> QOperator:
-    # T + T' built from one matrix so Hermiticity holds exactly in floats
-    return QOperator(op.matrix + op.matrix.conj().T, op.dims)
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -87,28 +82,34 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _hermitian_pair(op: np.ndarray) -> np.ndarray:
+    # T + T' built from one matrix so Hermiticity holds exactly in floats
+    return _read_only(op + op.conj().T)
+
+
 @lru_cache(maxsize=8)
 def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
     """The fixed operator of each Hamiltonian term (read-only, cached per config)."""
     a, b, sm = _bare_ops(cfg)
-    hop = a @ b.dag()
+    ad, bd = a.conj().T, b.conj().T
+    hop = a @ bd
     return {
-        "n_a": (a.dag() @ a).matrix,
-        "n_b": (b.dag() @ b).matrix,
-        "n_q": (sm.dag() @ sm).matrix,
-        "qubit_photon": _hermitian_pair(a.dag() @ sm).matrix,
-        "hop_plus": _hermitian_pair(hop).matrix,
+        "n_a": _read_only(ad @ a),
+        "n_b": _read_only(bd @ b),
+        "n_q": _read_only(sm.conj().T @ sm),
+        "qubit_photon": _hermitian_pair(ad @ sm),
+        "hop_plus": _hermitian_pair(hop),
         # H_-: the hopping enters through the anti-Hermitian combination
         # i*(a'b - a b') with real f, which keeps H exactly Hermitian.  This
         # phase choice is the one under which photon/phonon number
         # correlations match H_+ with the hybrid mode taken as (-i a + b)/sqrt2.
-        "hop_minus": _read_only(hop.matrix.conj().T - hop.matrix),
-        "drive_a": _hermitian_pair(a).matrix,
-        "drive_b": _hermitian_pair(b).matrix,
+        "hop_minus": _read_only(hop.conj().T - hop),
+        "drive_a": _hermitian_pair(a),
+        "drive_b": _hermitian_pair(b),
     }
 
 
-def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> QOperator:
+def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> np.ndarray:
     t = _hamiltonian_terms(cfg)
     H = (p.delta_a * t["n_a"] + p.delta_b * t["n_b"] + p.delta_q * t["n_q"]
          + p.g * t["qubit_photon"])
@@ -117,10 +118,10 @@ def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> 
         H = H + p.eta_a * t["drive_a"]
     elif drive == "b":
         H = H + p.eta_b * t["drive_b"]
-    return QOperator(H, cfg.dims)
+    return H
 
 
-def hamiltonian_smr_driven(p: SystemParams, cfg: TruncationConfig) -> QOperator:
+def hamiltonian_smr_driven(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
     """Rotating-frame Hamiltonian with the photon (SMR) mode driven.
 
     H' = d_a a'a + d_b b'b + d_q s+s- + g(a's- + a s+) + f(a'b + a b')
@@ -129,7 +130,7 @@ def hamiltonian_smr_driven(p: SystemParams, cfg: TruncationConfig) -> QOperator:
     return _assemble(p, cfg, drive="a", sign=+1)
 
 
-def hamiltonian_qd_driven(p: SystemParams, cfg: TruncationConfig) -> QOperator:
+def hamiltonian_qd_driven(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
     """Rotating-frame Hamiltonian with the phonon (QD) mode driven.
 
     Identical to the SMR-driven form except the drive term is
@@ -138,7 +139,7 @@ def hamiltonian_qd_driven(p: SystemParams, cfg: TruncationConfig) -> QOperator:
     return _assemble(p, cfg, drive="b", sign=+1)
 
 
-def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> QOperator:
+def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> np.ndarray:
     """Undriven Hamiltonian H(+/-) with photon-phonon hopping of either sign.
 
     Requires both drives to vanish.  The delta fields serve as the free
@@ -152,11 +153,12 @@ def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> Q
 
 
 @lru_cache(maxsize=16)
-def hybrid_mode_operator(mode: str, cfg: TruncationConfig) -> QOperator:
+def hybrid_mode_operator(mode: str, cfg: TruncationConfig) -> np.ndarray:
     """Annihilation operator of a mode in :data:`MODES` on the composite space.
 
     Modes c and d are the balanced combinations (a +/- b)/sqrt(2), the
-    outputs of :func:`linear_coupler` at theta = pi/4.  Cached per mode and cutoffs.
+    outputs of :func:`linear_coupler` at theta = pi/4.  Read-only, cached
+    per mode and cutoffs.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
@@ -171,18 +173,19 @@ def hybrid_mode_operator(mode: str, cfg: TruncationConfig) -> QOperator:
 def mode_moment(mode: str, cfg: TruncationConfig, k: int = 1) -> np.ndarray:
     """z'^k z^k of a bare or hybrid mode z: its number operator at k = 1
     (read-only, cached per mode, order and cutoffs)."""
-    zk = np.linalg.matrix_power(hybrid_mode_operator(mode, cfg).matrix, k)
+    zk = np.linalg.matrix_power(hybrid_mode_operator(mode, cfg), k)
     return _read_only(zk.conj().T @ zk)
 
 
-def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[QOperator, QOperator]:
+def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
     """General linear-coupler (beam-splitter) output modes.
 
     Returns (c(theta), d(theta)) with c = a sin(theta) + b cos(theta) and
     d = a cos(theta) - b sin(theta).  theta = pi/4 defines the balanced
     hybrid modes c and d of :func:`hybrid_mode_operator`; theta = pi/2 acts
     as a multi-level SWAP (a, -b), and theta = 0 relabels the modes as (b, a).
+    Both are read-only.
     """
     a, b, _ = _bare_ops(cfg)
     s, c = math.sin(theta), math.cos(theta)
-    return (s * a + c * b, c * a - s * b)
+    return _read_only(s * a + c * b), _read_only(c * a - s * b)

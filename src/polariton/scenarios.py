@@ -22,7 +22,7 @@ import numpy as np
 from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
                            sign_pattern)
 from .errors import ParameterError, PolaritonError
-from .hilbert import QOperator, TruncationConfig
+from .hilbert import TruncationConfig
 from .lindblad import build_liouvillian, steady_state
 from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
@@ -165,7 +165,7 @@ class SweepSpec:
                           delta_q=x + (base.delta_q - base.delta_a))
 
 
-def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> QOperator:
+def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
     """Rotating-frame Hamiltonian with the photon mode driven when eta_a is
     nonzero and the phonon mode driven otherwise; driving both is rejected."""
     if p.eta_a != 0.0 and p.eta_b != 0.0:
@@ -178,7 +178,7 @@ def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> QOperator:
 
 def solve_point(p: SystemParams, cfg: TruncationConfig):
     """Steady state and Liouvillian for one operating point."""
-    L = build_liouvillian(build_hamiltonian(p, cfg), p)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
     return steady_state(L), L
 
 
@@ -473,7 +473,7 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
     for omega_m in grid:
         H = hamiltonian_undriven(base.with_(delta_b=float(omega_m)), +1, cfg)
         for n in manifolds:
-            rows[n].append(manifold_spectrum(H, n).frequencies)
+            rows[n].append(manifold_spectrum(H, n, cfg).frequencies)
     stacked = {n: np.vstack(v) for n, v in rows.items()}
     gaps = {n: minimum_gap(list(v)) for n, v in stacked.items()}
     return SpectrumResult(grid, stacked, gaps)
@@ -487,7 +487,7 @@ def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[flo
                             delta_b=omega_m, delta_q=omega_q)
     cfg = TruncationConfig(n_a_max=3, n_b_max=3)
     H = hamiltonian_undriven(base, +1, cfg)
-    spectra = [manifold_spectrum(H, n) for n in (1, 2, 3)]
+    spectra = [manifold_spectrum(H, n, cfg) for n in (1, 2, 3)]
     rows = []
     for delta in np.asarray(delta_smr_grid, dtype=float):
         omega_p = omega_smr - float(delta)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .hilbert import QOperator, TruncationConfig
+from .hilbert import TruncationConfig
 from .model import SystemParams
 
 
@@ -40,26 +40,27 @@ class ResonanceDistances:
     d3: float
 
 
-def manifold_spectrum(H: QOperator, n: int) -> ManifoldSpectrum:
-    """Eigenvalues of H restricted to the n-polariton manifold, ascending.
+def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldSpectrum:
+    """Eigenvalues of H, on the space of ``cfg``, restricted to the
+    n-polariton manifold, ascending.
 
     Requires H to conserve the polariton number; any matrix element
     between different manifolds raises a precondition error.  Degenerate
     eigenvalues keep the deterministic LAPACK ascending order, with basis
     states enumerated by canonical index.
     """
-    cfg = TruncationConfig.from_dims(H.dims)
+    cfg.check_operator(H, "Hamiltonian")
     excitations = np.array([lab.excitations for lab in cfg.labels()])
     mask = excitations[:, None] != excitations[None, :]
-    off_block = np.abs(H.matrix[mask])
-    if off_block.size and off_block.max() > 1e-14 * max(1.0, H.norm()):
+    off_block = np.abs(H[mask])
+    if off_block.size and off_block.max() > 1e-14 * max(1.0, np.linalg.norm(H)):
         raise ParameterError(
             "Hamiltonian does not conserve the polariton number "
             f"(off-manifold weight {off_block.max():.2e}); was it built with a drive?")
     idx = np.flatnonzero(excitations == n)
     if idx.size == 0:
         raise ParameterError(f"manifold n={n} is empty within truncation {cfg.dims}")
-    return ManifoldSpectrum(n, np.linalg.eigvalsh(H.matrix[np.ix_(idx, idx)]))
+    return ManifoldSpectrum(n, np.linalg.eigvalsh(H[np.ix_(idx, idx)]))
 
 
 def _common_detuning(p: SystemParams) -> float:

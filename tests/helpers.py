@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 import polariton
-from polariton import (DensityMatrix, DimensionError, FockLabel, Liouvillian, QOperator,
+from polariton import (DensityMatrix, DimensionError, FockLabel, Liouvillian,
                        SteadyStateError, SystemParams, TruncationConfig, closed_form_double,
                        closed_form_single)
 from polariton.lindblad import _propagate
@@ -33,8 +33,8 @@ def trace(rho: DensityMatrix) -> float:
     return float(np.trace(rho.matrix).real)
 
 
-def expect(rho: DensityMatrix, op: QOperator) -> complex:
-    return complex(np.einsum("ij,ji->", rho.matrix, op.matrix))
+def expect(rho: DensityMatrix, op: np.ndarray) -> complex:
+    return complex(np.einsum("ij,ji->", rho.matrix, op))
 
 
 def hermiticity_defect(rho: DensityMatrix) -> float:
@@ -56,33 +56,29 @@ def validate(rho: DensityMatrix, psd_tol: float = 1e-10, trace_tol: float = 1e-1
     return rho
 
 
-def random_density(rng: np.random.Generator, dim: int,
-                   dims: tuple[int, ...] = ()) -> DensityMatrix:
+def random_composite_density(rng: np.random.Generator, cfg: TruncationConfig) -> DensityMatrix:
     """A random full-rank density matrix (Wishart construction)."""
-    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    A = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
     rho = A @ A.conj().T
     rho /= np.trace(rho).real
-    return DensityMatrix(rho, dims or (dim,))
-
-
-def random_composite_density(rng: np.random.Generator, cfg: TruncationConfig) -> DensityMatrix:
-    return random_density(rng, cfg.dim, cfg.dims)
+    return DensityMatrix(rho, cfg)
 
 
 def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid) -> list[DensityMatrix]:
     """States on ``t_grid`` from the propagator that g2_tau uses, not re-normalised."""
-    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, L.dim, L.dim)
-    return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.dims) for R in Rs]
+    d = L.cfg.dim
+    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, d, d)
+    return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.cfg) for R in Rs]
 
 
-def kron_liouvillian(H: QOperator, p: SystemParams) -> sp.csr_matrix:
+def kron_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> sp.csr_matrix:
     """Reference Lindblad superoperator from the textbook kron construction.
 
     -i(H (x) I - I (x) H^T) + kappa D[J] for each channel, with
     D[J] = J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2 under the row-major vec,
     and the photon, phonon and qubit lowering operators built here.
     """
-    da, db, dq = H.dims
+    da, db, dq = cfg.dims
 
     def lowering(n: int) -> sp.csr_matrix:
         return sp.diags(np.sqrt(np.arange(1.0, n)), 1, format="csr")
@@ -94,8 +90,8 @@ def kron_liouvillian(H: QOperator, p: SystemParams) -> sp.csr_matrix:
     channels = ((p.kappa_a, composite(lowering(da), Ib, Iq)),
                 (p.kappa_b, composite(Ia, lowering(db), Iq)),
                 (p.gamma, composite(Ia, Ib, lowering(dq))))
-    I = sp.identity(H.dim, format="csr")
-    Hs = sp.csr_matrix(H.matrix)
+    I = sp.identity(cfg.dim, format="csr")
+    Hs = sp.csr_matrix(H)
     L = -1j * (sp.kron(Hs, I) - sp.kron(I, Hs.T))
     for rate, J in channels:
         if rate > 0:

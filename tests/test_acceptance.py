@@ -33,8 +33,8 @@ def test_criterion_1_manifold_eigenvalues():
     delta, f, g = 1.0, 5.0, 7.5
     p = SystemParams(delta_a=delta, delta_b=delta, delta_q=delta, f=f, g=g)
     H = hamiltonian_undriven(p, +1, TruncationConfig(3, 3))
-    m1 = manifold_spectrum(H, 1).frequencies
-    m2 = manifold_spectrum(H, 2).frequencies
+    m1 = manifold_spectrum(H, 1, TruncationConfig(3, 3)).frequencies
+    m2 = manifold_spectrum(H, 2, TruncationConfig(3, 3)).frequencies
     quoted1 = delta + np.array([-9.01388, 0.0, 9.01388])
     quoted2 = 2 * delta + np.array([-16.11725, -5.82965, 0.0, 5.82965, 16.11725])
     e1, e2 = analytic_manifolds(p)
@@ -161,7 +161,7 @@ def test_criterion_6_oscillation_period():
     ok = rel <= 0.05
     # single-excitation lines of the undriven Hamiltonian attribute the period
     H0 = hamiltonian_undriven(p.with_(eta_a=0.0, eta_b=0.0), +1, CUTOFF5)
-    lines = manifold_spectrum(H0, 1).frequencies
+    lines = manifold_spectrum(H0, 1, CUTOFF5).frequencies
     measured = 2 * np.pi / period
     nearest = abs(lines[np.argmin(np.abs(np.abs(lines) - measured))])
     _report(6, "hybrid-mode oscillation period",
@@ -182,7 +182,7 @@ def test_criterion_7_property_suite():
     for i in range(100):
         p = random_params(rng, driven=rng.choice(["a", "b"]))
         builder = hamiltonian_smr_driven if p.eta_a else hamiltonian_qd_driven
-        L = build_liouvillian(builder(p, cfg2), p)
+        L = build_liouvillian(builder(p, cfg2), p, cfg2)
         rho0 = random_composite_density(rng, cfg2)
         times = [0.0, 0.7, 1.9, 3.0]
         for t, rho_t in zip(times, evolve(rho0, L, times)):
@@ -197,15 +197,16 @@ def test_criterion_7_property_suite():
     cfg_f = TruncationConfig(5, 2)
     for n in range(1, 5):
         vec = basis_state(FockLabel(n, 0, "g"), cfg_f)
-        rho = DensityMatrix(np.outer(vec, vec.conj()), cfg_f.dims)
+        rho = DensityMatrix(np.outer(vec, vec.conj()), cfg_f)
         if abs(g_k_zero(rho, "a", 2) - (1.0 - 1.0 / n)) > 1e-12:
             failures.append(f"Fock law violated at n={n}")
 
     # hybrid-moment identities on 100 random density matrices
     cfg3 = TruncationConfig(3, 3)
     c_op = hybrid_mode_operator("c", cfg3)
-    n_c = (c_op.dag() @ c_op).matrix
-    n2_c = (c_op.dag() @ c_op.dag() @ c_op @ c_op).matrix
+    c_dag = c_op.conj().T
+    n_c = c_dag @ c_op
+    n2_c = c_dag @ c_dag @ c_op @ c_op
     for i in range(100):
         rho = random_composite_density(rng, cfg3)
         first, second = hybrid_moments_from_local(rho)
@@ -225,16 +226,14 @@ def test_criterion_7_property_suite():
                 failures.append(f"regression consistency {preset}/{mode}")
 
     # H+/H- number-correlation equivalence
-    from polariton import QOperator
     cfg4 = TruncationConfig(4, 4)
     p_drive = preset_params("A2", g=4.5)
     H_plus = hamiltonian_qd_driven(p_drive, cfg4)
-    rho_p = steady_state(build_liouvillian(H_plus, p_drive))
-    hop = (hybrid_mode_operator("a", cfg4) @ hybrid_mode_operator("b", cfg4).dag())
-    H_minus = QOperator(
-        H_plus.matrix - p_drive.f * (hop.matrix + hop.matrix.conj().T)
-        + 1j * p_drive.f * (hop.matrix.conj().T - hop.matrix), H_plus.dims)
-    rho_m = steady_state(build_liouvillian(H_minus, p_drive))
+    rho_p = steady_state(build_liouvillian(H_plus, p_drive, cfg4))
+    hop = hybrid_mode_operator("a", cfg4) @ hybrid_mode_operator("b", cfg4).conj().T
+    H_minus = (H_plus - p_drive.f * (hop + hop.conj().T)
+               + 1j * p_drive.f * (hop.conj().T - hop))
+    rho_m = steady_state(build_liouvillian(H_minus, p_drive, cfg4))
     a_op = hybrid_mode_operator("a", cfg4)
     b_op = hybrid_mode_operator("b", cfg4)
     c_plus = (a_op + b_op) * (1 / np.sqrt(2))
@@ -272,10 +271,10 @@ def test_criterion_8_linear_cavity_oracle():
     delta, kappa, eta = 0.8, 1.3, 0.25
     p = SystemParams(delta_a=delta, kappa_a=kappa, eta_a=eta, kappa_b=1.0, gamma=1.0)
     cfg = TruncationConfig(7, 2)
-    rho = steady_state(build_liouvillian(hamiltonian_smr_driven(p, cfg), p))
+    rho = steady_state(build_liouvillian(hamiltonian_smr_driven(p, cfg), p, cfg))
     a = hybrid_mode_operator("a", cfg)
     n_expected = abs(-eta / (delta - 0.5j * kappa)) ** 2
-    n_mean = expect(rho, a.dag() @ a).real
+    n_mean = expect(rho, a.conj().T @ a).real
     g2 = g_k_zero(rho, "a", 2)
     dev_n = abs(n_mean - n_expected) / n_expected
     dev_g2 = abs(g2 - 1.0)

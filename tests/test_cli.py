@@ -393,6 +393,9 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ("spectrum", MANIFOLDS_BASE + "[]}"),
     ("spectrum", MANIFOLDS_BASE + "[0]}"),
     ("spectrum", MANIFOLDS_BASE + "[0, 1]}"),
+    ("spectrum", MANIFOLDS_BASE + "[1, 1]}"),
+    ("spectrum", SPECTRUM_BASE + "{start: -1.0, stop: 1.0, count: 3}, frequencies: [1500, 1600]}"),
+    ("spectrum", SPECTRUM_BASE + "{start: -1.0, stop: 1.0, count: 3}, manifolds: [1, 2, 3]}"),
     ('g2sweep --override sweep.resonant="false"', G_SWEEP_BASE),
     ("g2sweep --override sweep.resonant=maybe", G_SWEEP_BASE),
     ("g2sweep --override sweep.resonant=[1]", G_SWEEP_BASE),
@@ -409,7 +412,8 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "overrides.kappa_b<0", "points.kappa_a<0", "output.directory=5", "output.basename=5",
         "sweep.start-missing", "--threads=0", "--threads=-3", "threads=0",
         "output.gnuplot=no", "tau.unit=ms", "spectrum.manifolds=[]",
-        "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", 'sweep.resonant="false"',
+        "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", "spectrum.manifolds=[1,1]",
+        "distances.frequencies", "distances.manifolds", 'sweep.resonant="false"',
         "sweep.resonant=maybe", "sweep.resonant=[1]", "modes=[a,a]", "orders=[2,2]",
         "spectrum.threads=3", "points.g=nan", "sweep.values=[nan,4]", "--override=g=inf"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):

@@ -17,7 +17,7 @@ CFG = TruncationConfig(2, 2)
 
 def fock_density(n_a, n_b, q, cfg):
     vec = basis_state(FockLabel(n_a, n_b, q), cfg)
-    return DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
+    return DensityMatrix(np.outer(vec, vec.conj()), cfg)
 
 
 def test_fock_state_law_exact():
@@ -59,7 +59,7 @@ def test_coherent_state_poissonian():
     cfg = TruncationConfig(9, 2)
     alpha = 0.4
     vec = np.kron(np.kron(coherent_vector(alpha, 10), [1, 0, 0]), [1, 0])
-    rho = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
+    rho = DensityMatrix(np.outer(vec, vec.conj()), cfg)
     assert g_k_zero(rho, "a", 2) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -176,12 +176,12 @@ def test_g234_signatures():
     nbar = 0.4
     probs = (nbar / (1 + nbar)) ** np.arange(6) / (1 + nbar)
     diag = np.kron(np.kron(probs / probs.sum(), [1, 0, 0]), [1, 0])
-    rho_th = DensityMatrix(np.diag(diag), cfg.dims)
+    rho_th = DensityMatrix(np.diag(diag), cfg)
     signs, _ = g234_signature(rho_th, "a")
     assert signs == (+1, +1, +1)
     # coherent state: boundary triple
     vec = np.kron(np.kron(coherent_vector(0.35, 6), [1, 0, 0]), [1, 0])
-    rho_coh = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
+    rho_coh = DensityMatrix(np.outer(vec, vec.conj()), cfg)
     _, boundary = g234_signature(rho_coh, "a")
     assert all(boundary)
 
@@ -196,8 +196,9 @@ def test_hybrid_moments_identities_random_states():
     rng = np.random.default_rng(42)
     cfg = TruncationConfig(3, 3)
     c = hybrid_mode_operator("c", cfg)
-    n_c = (c.dag() @ c).matrix
-    n2_c = (c.dag() @ c.dag() @ c @ c).matrix
+    cd = c.conj().T
+    n_c = cd @ c
+    n2_c = cd @ cd @ c @ c
     for _ in range(25):
         rho = random_composite_density(rng, cfg)
         first, second = hybrid_moments_from_local(rho)
@@ -210,13 +211,13 @@ def test_hybrid_moments_identities_random_states():
 def test_hybrid_moments_product_coherent_state():
     cfg = TruncationConfig(7, 7)
     vec = np.kron(np.kron(coherent_vector(0.3, 8), coherent_vector(-0.2 + 0.1j, 8)), [1, 0])
-    rho = DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
+    rho = DensityMatrix(np.outer(vec, vec.conj()), cfg)
     c = hybrid_mode_operator("c", cfg)
+    cd = c.conj().T
     first, second = hybrid_moments_from_local(rho)
-    assert first == pytest.approx(np.einsum("ij,ji->", rho.matrix,
-                                            (c.dag() @ c).matrix).real, abs=1e-12)
+    assert first == pytest.approx(np.einsum("ij,ji->", rho.matrix, cd @ c).real, abs=1e-12)
     assert second == pytest.approx(
-        np.einsum("ij,ji->", rho.matrix, (c.dag() @ c.dag() @ c @ c).matrix).real, abs=1e-12)
+        np.einsum("ij,ji->", rho.matrix, cd @ cd @ c @ c).real, abs=1e-12)
 
 
 def test_hybrid_moments_vacuum():
@@ -239,14 +240,15 @@ def test_exchange_symmetry_against_mirrored_construction():
     swapped = p.with_(delta_a=p.delta_b, delta_b=p.delta_a,
                       kappa_a=p.kappa_b, kappa_b=p.kappa_a,
                       eta_a=p.eta_b, eta_b=0.0)
-    H = (swapped.delta_a * (a.dag() @ a) + swapped.delta_b * (b.dag() @ b)
-         + swapped.delta_q * (sm.dag() @ sm))
-    jc = b.dag() @ sm  # the qubit now couples to the second mode
-    hop = a @ b.dag()
+    ad, bd = a.conj().T, b.conj().T
+    H = (swapped.delta_a * (ad @ a) + swapped.delta_b * (bd @ b)
+         + swapped.delta_q * (sm.conj().T @ sm))
+    jc = bd @ sm  # the qubit now couples to the second mode
+    hop = a @ bd
     drv = a  # and the drive moved with the relabeled mode
     for term, coeff in ((jc, p.g), (hop, p.f), (drv, p.eta_b)):
-        H = H + coeff * (term + term.dag())
-    L = build_liouvillian(H, swapped)
+        H = H + coeff * (term + term.conj().T)
+    L = build_liouvillian(H, swapped, cfg)
     rho_sw = steady_state(L)
 
     for mode, partner in (("a", "b"), ("b", "a"), ("c", "c")):

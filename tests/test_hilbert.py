@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from polariton import (DimensionError, FockLabel, QOperator, TruncationConfig,
-                       annihilation, embed, qubit_lowering)
+from polariton import (DimensionError, FockLabel, TruncationConfig, annihilation, embed,
+                       qubit_lowering)
 from helpers import basis_state, index_of
 
 
 def test_annihilation_ladder_entries():
-    a = annihilation(6).matrix
+    a = annihilation(6)
     e = np.eye(6, dtype=complex)
     assert np.allclose(a @ e[:, 1], e[:, 0])          # a|1> = |0>
     assert np.allclose(a @ e[:, 4], 2.0 * e[:, 3])    # a|4> = 2|3>
-    num = annihilation(6).dag() @ annihilation(6)
-    assert np.allclose(num.matrix, np.diag(np.arange(6.0)))
+    num = a.conj().T @ a
+    assert np.allclose(num, np.diag(np.arange(6.0)))
 
 
 def test_annihilation_rejects_dim_below_two():
@@ -24,9 +24,9 @@ def test_qubit_lowering():
     sm = qubit_lowering()
     g = np.array([1, 0], dtype=complex)
     e = np.array([0, 1], dtype=complex)
-    assert np.allclose(sm.matrix @ e, g)
-    assert np.allclose(sm.matrix @ g, 0.0)
-    assert np.allclose((sm.dag() @ sm).matrix, np.diag([0.0, 1.0]))
+    assert np.allclose(sm @ e, g)
+    assert np.allclose(sm @ g, 0.0)
+    assert np.allclose(sm.conj().T @ sm, np.diag([0.0, 1.0]))
 
 
 def test_truncation_config_invariants():
@@ -53,10 +53,10 @@ def test_basis_state():
     assert v0[0] == 1.0 and np.count_nonzero(v0) == 1
     for lab in cfg.labels():
         assert np.linalg.norm(basis_state(lab, cfg)) == 1.0
-    a_dag = embed(annihilation(3), "photon", cfg).dag()
+    a_dag = embed(annihilation(3), "photon", cfg).conj().T
     bra = basis_state(FockLabel(1, 0, "g"), cfg)
     ket = basis_state(FockLabel(0, 0, "g"), cfg)
-    assert abs(np.vdot(bra, a_dag.matrix @ ket) - 1.0) < 1e-15
+    assert abs(np.vdot(bra, a_dag @ ket) - 1.0) < 1e-15
     with pytest.raises(DimensionError):
         basis_state(FockLabel(3, 0, "g"), cfg)
 
@@ -66,13 +66,13 @@ def test_embed_actions_and_commutation():
     a = embed(annihilation(3), "photon", cfg)
     b = embed(annihilation(3), "phonon", cfg)
     sm = embed(qubit_lowering(), "qubit", cfg)
-    assert np.allclose(a.matrix @ basis_state(FockLabel(1, 0, "g"), cfg),
+    assert np.allclose(a @ basis_state(FockLabel(1, 0, "g"), cfg),
                        basis_state(FockLabel(0, 0, "g"), cfg))
-    assert np.allclose(sm.matrix @ basis_state(FockLabel(0, 0, "e"), cfg),
+    assert np.allclose(sm @ basis_state(FockLabel(0, 0, "e"), cfg),
                        basis_state(FockLabel(0, 0, "g"), cfg))
     # disjoint subsystems commute exactly
-    comm = a @ b.dag() - b.dag() @ a
-    assert not comm.matrix.any()
+    comm = a @ b.conj().T - b.conj().T @ a
+    assert not comm.any()
 
 
 def test_embed_errors():
@@ -88,7 +88,7 @@ def test_embed_errors():
 def test_truncated_commutator_identity_off_boundary():
     dim = 6
     a = annihilation(dim)
-    comm = (a @ a.dag() - a.dag() @ a).matrix
+    comm = a @ a.conj().T - a.conj().T @ a
     # identity everywhere except the top Fock level
     assert np.allclose(comm[:-1, :-1], np.eye(dim - 1))
     assert comm[-1, -1] == pytest.approx(-(dim - 1), rel=1e-14)
@@ -98,41 +98,34 @@ def test_embed_preserves_spectrum_with_multiplicity():
     cfg = TruncationConfig(2, 2)
     rng = np.random.default_rng(11)
     mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    op = QOperator(mat + mat.conj().T, (3,))
+    op = mat + mat.conj().T
     embedded = embed(op, "phonon", cfg)
-    base = np.sort(np.linalg.eigvalsh(op.matrix))
-    full = np.sort(np.linalg.eigvalsh(embedded.matrix))
+    base = np.sort(np.linalg.eigvalsh(op))
+    full = np.sort(np.linalg.eigvalsh(embedded))
     codim = cfg.dim // 3
     assert np.allclose(full, np.sort(np.repeat(base, codim)))
 
 
-def test_qoperator_dims_checks_and_immutability():
-    op = annihilation(3)
-    other = QOperator(np.eye(4), (4,))
-    with pytest.raises(DimensionError):
-        _ = op + other
-    with pytest.raises(DimensionError):
-        _ = op @ other
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 1.0
-    with pytest.raises(DimensionError):
-        QOperator(np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        QOperator(np.zeros((4, 4)), (3,))
-
-
-def test_non_composite_dims_raise_dimension_error():
+def test_wrong_side_raises_dimension_error():
     from polariton import (DensityMatrix, SystemParams, build_liouvillian, g_k_zero,
-                           manifold_spectrum)
-    flat = np.eye(72) / 72  # the side of cutoff (5, 5), but dims (72,)
+                           hamiltonian_undriven, manifold_spectrum)
+    cfg = TruncationConfig(5, 5)
+    flat = np.eye(70) / 70  # one side short of cutoff (5, 5), which needs 72
     with pytest.raises(DimensionError):
-        g_k_zero(DensityMatrix(flat), "a")
+        DensityMatrix(flat, cfg)
     with pytest.raises(DimensionError):
-        build_liouvillian(QOperator(flat), SystemParams(kappa_a=1.0))
+        g_k_zero(DensityMatrix(np.eye(72) / 72, cfg), flat)  # a custom mode of the wrong side
     with pytest.raises(DimensionError):
-        manifold_spectrum(QOperator(flat), 1)
+        build_liouvillian(flat, SystemParams(kappa_a=1.0), cfg)
     with pytest.raises(DimensionError):
-        TruncationConfig.from_dims((6, 6, 3))
-    assert TruncationConfig.from_dims((6, 4, 2)) == TruncationConfig(5, 3)
+        manifold_spectrum(flat, 1, cfg)
+    # an operator built at other cutoffs does not fit either
+    H = hamiltonian_undriven(SystemParams(g=1.0), +1, TruncationConfig(5, 4))
     with pytest.raises(DimensionError):
-        DensityMatrix(np.ones((2, 3)))  # one shape check for operators and states
+        build_liouvillian(H, SystemParams(kappa_a=1.0), cfg)
+    with pytest.raises(DimensionError):
+        manifold_spectrum(H, 1, cfg)
+    with pytest.raises(DimensionError):
+        embed(np.zeros((3, 4)), "photon", TruncationConfig(2, 2))  # does not fit its slot
+    with pytest.raises(DimensionError):
+        DensityMatrix(np.ones((2, 3)), cfg)  # one shape check for operators and states

@@ -13,7 +13,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse.linalg import splu
 
 from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationError,
-                       NonUniqueSteadyStateError, ParameterError, QOperator,
+                       NonUniqueSteadyStateError, ParameterError,
                        SteadyStateError, SystemParams, TruncationConfig,
                        build_liouvillian, bundle_params, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
@@ -30,12 +30,12 @@ CFG = TruncationConfig(2, 2)
 
 def make_L(p, cfg=CFG, driven="a"):
     builder = hamiltonian_smr_driven if driven == "a" else hamiltonian_qd_driven
-    return build_liouvillian(builder(p, cfg), p)
+    return build_liouvillian(builder(p, cfg), p, cfg)
 
 
 def density_from_label(n_a, n_b, q, cfg=CFG):
     vec = basis_state(FockLabel(n_a, n_b, q), cfg)
-    return DensityMatrix(np.outer(vec, vec.conj()), cfg.dims)
+    return DensityMatrix(np.outer(vec, vec.conj()), cfg)
 
 
 def test_vacuum_is_dark():
@@ -61,7 +61,7 @@ def test_pure_decay_rate():
     rho1 = density_from_label(1, 0, "g")
     n_op = hybrid_mode_operator("a", CFG)
     drho = L.apply(rho1.matrix)
-    dn_dt = np.einsum("ij,ji->", drho, (n_op.dag() @ n_op).matrix).real
+    dn_dt = np.einsum("ij,ji->", drho, n_op.conj().T @ n_op).real
     assert dn_dt == pytest.approx(-kappa, rel=1e-12)
 
 
@@ -80,23 +80,25 @@ LIOUVILLIAN_CASES = {
 @pytest.mark.parametrize("case", sorted(LIOUVILLIAN_CASES))
 def test_liouvillian_matches_kron_reference(case):
     p = LIOUVILLIAN_CASES[case]
-    H = build_hamiltonian(p, TruncationConfig(3, 3))
-    L = build_liouvillian(H, p)
-    ref = kron_liouvillian(H, p)
+    cfg = TruncationConfig(3, 3)
+    H = build_hamiltonian(p, cfg)
+    L = build_liouvillian(H, p, cfg)
+    ref = kron_liouvillian(H, p, cfg)
     assert L.matrix.nnz == ref.nnz
     assert abs(L.matrix - ref).max() <= 1e-13 * L.norm
 
 
 def bundle_liouvillian(bundle: str) -> Liouvillian:
     p = bundle_params(bundle)
-    return build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
+    cfg = TruncationConfig(3, 3)
+    return build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
 
 
 @pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
 def test_apply_matches_the_assembled_matrix(bundle):
     L = bundle_liouvillian(bundle)
     rho = random_composite_density(np.random.default_rng(3), TruncationConfig(3, 3)).matrix
-    expected = (L.matrix @ rho.reshape(-1)).reshape(L.dim, L.dim)
+    expected = (L.matrix @ rho.reshape(-1)).reshape(L.cfg.dim, L.cfg.dim)
     assert np.linalg.norm(L.apply(rho) - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
@@ -135,9 +137,9 @@ def test_g2_tau_builds_the_real_generator_once(monkeypatch):
 def test_non_hermitian_hamiltonian_rejected():
     p = SystemParams(kappa_a=1.0)
     H = hamiltonian_smr_driven(p, CFG)
-    bad = QOperator(H.matrix + 1e-6 * 1j * np.eye(CFG.dim), H.dims)
+    bad = H + 1e-6 * 1j * np.eye(CFG.dim)
     with pytest.raises(ParameterError):
-        build_liouvillian(bad, p)
+        build_liouvillian(bad, p, CFG)
 
 
 def test_undriven_steady_state_is_ground(caplog):
@@ -154,7 +156,8 @@ def test_undriven_steady_state_is_ground(caplog):
 @pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
 def test_jump_free_path_matches_lu(bundle, caplog):
     p = bundle_params(bundle)
-    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
+    cfg = TruncationConfig(3, 3)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         rho = steady_state(L)
     assert "via jump-free" in caplog.text
@@ -171,7 +174,8 @@ def test_graded_starts_converge_in_few_sweeps():
     # flat starts put O(1) weight on the top manifold (11 excitations at
     # cutoff 5) and need 18 sweeps here, the first ones only draining it
     p = bundle_params("oracle-comparison")
-    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(5, 5)), p)
+    cfg = TruncationConfig(5, 5)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
     _, sweeps, _, reason, _ = _sum_jump_orders(L)
     assert reason == ""
     assert sweeps <= 10
@@ -180,7 +184,7 @@ def test_graded_starts_converge_in_few_sweeps():
 def refined_lu_state(L: Liouvillian) -> np.ndarray:
     """Sparse LU of L with the trace row, plus two steps of iterative
     refinement, which give the smallest populations their relative accuracy."""
-    d = L.dim
+    d = L.cfg.dim
     M = L.matrix.tolil()
     M[0, :] = 0.0
     M[0, np.arange(d) * (d + 1)] = 1.0
@@ -200,7 +204,7 @@ def test_jump_free_resolves_four_boson_moments():
     p = preset_params("A2", g=1.0)
     L = make_L(p, TruncationConfig(4, 4), driven="b")
     rho = steady_state(L)
-    ref = DensityMatrix(refined_lu_state(L), L.dims)
+    ref = DensityMatrix(refined_lu_state(L), L.cfg)
     for mode in "abcd":
         for k in (2, 3, 4):
             assert g_k_zero(rho, mode, k) == pytest.approx(
@@ -225,11 +229,11 @@ def test_linear_cavity_closed_form():
     delta, kappa, eta = 0.8, 1.3, 0.25
     p = SystemParams(delta_a=delta, kappa_a=kappa, eta_a=eta, kappa_b=1.0, gamma=1.0)
     cfg = TruncationConfig(7, 2)
-    rho = steady_state(build_liouvillian(hamiltonian_smr_driven(p, cfg), p))
+    rho = steady_state(build_liouvillian(hamiltonian_smr_driven(p, cfg), p, cfg))
     a = hybrid_mode_operator("a", cfg)
     alpha = -eta / (delta - 0.5j * kappa)
     assert abs(expect(rho, a) - alpha) < 1e-9
-    n_mean = expect(rho, a.dag() @ a).real
+    n_mean = expect(rho, a.conj().T @ a).real
     assert n_mean == pytest.approx(abs(alpha) ** 2, rel=1e-8)
     assert g_k_zero(rho, "a", 2) == pytest.approx(1.0, abs=1e-6)
 
@@ -328,7 +332,8 @@ def test_jump_order_sweeps_reuse_their_work_arrays():
         from polariton.lindblad import _sum_jump_orders
         from polariton.scenarios import build_hamiltonian
         p = bundle_params("oracle-comparison")
-        L = build_liouvillian(build_hamiltonian(p, TruncationConfig(5, 5)), p)
+        cfg = TruncationConfig(5, 5)
+        L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
         _sum_jump_orders(L)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         assert _sum_jump_orders(L)[3] == ""
@@ -391,7 +396,7 @@ def test_cavity_decay_oracle(caplog):
     rho0 = density_from_label(1, 0, "g")
     times = np.linspace(0.0, 4.0, 9)
     n_op = hybrid_mode_operator("a", CFG)
-    num = (n_op.dag() @ n_op).matrix
+    num = n_op.conj().T @ n_op
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         states = evolve(rho0, L, times)
     assert f"propagated 9 samples on the real form: G nnz {_real_generator(L).nnz}," in caplog.text
@@ -430,7 +435,7 @@ def test_trace_preservation_and_positivity_over_horizon():
 @pytest.mark.parametrize("preset_name,g", [("A1", 7.5), ("A2", 4.5)])
 def test_steady_state_equals_long_time_evolution(preset_name, g):
     p = preset_params(preset_name, g=g)
-    L = build_liouvillian(build_hamiltonian(p, CFG), p)
+    L = build_liouvillian(build_hamiltonian(p, CFG), p, CFG)
     rho_ss = steady_state(L)
     horizon = 20.0 / min(p.kappa_a, p.kappa_b, p.gamma)
     rho0 = density_from_label(0, 0, "g")
@@ -448,7 +453,8 @@ def test_steady_state_equals_long_time_evolution_a3():
     rho_ss = steady_state(L)
     horizon = 20.0 / min(p.kappa_a, p.kappa_b, p.gamma)
     rho0 = density_from_label(0, 0, "g")
-    rho_T = (expm(L.matrix.toarray() * horizon) @ rho0.matrix.reshape(-1)).reshape(L.dim, L.dim)
+    d = L.cfg.dim
+    rho_T = (expm(L.matrix.toarray() * horizon) @ rho0.matrix.reshape(-1)).reshape(d, d)
     assert np.linalg.norm(rho_T - rho_ss.matrix) <= 1e-6
 
 
@@ -467,10 +473,11 @@ def test_evolve_grid_validation():
 @pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
 def test_real_generator_maps_real_forms(bundle):
     p = bundle_params(bundle)
-    L = build_liouvillian(build_hamiltonian(p, TruncationConfig(3, 3)), p)
+    cfg = TruncationConfig(3, 3)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
     G = _real_generator(L)
     rng = np.random.default_rng(5)
-    A = rng.normal(size=(L.dim, L.dim)) + 1j * rng.normal(size=(L.dim, L.dim))
+    A = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
     X = A + A.conj().T
     expected = _real_form(L.apply(X)).reshape(-1)
     got = G @ _real_form(X).reshape(-1)
@@ -481,7 +488,7 @@ def test_evolve_rejects_non_hermitian_start():
     L = make_L(SystemParams(kappa_a=1.0))
     vec_g = basis_state(FockLabel(0, 0, "g"), CFG)
     vec_e = basis_state(FockLabel(0, 0, "e"), CFG)
-    coherence = DensityMatrix(np.outer(vec_g, vec_e.conj()), CFG.dims)
+    coherence = DensityMatrix(np.outer(vec_g, vec_e.conj()), CFG)
     with pytest.raises(IntegrationError):
         evolve(coherence, L, [0.0, 1.0])
 
@@ -500,13 +507,13 @@ def tight_reference(preset_name, point_items):
     Lm = L.matrix
     refs = []
     for mode in "abcd":
-        z = hybrid_mode_operator(mode, cfg).matrix
+        z = hybrid_mode_operator(mode, cfg)
         n_op = z.conj().T @ z
         n_mean = np.trace(rho.matrix @ n_op).real
         x0 = (z @ rho.matrix @ z.conj().T).reshape(-1) / n_mean
         sol = solve_ivp(lambda t, y: Lm @ y, (0.0, TIGHT_GRID[-1]), x0, t_eval=TIGHT_GRID,
                         method="DOP853", rtol=1e-12, atol=1e-14)
-        refs.append(np.einsum("ij,jik->k", n_op, sol.y.reshape(L.dim, L.dim, -1)).real / n_mean)
+        refs.append(np.einsum("ij,jik->k", n_op, sol.y.reshape(cfg.dim, cfg.dim, -1)).real / n_mean)
     return rho, L, refs
 
 
@@ -536,7 +543,7 @@ def test_streamed_readout_matches_the_full_trajectory(preset_name, point, caplog
     cfg = TruncationConfig(3, 3)
     rho, L = solve_point(preset_params(preset_name, **point), cfg)
     for mode in "abcd":
-        z = hybrid_mode_operator(mode, cfg).matrix
+        z = hybrid_mode_operator(mode, cfg)
         X = z @ rho.matrix @ z.conj().T
         c = _real_form(z.conj().T @ z).reshape(1, -1)
         caplog.clear()
@@ -564,7 +571,7 @@ def test_g2_tau_rejects_non_finite_start_at_once(caplog):
     mat[0, 0] = np.nan
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         with pytest.raises(IntegrationError, match="non-finite"):
-            g2_tau(DensityMatrix(mat, rho.dims), L, "a", np.linspace(0.0, 1.0, 11))
+            g2_tau(DensityMatrix(mat, rho.cfg), L, "a", np.linspace(0.0, 1.0, 11))
     assert "propagated" not in caplog.text
 
 
@@ -593,4 +600,4 @@ def test_g2_tau_memory_does_not_hold_the_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < L.dim ** 2 * grid.size * 8 / 10
+    assert peak < cfg.dim ** 2 * grid.size * 8 / 10

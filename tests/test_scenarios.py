@@ -46,11 +46,9 @@ def test_bundles_resolve():
 
 def test_hamiltonian_follows_the_nonzero_drive():
     photon = preset_params("A2", eta_a=0.5, eta_b=0.0)
-    assert np.array_equal(build_hamiltonian(photon, CFG3).matrix,
-                          hamiltonian_smr_driven(photon, CFG3).matrix)
+    assert np.array_equal(build_hamiltonian(photon, CFG3), hamiltonian_smr_driven(photon, CFG3))
     for p in (preset_params("A2"), preset_params("A1", eta_a=0.0)):
-        assert np.array_equal(build_hamiltonian(p, CFG3).matrix,
-                              hamiltonian_qd_driven(p, CFG3).matrix)
+        assert np.array_equal(build_hamiltonian(p, CFG3), hamiltonian_qd_driven(p, CFG3))
     with pytest.raises(ParameterError, match="eta_a"):
         build_hamiltonian(preset_params("A1", eta_b=0.3), CFG3)
 

@@ -16,29 +16,29 @@ def resonant_params(delta, g, f):
 
 def test_manifold_dimensions():
     H = hamiltonian_undriven(resonant_params(0.5, 1.0, 2.0), +1, CFG)
-    assert manifold_spectrum(H, 0).frequencies.shape == (1,)
-    assert manifold_spectrum(H, 1).frequencies.shape == (3,)
-    assert manifold_spectrum(H, 2).frequencies.shape == (5,)
+    assert manifold_spectrum(H, 0, CFG).frequencies.shape == (1,)
+    assert manifold_spectrum(H, 1, CFG).frequencies.shape == (3,)
+    assert manifold_spectrum(H, 2, CFG).frequencies.shape == (5,)
 
 
 def test_ground_manifold_is_zero():
     H = hamiltonian_undriven(resonant_params(1.2, 2.0, 1.0), +1, CFG)
-    assert manifold_spectrum(H, 0).frequencies[0] == 0.0
+    assert manifold_spectrum(H, 0, CFG).frequencies[0] == 0.0
 
 
 def test_driven_hamiltonian_rejected():
     p = SystemParams(delta_a=1.0, eta_a=0.3)
     H = hamiltonian_qd_driven(p.with_(eta_a=0.0, eta_b=0.3), CFG)
     with pytest.raises(ParameterError):
-        manifold_spectrum(H, 1)
+        manifold_spectrum(H, 1, CFG)
 
 
 def test_quoted_eigenvalues():
     delta = 2.0
     p = resonant_params(delta, 7.5, 5.0)
     H = hamiltonian_undriven(p, +1, CFG)
-    m1 = manifold_spectrum(H, 1).frequencies - delta
-    m2 = manifold_spectrum(H, 2).frequencies - 2 * delta
+    m1 = manifold_spectrum(H, 1, CFG).frequencies - delta
+    m2 = manifold_spectrum(H, 2, CFG).frequencies - 2 * delta
     assert np.allclose(m1, [-9.01388, 0.0, 9.01388], atol=1e-4)
     assert np.allclose(m2, [-16.11725, -5.82965, 0.0, 5.82965, 16.11725], atol=1e-4)
 
@@ -51,14 +51,14 @@ def test_analytic_numeric_agreement_on_grid():
         p = resonant_params(delta, g, f)
         H = hamiltonian_undriven(p, +1, CFG)
         e1, e2 = analytic_manifolds(p)
-        assert np.allclose(manifold_spectrum(H, 1).frequencies, e1, atol=1e-9)
-        assert np.allclose(manifold_spectrum(H, 2).frequencies, e2, atol=1e-9)
+        assert np.allclose(manifold_spectrum(H, 1, CFG).frequencies, e1, atol=1e-9)
+        assert np.allclose(manifold_spectrum(H, 2, CFG).frequencies, e2, atol=1e-9)
     # the minus-sign Hamiltonian shares the manifold spectra
     p = resonant_params(0.7, 3.0, 4.0)
     Hm = hamiltonian_undriven(p, -1, CFG)
     e1, e2 = analytic_manifolds(p)
-    assert np.allclose(manifold_spectrum(Hm, 1).frequencies, e1, atol=1e-9)
-    assert np.allclose(manifold_spectrum(Hm, 2).frequencies, e2, atol=1e-9)
+    assert np.allclose(manifold_spectrum(Hm, 1, CFG).frequencies, e1, atol=1e-9)
+    assert np.allclose(manifold_spectrum(Hm, 2, CFG).frequencies, e2, atol=1e-9)
 
 
 def test_analytic_manifolds_uncoupled_degenerate():
@@ -88,7 +88,7 @@ def test_jc_spectrum_matches_numeric_manifolds():
     offset = 0.5 * (p.delta_a + p.delta_q)
     for n in (0, 1, 2):
         doublet = jc_spectrum(n, p)
-        freqs = manifold_spectrum(H, n + 1).frequencies
+        freqs = manifold_spectrum(H, n + 1, cfg).frequencies
         for target in (doublet.e_minus + offset, doublet.e_plus + offset):
             assert np.min(np.abs(freqs - target)) < 1e-10
 
@@ -96,7 +96,7 @@ def test_jc_spectrum_matches_numeric_manifolds():
 def test_resonance_distances_direct():
     delta = 0.0
     H = hamiltonian_undriven(resonant_params(delta, 2.0, 1.0), +1, CFG)
-    spectra = [manifold_spectrum(H, n) for n in (1, 2, 3)]
+    spectra = [manifold_spectrum(H, n, CFG) for n in (1, 2, 3)]
     omega_hit = spectra[0].frequencies[1]
     d = resonance_distances(omega_hit, spectra)
     assert d.d1 == pytest.approx(0.0, abs=1e-20)
@@ -137,6 +137,6 @@ def test_minimum_gap_validation():
 def test_degenerate_sorting_deterministic():
     p = resonant_params(1.0, 0.0, 0.0)
     H = hamiltonian_undriven(p, +1, CFG)
-    s1 = manifold_spectrum(H, 2)
-    s2 = manifold_spectrum(H, 2)
+    s1 = manifold_spectrum(H, 2, CFG)
+    s2 = manifold_spectrum(H, 2, CFG)
     assert np.array_equal(s1.frequencies, s2.frequencies)

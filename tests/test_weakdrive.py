@@ -105,7 +105,7 @@ def test_bs_transform_consistent_with_fock_map():
     from scipy.linalg import expm
     a = hybrid_mode_operator("a", cfg)
     b = hybrid_mode_operator("b", cfg)
-    out = expm(np.pi / 4 * (a.dag() @ b - b.dag() @ a).matrix) @ vec
+    out = expm(np.pi / 4 * (a.conj().T @ b - b.conj().T @ a)) @ vec
     hyb = bs_transform_amplitudes(amps)
 
     def comp(na, nb, q):
