@@ -15,6 +15,7 @@ is checked against its side where it enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -84,6 +85,15 @@ class FockLabel:
     def excitations(self) -> int:
         """Total excitation number n_a + n_b + (q == 'e')."""
         return self.n_a + self.n_b + (1 if self.q == "e" else 0)
+
+
+@lru_cache(maxsize=8)
+def excitation_numbers(cfg: TruncationConfig) -> np.ndarray:
+    """Excitation number n_a + n_b + (q == 'e') of each basis state, in
+    canonical index order (read-only, cached per config)."""
+    n = np.indices(cfg.dims).reshape(3, -1).sum(axis=0)
+    n.flags.writeable = False
+    return n
 
 
 def annihilation(dim: int) -> np.ndarray:

@@ -19,9 +19,11 @@ Each sweep moves weight one excitation down, so weight on the top manifold
 (11 excitations at cutoff 5) takes about 11 sweeps to drain.  The sum
 therefore starts from states graded by excitation number, with weight x^n
 on a Fock state of n excitations, and the shipped operating points
-converge in 7-13 sweeps.  Two such starts run side by side; a degenerate
-null space whose sector starts at m <= 3 excitations makes them disagree,
-and the LU fallback then counts the zero modes.
+converge in 7-13 sweeps.  When kappa_a, kappa_b and gamma are all positive
+the steady state is unique (see :func:`build_liouvillian`) and one start
+suffices.  When a channel is undamped a second start runs beside the
+first; a degenerate null space whose sector starts at m <= 3 excitations
+makes them disagree, and the LU fallback then counts the zero modes.
 The sweeps write into work arrays allocated once per solve: at cutoff 5
 arrays made per sweep lie above glibc's mmap threshold and would be
 mapped, and page-faulted, afresh on every sweep.  Where the sum is unsafe
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
-from .hilbert import TruncationConfig
+from .hilbert import TruncationConfig, excitation_numbers
 from .model import SystemParams, _bare_ops
 
 #: Relative residual bound for accepted steady states, ||L rho|| <= RTOL ||L||.
@@ -135,8 +137,11 @@ class Liouvillian:
     matrix is assembled on first use."""
 
     def __init__(self, hamiltonian: np.ndarray, collapse_ops: Sequence[tuple[float, np.ndarray]],
-                 cfg: TruncationConfig):
+                 cfg: TruncationConfig, unique_steady_state: bool = False):
         self.cfg = cfg
+        #: True when the steady state is known to be unique, so that the
+        #: jump-order sum runs one start; :func:`build_liouvillian` decides it.
+        self.unique_steady_state = unique_steady_state
         #: (kappa_k, J_k, J_k') of each channel with a nonzero rate.
         self._jumps = [(rate, J, J.conj().T) for rate, J in collapse_ops if rate > 0]
         #: H_eff = H - (i/2) sum_k kappa_k J_k'J_k, the generator of jump-free evolution.
@@ -198,14 +203,24 @@ def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 def build_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> Liouvillian:
     """Lindblad generator for H on the space of ``cfg`` with decay channels
     sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(gamma) sigma_-; its matrix is
-    assembled on first use."""
+    assembled on first use.
+
+    With all three rates positive the steady state is unique, whatever the
+    Hermitian H.  The support of a steady state is an enclosure, a subspace
+    that the dynamics keeps invariant, and an enclosure is invariant under
+    every damped jump operator.  a, b and sigma_- commute and are nilpotent
+    on the truncated space, so every such subspace holds a common null
+    vector of all three, and the only one is |0, 0, g>.  Two orthogonal
+    enclosures therefore cannot exist, while a degenerate null space would
+    have them (Baumgartner and Narnhofer, J. Phys. A 41, 395303 (2008)).
+    """
     cfg.check_operator(H, "Hamiltonian")
     herm_defect = np.linalg.norm(H - H.conj().T)
     if herm_defect > 1e-12 * max(1.0, np.linalg.norm(H)):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
-    a, b, sm = _bare_ops(cfg)
-    return Liouvillian(H, [(float(p.kappa_a), a), (float(p.kappa_b), b), (float(p.gamma), sm)],
-                       cfg)
+    rates = (float(p.kappa_a), float(p.kappa_b), float(p.gamma))
+    return Liouvillian(H, list(zip(rates, _bare_ops(cfg))), cfg,
+                       unique_steady_state=min(rates) > 0)
 
 
 def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
@@ -223,64 +238,76 @@ def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
     return n_zero, np.asarray(vals)
 
 
-def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str, int]:
+def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str, int, int]:
     """Steady state of L summed over quantum-jump orders.
 
     In the eigenbasis H_eff = V diag(lam) V^-1 the sweep rho <- -S^-1 J[rho]
     reads Y <- -(sum_k K_k Y K_k') / D with K_k = sqrt(kappa_k) V^-1 J_k V,
-    D_ij = -i(lam_i - conj(lam_j)) and rho = V Y V'.  Each sweep is
-    hermitised and trace-normalised.  The sum starts from diag(w), with
-    w = x^n for a Fock state of n excitations and x = START_GRADING, since
-    each sweep lowers the excitation number by one and weight put on the
-    top manifold takes as many sweeps to drain.  A second start,
-    diag(w * (1, ..., d)), runs beside it: a degenerate null space makes the
-    two limits differ.  A steady state confined to a conserved sector whose
-    lowest state holds m excitations enters both starts at about x^m, so the
-    check (to STEADY_RTOL) sees it for m <= 3 at x = 1e-3; every degeneracy
-    these parameters can build has such a sector at m = 1 (an undamped,
-    decoupled qubit, phonon, or photon-qubit pair).  A defect correction
-    follows the sweeps.  Both loops write into work arrays allocated once
-    per call.  Returns (rho or None, sweeps, last contraction ratio, reason
-    for None, defect-correction sweeps).
+    D_ij = -i(lam_i - conj(lam_j)) and rho = V Y V'; -1/D is formed once.
+    Each sweep is hermitised and trace-normalised by one scale.  The sum
+    starts from diag(w), with w = x^n for a Fock state of n excitations and
+    x = START_GRADING, since each sweep lowers the excitation number by one
+    and weight put on the top manifold takes as many sweeps to drain.
+
+    Where ``L.unique_steady_state`` holds (every channel damped, see
+    :func:`build_liouvillian`) that one start is all.  Otherwise a second
+    start, diag(w * (1, ..., d)), runs beside it: a degenerate null space
+    makes the two limits differ.  A steady state confined to a conserved
+    sector whose lowest state holds m excitations enters both starts at
+    about x^m, so the check (to STEADY_RTOL) sees it for m <= 3 at
+    x = 1e-3; every degeneracy these parameters can build has such a sector
+    at m = 1 (an undamped, decoupled qubit, phonon, or photon-qubit pair).
+
+    The eigenbasis is rejected when cond_2(V) > MAX_EIGENBASIS_COND; the
+    SVD behind cond_2 runs only when the bound ||V||_F ||V^-1||_F >= cond_2
+    exceeds that limit.  A defect correction follows the sweeps.  Both
+    loops write into work arrays allocated once per call.  Returns (rho or
+    None, sweeps, last contraction ratio, reason for None, defect-correction
+    sweeps, starts run), with no start run when it gives way before sweeping.
     """
     try:
         lam, V = np.linalg.eig(L.h_eff)
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        return None, 0, np.nan, "H_eff not diagonalisable", 0
+        return None, 0, np.nan, "H_eff not diagonalisable", 0, 0
     denom = -1j * (lam[:, None] - lam.conj()[None, :])
     if np.abs(denom).min() <= UNDAMPED_RTOL * np.abs(lam).max():
-        return None, 0, np.nan, "undamped pair of H_eff eigenstates", 0
-    if np.linalg.cond(V) > MAX_EIGENBASIS_COND:
-        return None, 0, np.nan, "ill-conditioned H_eff eigenbasis", 0
+        return None, 0, np.nan, "undamped pair of H_eff eigenstates", 0, 0
+    if (np.linalg.norm(V) * np.linalg.norm(V_inv) > MAX_EIGENBASIS_COND
+            and np.linalg.cond(V) > MAX_EIGENBASIS_COND):
+        return None, 0, np.nan, "ill-conditioned H_eff eigenbasis", 0, 0
+    neg_inv_denom = -1.0 / denom
     K = np.array([np.sqrt(rate) * (V_inv @ J @ V) for rate, J, _ in L._jumps])[:, None]
     K_h = K.conj().swapaxes(-1, -2)
     gram = V.conj().T @ V  # Tr(V Y V') = Tr(gram Y)
     d = L.cfg.dim
-    KY, KYK = np.empty((2, len(K), 2, d, d), dtype=complex)  # K Y and K Y K' per jump and start
+    w = START_GRADING ** excitation_numbers(L.cfg)
+    starts = [np.diag(w)]
+    if not L.unique_steady_state:
+        starts.append(np.diag(w * np.arange(1, d + 1)))
+    # K Y and K Y K' per jump and start
+    KY, KYK = np.empty((2, len(K), len(starts), d, d), dtype=complex)
 
     def one_jump(Y: np.ndarray, out: np.ndarray) -> None:  # out = -S^-1 J[Y], in the eigenbasis
         n = len(Y)
         np.matmul(K, Y, out=KY[:, :n])
         np.matmul(KY[:, :n], K_h, out=KYK[:, :n])
         np.sum(KYK[:, :n], axis=0, out=out)
-        np.negative(out, out=out)
-        out /= denom
+        out *= neg_inv_denom
 
     def trace(Y: np.ndarray) -> np.ndarray:
         return np.einsum("ij,nji->n", gram, Y)[:, None, None]
 
-    w = START_GRADING ** np.array([label.excitations for label in L.cfg.labels()], dtype=float)
-    starts = np.array([np.diag(w), np.diag(w * np.arange(1.0, d + 1))], dtype=complex)
-    Y = V_inv @ starts @ V_inv.conj().T
+    Y = V_inv @ np.array(starts, dtype=complex) @ V_inv.conj().T
     new, scratch = np.empty_like(Y), np.empty_like(Y)
     change, ratio = np.inf, np.nan
     for sweep in range(1, MAX_SWEEPS + 1):
         one_jump(Y, new)
+        # Tr of the Hermitian part (N + N')/2 is Re Tr N, as gram is Hermitian
+        scale = 0.5 / trace(new).real
         np.conjugate(new.swapaxes(-1, -2), out=scratch)
         new += scratch
-        new *= 0.5
-        new /= trace(new).real
+        new *= scale
         np.subtract(new, Y, out=scratch)
         prev, change = change, np.abs(scratch).max() / np.abs(new).max()
         ratio = change / prev
@@ -288,11 +315,11 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
         if change <= SWEEP_RTOL:
             break
     else:
-        return None, MAX_SWEEPS, ratio, "jump-order sum did not converge", 0
+        return None, MAX_SWEEPS, ratio, "jump-order sum did not converge", 0, len(starts)
     if ratio > MAX_CONTRACTION:
-        return None, sweep, ratio, "slow contraction", 0
-    if np.abs(Y[-1] - Y[0]).max() > STEADY_RTOL * np.abs(Y[0]).max():
-        return None, sweep, ratio, TWO_STEADY_STATES, 0
+        return None, sweep, ratio, "slow contraction", 0, len(starts)
+    if len(starts) > 1 and np.abs(Y[-1] - Y[0]).max() > STEADY_RTOL * np.abs(Y[0]).max():
+        return None, sweep, ratio, TWO_STEADY_STATES, 0, len(starts)
     # The dense transforms leave an error near machine epsilon on every
     # entry, which swamps the smallest populations: without a correction,
     # four-boson moments are off by up to 3e-8 relative.  One defect
@@ -301,8 +328,9 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     # L[delta] = -L[rho] with Tr delta = 0.
     Y = Y[:1]
     rho = V @ Y[0] @ V.conj().T
-    source = -(V_inv @ L.apply(rho) @ V_inv.conj().T) / denom
-    delta, new, spare, scratch = source[None], new[:1], new[1:], scratch[:1]
+    source = (V_inv @ L.apply(rho) @ V_inv.conj().T)[None]
+    source *= neg_inv_denom
+    delta, new, spare, scratch = source, new[:1], np.empty_like(source), scratch[:1]
     for correction in range(1, MAX_SWEEPS + 1):
         one_jump(delta, new)
         new += source
@@ -312,8 +340,8 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
         done = np.abs(scratch).max() <= CORRECTION_RTOL * np.abs(new).max()
         delta, new, spare = new, spare, new
         if done:
-            return rho + V @ delta[0] @ V.conj().T, sweep, ratio, "", correction
-    return None, sweep, ratio, "defect correction did not converge", MAX_SWEEPS
+            return rho + V @ delta[0] @ V.conj().T, sweep, ratio, "", correction, len(starts)
+    return None, sweep, ratio, "defect correction did not converge", MAX_SWEEPS, len(starts)
 
 
 def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, float]]:
@@ -386,9 +414,10 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     null space raises :class:`NonUniqueSteadyStateError` instead of
     returning one of many steady states.  One debug line on this module's
     logger names the path taken, the sweeps, the defect-correction sweeps,
-    the last contraction ratio and the relative residual.
+    the last contraction ratio, the relative residual and the number of
+    starts the jump-order sum ran (0 when it gave way before sweeping).
     """
-    mat, sweeps, ratio, reason, corrections = _sum_jump_orders(L)
+    mat, sweeps, ratio, reason, corrections, starts = _sum_jump_orders(L)
     result = _accept(L, mat) if mat is not None else None
     path = "jump-free"
     if result is None:
@@ -399,7 +428,8 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     if mineig < -1e-10:
         raise SteadyStateError(f"steady state not positive: min eigenvalue {mineig:.2e}")
     _log.debug("steady state via %s: %d sweeps, %d correction sweeps, contraction ratio %.3g, "
-               "relative residual %.2e", path, sweeps, corrections, ratio, residual)
+               "relative residual %.2e, %d start%s", path, sweeps, corrections, ratio, residual,
+               starts, "" if starts == 1 else "s")
     return rho
 
 

@@ -2,9 +2,10 @@
 
 The undriven H(+/-) conserves the polariton number, so it is block
 diagonal over the manifolds of fixed total excitation; each block is
-diagonalised directly from its Fock-label enumeration.  Closed forms for
-the first two manifolds at a common detuning and the dressed-doublet
-ladder of the bare qubit-photon model provide independent cross-checks.
+diagonalised directly, its states picked by their excitation numbers.
+Closed forms for the first two manifolds at a common detuning and the
+dressed-doublet ladder of the bare qubit-photon model provide independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .hilbert import TruncationConfig
+from .hilbert import TruncationConfig, excitation_numbers
 from .model import SystemParams
 
 
@@ -50,7 +51,7 @@ def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldS
     states enumerated by canonical index.
     """
     cfg.check_operator(H, "Hamiltonian")
-    excitations = np.array([lab.excitations for lab in cfg.labels()])
+    excitations = excitation_numbers(cfg)
     mask = excitations[:, None] != excitations[None, :]
     off_block = np.abs(H[mask])
     if off_block.size and off_block.max() > 1e-14 * max(1.0, np.linalg.norm(H)):

@@ -516,3 +516,10 @@ def test_every_traced_name_resolves():
         except AttributeError:
             missing.append(f"{module}.{attribute}")
     assert spans.TRACED and not missing, missing
+
+
+def test_python_m_polariton_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "polariton", "--help"], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "oracle-compare" in done.stdout

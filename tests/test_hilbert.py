@@ -3,6 +3,7 @@ import pytest
 
 from polariton import (DimensionError, FockLabel, TruncationConfig, annihilation, embed,
                        qubit_lowering)
+from polariton.hilbert import excitation_numbers
 from helpers import basis_state, index_of
 
 
@@ -45,6 +46,14 @@ def test_canonical_index_formula():
     # enumeration order matches index order
     indices = [index_of(cfg, lab) for lab in cfg.labels()]
     assert indices == list(range(cfg.dim))
+
+
+def test_excitation_numbers_follow_the_labels():
+    cfg = TruncationConfig(3, 4)
+    n = excitation_numbers(cfg)
+    assert n.tolist() == [lab.excitations for lab in cfg.labels()]
+    assert not n.flags.writeable
+    assert excitation_numbers(TruncationConfig(3, 4)) is n
 
 
 def test_basis_state():

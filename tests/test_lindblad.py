@@ -18,7 +18,8 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationEr
                        build_liouvillian, bundle_params, g2_tau, g_k_zero,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
                        hybrid_mode_operator, preset_params, solve_point, steady_state)
-from polariton.lindblad import (Liouvillian, _lu_steady_state, _propagate, _real_form,
+from polariton.lindblad import (MAX_EIGENBASIS_COND, ZERO_MODE_RTOL, Liouvillian,
+                                _count_zero_modes, _lu_steady_state, _propagate, _real_form,
                                 _real_generator, _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
 from helpers import (basis_state, evolve, expect, fresh_env, hermiticity_defect,
@@ -176,7 +177,7 @@ def test_graded_starts_converge_in_few_sweeps():
     p = bundle_params("oracle-comparison")
     cfg = TruncationConfig(5, 5)
     L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
-    _, sweeps, _, reason, _ = _sum_jump_orders(L)
+    _, sweeps, _, reason, *_ = _sum_jump_orders(L)
     assert reason == ""
     assert sweeps <= 10
 
@@ -364,6 +365,117 @@ def test_debug_line_counts_correction_sweeps(caplog):
         steady_state(L)
     assert re.search(rf"via jump-free: \d+ sweeps, {corrections} correction sweeps,",
                      caplog.text)
+
+
+def test_debug_line_counts_starts(caplog):
+    # every channel damped: one start; an undamped phonon, here coupled to
+    # the photon so that the steady state is still unique: two
+    undamped_phonon = DEGENERATE["phonon"][0].with_(f=3.0)
+    for L, starts in ((bundle_liouvillian("oracle-comparison"), "1 start"),
+                      (make_L(undamped_phonon, TruncationConfig(3, 3)), "2 starts")):
+        assert _sum_jump_orders(L)[5] == int(starts[0])
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+            steady_state(L)
+        assert re.search(rf"via jump-free: .*, relative residual \S+, {starts}$", caplog.text,
+                         re.MULTILINE), caplog.text
+
+
+@pytest.mark.parametrize("rates, unique", [((1.0, 0.5, 1.0), True), ((0.0, 0.5, 1.0), False),
+                                           ((1.0, 0.0, 1.0), False), ((1.0, 0.5, 0.0), False)])
+def test_one_start_only_where_every_channel_is_damped(rates, unique):
+    p = SystemParams(g=1.0, f=1.0, eta_a=0.5, kappa_a=rates[0], kappa_b=rates[1], gamma=rates[2])
+    L = make_L(p)
+    assert L.unique_steady_state is unique
+    # built directly, the same channels are not known to be a, b and sigma_-
+    direct = Liouvillian(hamiltonian_smr_driven(p, CFG), [(rate, J) for rate, J, _ in L._jumps],
+                         CFG)
+    assert not direct.unique_steady_state
+
+
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_damped_bundles_have_one_zero_mode(bundle):
+    L = bundle_liouvillian(bundle)
+    assert L.unique_steady_state
+    assert _count_zero_modes(L)[0] == 1
+
+
+def random_damped_params(rng: np.random.Generator) -> tuple[SystemParams, str]:
+    """Every rate log-uniform in [1e-3, 10]; each detuning, g and f zero with
+    probability 0.3; the photon or the phonon driven."""
+    kappa_a, kappa_b, gamma = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 3))
+    values = {name: 0.0 if rng.random() < 0.3 else rng.uniform(lo, hi)
+              for name, lo, hi in (("delta_a", -8, 8), ("delta_b", -8, 8), ("delta_q", -8, 8),
+                                   ("g", 0, 6), ("f", 0, 8))}
+    driven = "a" if rng.random() < 0.5 else "b"
+    values[f"eta_{driven}"] = rng.uniform(0.05, 0.8)
+    return SystemParams(kappa_a=kappa_a, kappa_b=kappa_b, gamma=gamma, **values), driven
+
+
+def test_damped_channels_leave_one_zero_mode():
+    # over 1200 such draws the second-smallest |eigenvalue| of L was at least
+    # 1.6e-6 ||L||; the bound below keeps a factor 16 from that and a factor
+    # 10 from the zero-mode tolerance
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        p, driven = random_damped_params(rng)
+        L = make_L(p, driven=driven)
+        assert L.unique_steady_state
+        mags = np.sort(np.abs(np.linalg.eigvals(L.matrix.toarray()))) / L.norm
+        assert mags[0] < ZERO_MODE_RTOL, p
+        assert mags[1] >= 1e-7, p
+
+
+def exceptional_point_L(eta_a: float) -> Liouvillian:
+    """At g = (kappa_a - gamma)/4 the undriven photon-qubit pair of H_eff is
+    at an exceptional point, where its eigenvectors coalesce; a photon drive
+    eta_a moves H_eff off it, and cond(V) falls as 1/eta_a."""
+    p = SystemParams(delta_b=2.0, g=1.25, eta_a=eta_a, kappa_a=6.0, kappa_b=1.0, gamma=1.0)
+    return make_L(p, TruncationConfig(3, 3))
+
+
+def eigenbasis_conditions(L: Liouvillian) -> tuple[float, float]:
+    """||V||_F ||V^-1||_F and cond_2(V) of the H_eff eigenvector matrix."""
+    _, V = np.linalg.eig(L.h_eff)
+    return np.linalg.norm(V) * np.linalg.norm(np.linalg.inv(V)), np.linalg.cond(V)
+
+
+def test_ill_conditioned_eigenbasis_takes_the_lu(caplog):
+    L = exceptional_point_L(3e-4)
+    assert eigenbasis_conditions(L)[1] > MAX_EIGENBASIS_COND  # 1.8e4
+    assert _sum_jump_orders(L)[3] == "ill-conditioned H_eff eigenbasis"
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        rho = steady_state(L)
+    assert re.search(r"via LU \(ill-conditioned H_eff eigenbasis\): 0 sweeps, .*, 0 starts$",
+                     caplog.text, re.MULTILINE), caplog.text
+    validate(rho)
+
+
+def test_frobenius_bound_above_the_limit_defers_to_the_svd(caplog):
+    # the bound (4.4e4) exceeds the limit, cond_2 (5.4e3) does not
+    L = exceptional_point_L(1e-3)
+    bound, cond = eigenbasis_conditions(L)
+    assert cond <= MAX_EIGENBASIS_COND < bound
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        steady_state(L)
+    assert "via jump-free" in caplog.text
+
+
+def test_undamped_pair_is_found_before_the_eigenbasis_condition():
+    # closer to the exceptional point the driven vacuum's damping, of order
+    # eta_a^2, falls below the undamped-pair tolerance first
+    L = exceptional_point_L(5e-5)
+    assert eigenbasis_conditions(L)[1] > MAX_EIGENBASIS_COND
+    assert _sum_jump_orders(L)[3] == "undamped pair of H_eff eigenstates"
+
+
+def test_well_conditioned_eigenbasis_runs_no_svd(monkeypatch):
+    L = bundle_liouvillian("oracle-comparison")
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("cond_2 computed")
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    assert _sum_jump_orders(L)[3] == ""
 
 
 def test_no_zero_mode_raises_convergence_error():
