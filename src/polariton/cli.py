@@ -364,7 +364,7 @@ def _cmd_g2sweep(config: dict) -> int:
     writer.write_summary("g2sweep-v1", config, warnings, {
         "cases_found": sorted(result.cases()),
         "n_rows": len(result.rows),
-        "workers": pool_workers(config.get("threads"), len(result.rows)),
+        "workers": result.workers,
     })
     return 0
 
@@ -463,7 +463,7 @@ def _cmd_oracle_compare(config: dict) -> int:
         warnings.append(f"{len(oracle_failed)} oracle points failed")
     writer.write_summary("oracle-compare-v1", config, warnings, {
         "extrema": result.summary,
-        "workers": pool_workers(config.get("threads"), len(result.rows))})
+        "workers": result.workers})
     return 0
 
 

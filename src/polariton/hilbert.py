@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
-
 import numpy as np
 
 from .errors import DimensionError
@@ -58,33 +56,6 @@ class TruncationConfig:
         if np.shape(mat) != (self.dim, self.dim):
             raise DimensionError(f"{what} has shape {np.shape(mat)}; cutoffs "
                                  f"({self.n_a_max}, {self.n_b_max}) need side {self.dim}")
-
-    def labels(self) -> Iterator["FockLabel"]:
-        """All Fock labels in canonical index order."""
-        for n_a in range(self.n_a_max + 1):
-            for n_b in range(self.n_b_max + 1):
-                for q in ("g", "e"):
-                    yield FockLabel(n_a, n_b, q)
-
-
-@dataclass(frozen=True)
-class FockLabel:
-    """Basis ket |n_a, n_b, q> with q in {'g', 'e'}."""
-
-    n_a: int
-    n_b: int
-    q: str
-
-    def __post_init__(self):
-        if self.n_a < 0 or self.n_b < 0:
-            raise DimensionError(f"negative occupation in {self}")
-        if self.q not in ("g", "e"):
-            raise DimensionError(f"qubit state must be 'g' or 'e', got {self.q!r}")
-
-    @property
-    def excitations(self) -> int:
-        """Total excitation number n_a + n_b + (q == 'e')."""
-        return self.n_a + self.n_b + (1 if self.q == "e" else 0)
 
 
 @lru_cache(maxsize=8)

@@ -28,9 +28,10 @@ The sweeps write into work arrays allocated once per solve: at cutoff 5
 arrays made per sweep lie above glibc's mmap threshold and would be
 mapped, and page-faulted, afresh on every sweep.  Where the sum is unsafe
 (an undamped pair of H_eff eigenstates, an ill-conditioned eigenbasis,
-slow or no convergence, or a failed residual check) the solve falls back
-to a sparse LU of the vectorised Liouvillian with one row replaced by the
-trace constraint, refined twice with its own factor.
+slow or no convergence, or a state that fails :func:`certify`, the
+residual and positivity checks) the solve falls back to a sparse LU of
+the vectorised Liouvillian with one row replaced by the trace
+constraint, refined twice with its own factor.
 
 Operators are plain complex arrays.  A :class:`Liouvillian` and a
 :class:`DensityMatrix` each carry the :class:`TruncationConfig` of their
@@ -344,18 +345,28 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     return None, sweep, ratio, "defect correction did not converge", MAX_SWEEPS, len(starts)
 
 
-def _accept(L: Liouvillian, mat: np.ndarray) -> Optional[tuple[DensityMatrix, float]]:
-    """Hermitised, unit-trace state and its relative residual ||L[rho]|| / ||L||,
-    from d x d products, if it is below STEADY_RTOL."""
+def certify(L: Liouvillian, mat: np.ndarray) -> tuple[DensityMatrix, float]:
+    """The hermitised, unit-trace state of ``mat`` and its relative residual
+    ||L[rho]|| / ||L||, from d x d products.
+
+    Raises :class:`SteadyStateError` unless the residual is at most
+    STEADY_RTOL and the state is positive, its least eigenvalue at or above
+    -1e-10.  Every steady state the package returns passes it, whichever
+    way it was found.
+    """
     mat = 0.5 * (mat + mat.conj().T)
     tr = np.trace(mat).real
     if abs(tr) < 1e-300:
-        return None
+        raise SteadyStateError("state has zero trace")
     mat = mat / tr
-    residual = np.linalg.norm(L.apply(mat)) / max(L.norm, 1.0)
-    if residual > STEADY_RTOL:
-        return None
-    return DensityMatrix(mat, L.cfg), float(residual)
+    residual = float(np.linalg.norm(L.apply(mat)) / max(L.norm, 1.0))
+    if not residual <= STEADY_RTOL:
+        raise SteadyStateError(f"relative residual {residual:.2e} above {STEADY_RTOL:.0e}")
+    rho = DensityMatrix(mat, L.cfg)
+    mineig = rho.min_eigenvalue()
+    if mineig < -1e-10:
+        raise SteadyStateError(f"steady state not positive: min eigenvalue {mineig:.2e}")
+    return rho, residual
 
 
 def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatrix, float]:
@@ -377,7 +388,7 @@ def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatr
     M = sp.vstack([trace_row, L.matrix[1:]], format="csc")
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = 1.0
-    suspicious, result = True, None
+    suspicious, result, failure = True, None, "the LU solve failed"
     # a zero column makes M exactly singular, and SuperLU prints BLAS
     # argument errors to stdout on its way to saying so: do not factor it
     if np.diff(M.indptr).min() > 0:
@@ -388,9 +399,11 @@ def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatr
             x = lu.solve(rhs)
             for _ in range(2):
                 x -= lu.solve(M @ x - rhs)
-            result = _accept(L, x.reshape(d, d))
+            result = certify(L, x.reshape(d, d))
         except RuntimeError:
             suspicious = True
+        except SteadyStateError as exc:
+            failure = f"the LU solve failed its certificate: {exc}"
     if result is None or suspicious:
         n_zero, _ = _count_zero_modes(L)
         if n_zero >= 2:
@@ -401,7 +414,7 @@ def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatr
                 "no eigenvalue below the zero-mode tolerance; cannot converge "
                 "to a steady state")
     if result is None:
-        raise SteadyStateError("steady-state residual check failed for the LU solve")
+        raise SteadyStateError(failure)
     return result
 
 
@@ -409,8 +422,8 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     """Solve L[rho] = 0 with Tr rho = 1.
 
     Sums quantum-jump orders (see the module docstring) and falls back to
-    the sparse LU when that is unsafe.  Either result must pass the
-    residual check against L and be positive.  A degenerate
+    the sparse LU when that is unsafe or its state fails :func:`certify`;
+    the LU's state must pass it too.  A degenerate
     null space raises :class:`NonUniqueSteadyStateError` instead of
     returning one of many steady states.  One debug line on this module's
     logger names the path taken, the sweeps, the defect-correction sweeps,
@@ -418,15 +431,15 @@ def steady_state(L: Liouvillian) -> DensityMatrix:
     starts the jump-order sum ran (0 when it gave way before sweeping).
     """
     mat, sweeps, ratio, reason, corrections, starts = _sum_jump_orders(L)
-    result = _accept(L, mat) if mat is not None else None
-    path = "jump-free"
+    result, path = None, f"LU ({reason})"
+    if mat is not None:
+        try:
+            result, path = certify(L, mat), "jump-free"
+        except SteadyStateError as exc:
+            path = f"LU (jump-free {exc})"
     if result is None:
-        path = f"LU ({reason or 'jump-free residual check failed'})"
         result = _lu_steady_state(L, suspect=reason == TWO_STEADY_STATES)
     rho, residual = result
-    mineig = rho.min_eigenvalue()
-    if mineig < -1e-10:
-        raise SteadyStateError(f"steady state not positive: min eigenvalue {mineig:.2e}")
     _log.debug("steady state via %s: %d sweeps, %d correction sweeps, contraction ratio %.3g, "
                "relative residual %.2e, %d start%s", path, sweeps, corrections, ratio, residual,
                starts, "" if starts == 1 else "s")

@@ -7,6 +7,18 @@ encoded once as a named override bundle so numbers are defined in a single
 place.  Absolute mode frequencies (units of gamma) are recorded per
 preset for the lab-frame spectrum diagnostics; rotating-frame solvers
 depend only on the detunings.
+
+Sweeps run their points on a worker pool, one task per point, except that
+a resonant detuning sweep is mirror-symmetric.  Negating all three
+detunings at fixed g, f, drive and rates maps the steady state to
+U rho* U', with U a parity (see :func:`_mirror_parity`), so one task solves
+a point x > 0 and writes the row of the grid value nearest -x from the
+mirrored state too, once that state passes the steady-state certificate
+against its own Liouvillian; if it does not, that point is solved
+directly.  The rows of a pair agree with direct solves to the
+certificate's tolerance, g^(k)_a and g^(k)_b being even in the detuning
+and g^(k)_c(-x) equal to g^(k)_d(x).  Other sweeps, including detuning
+sweeps that keep the preset's detuning offsets, are not mirrored.
 """
 
 from __future__ import annotations
@@ -15,15 +27,15 @@ import logging
 import os
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
                            sign_pattern)
-from .errors import ParameterError, PolaritonError
+from .errors import ParameterError, PolaritonError, SteadyStateError
 from .hilbert import TruncationConfig
-from .lindblad import build_liouvillian, steady_state
+from .lindblad import DensityMatrix, build_liouvillian, certify, steady_state
 from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
 from .spectrum import manifold_spectrum, minimum_gap, resonance_distances
@@ -31,6 +43,10 @@ from .weakdrive import oracle_g2, steady_amplitudes
 
 SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b")
 DEFAULT_ORDERS = (2, 3, 4)
+#: A grid value pairs with a mirror at -x when they differ by at most this
+#: fraction of max(1, |x|): linspace grids symmetric about 0 miss exact
+#: mirrors by up to a few ulps.
+MIRROR_RTOL = 1e-12
 _log = logging.getLogger(__name__)
 
 
@@ -182,13 +198,43 @@ def solve_point(p: SystemParams, cfg: TruncationConfig):
     return steady_state(L), L
 
 
-def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig,
-                 modes: Sequence[str], orders: Sequence[int]) -> dict:
-    row: dict = {"sweep_var": x, "error": ""}
+def _mirror_parity(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
+    """Diagonal of the parity U with U H(Delta) U' = -H(-Delta) for the
+    Hamiltonian of :func:`build_hamiltonian`, all three detunings negated:
+    (-1)^n_a when the photon mode is driven, (-1)^(n_b + q) otherwise."""
+    n_a, n_b, q = np.indices(cfg.dims).reshape(3, -1)
+    return (-1.0) ** (n_a if p.eta_a != 0.0 else n_b + q)
+
+
+def _mirrored_state(rho: DensityMatrix, p: SystemParams,
+                    cfg: TruncationConfig) -> Optional[DensityMatrix]:
+    """U rho* U' for the steady state rho at the negated detunings of ``p``,
+    if it passes :func:`certify` against the Liouvillian of ``p``; else None.
+
+    H is real and U maps each real jump operator to plus or minus itself,
+    so L(p)[U X* U'] = U (L(-p)[X])* U': the mirror of a steady state is
+    one.  The certificate still decides, as for every solve.
+    """
+    u = _mirror_parity(p, cfg)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
     try:
-        rho, _ = solve_point(p, cfg)
+        return certify(L, np.outer(u, u) * rho.matrix.conj())[0]
+    except SteadyStateError:
+        return None
+
+
+def _solve(p: SystemParams, cfg: TruncationConfig) -> Union[DensityMatrix, PolaritonError]:
+    try:
+        return solve_point(p, cfg)[0]
     except PolaritonError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def _sweep_row(x: float, rho: Union[DensityMatrix, PolaritonError],
+               modes: Sequence[str], orders: Sequence[int]) -> dict:
+    row: dict = {"sweep_var": x, "error": ""}
+    if isinstance(rho, PolaritonError):
+        row["error"] = f"{type(rho).__name__}: {rho}"
         return row
     values: dict[tuple[int, str], float] = {}
     cell_errors = []
@@ -209,6 +255,28 @@ def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig,
     if cell_errors:
         row["error"] = "; ".join(cell_errors)
     return row
+
+
+def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig, modes: Sequence[str],
+                 orders: Sequence[int], mirror: Optional[tuple[float, SystemParams]] = None
+                 ) -> list[tuple[str, dict]]:
+    """The row of grid point x, then, given ``mirror`` = (x', params at x'),
+    the row of its mirror point x'; each tagged with how its state was found:
+    "solved", "mirrored" (:func:`_mirrored_state` of x's state) or
+    "fallback" (solved after the mirrored state failed its certificate).
+    x' is solved directly also when x's solve failed."""
+    rho = _solve(p, cfg)
+    rows = [("solved", _sweep_row(x, rho, modes, orders))]
+    if mirror is not None:
+        x_m, p_m = mirror
+        how, rho_m = "solved", None
+        if isinstance(rho, DensityMatrix):
+            rho_m = _mirrored_state(rho, p_m, cfg)
+            how = "fallback" if rho_m is None else "mirrored"
+        if rho_m is None:
+            rho_m = _solve(p_m, cfg)
+        rows.append((how, _sweep_row(x_m, rho_m, modes, orders)))
+    return rows
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -285,10 +353,10 @@ def pool_workers(threads: Optional[int], points: int) -> int:
 
 def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
     """``worker(*item)`` for every item, in order, on :func:`pool_workers`
-    processes.  Each point runs on one BLAS thread: more only spin, and
+    processes.  Each task runs on one BLAS thread: more only spin, and
     nearly double a point's CPU time."""
     workers = pool_workers(threads, len(work_items))
-    debug = "%d points on %d worker(s); OpenBLAS threads after the cap: %s"
+    debug = "%d tasks on %d worker(s); OpenBLAS threads after the cap: %s"
     if workers == 1:
         restore_blas_threads = _cap_blas_threads()
         try:
@@ -307,6 +375,8 @@ def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
 class SweepResult:
     spec: SweepSpec
     rows: list[dict]
+    #: Worker processes that ran the sweep's pool tasks.
+    workers: int
 
     @property
     def failed_rows(self) -> list[dict]:
@@ -318,26 +388,79 @@ class SweepResult:
         return {r["case"] for r in self.rows if r.get("case") is not None}
 
 
+def _mirror_partners(ranked: np.ndarray) -> dict[int, int]:
+    """For each positive value of the ascending array ``ranked``, smallest
+    first, the index of the unused value <= 0 nearest its negative, when one
+    lies within MIRROR_RTOL * max(1, |x|)."""
+    tol = MIRROR_RTOL * np.maximum(1.0, np.abs(ranked))
+    # the search brackets the candidates with room for rounding; the gap decides
+    lo = np.searchsorted(ranked, -ranked - 2 * tol, side="left")
+    hi = np.minimum(np.searchsorted(ranked, -ranked + 2 * tol, side="right"),
+                    np.searchsorted(ranked, 0.0, side="right"))
+    used = np.zeros(len(ranked), dtype=bool)
+    partners = {}
+    for i in np.flatnonzero(ranked > 0):
+        window = np.arange(lo[i], hi[i])
+        gap = np.abs(ranked[window] + ranked[i])
+        free = ~used[window] & (gap <= tol[i])
+        if free.any():
+            j = int(window[free][np.argmin(gap[free])])
+            used[j] = True
+            partners[int(i)] = j
+    return partners
+
+
 def _work_items(spec: SweepSpec) -> list[tuple]:
-    """One (x, params, truncation, modes, orders) task per grid point."""
-    return [(float(x), spec.point_params(float(x)), spec.truncation, spec.modes, spec.orders)
-            for x in spec.grid()]
+    """The (x, params, truncation, modes, orders, mirror) pool tasks of a
+    sweep, in ascending x.  In a resonant detuning sweep each x > 0 takes
+    the grid value x' paired with it by :func:`_mirror_partners` as
+    mirror = (x', params at x'), and x' has no task of its own; every other
+    task has mirror None."""
+    ranked = np.sort(spec.grid())
+    mirrored = spec.swept == "delta_smr" and spec.resonant
+    partners = _mirror_partners(ranked) if mirrored else {}
+    paired = set(partners.values())
+    items = []
+    for i, x in enumerate(ranked.tolist()):
+        if i in paired:
+            continue
+        mirror = None
+        if i in partners:
+            x_m = float(ranked[partners[i]])
+            mirror = (x_m, spec.point_params(x_m))
+        items.append((x, spec.point_params(x), spec.truncation, spec.modes, spec.orders, mirror))
+    return items
+
+
+def _sorted_rows(tasks: list[list[tuple[str, dict]]], caller: str) -> list[dict]:
+    """The rows of the pool tasks, ordered by sweep_var, after one debug
+    line: rows written, steady-state solves run, rows taken from a mirrored
+    state and mirrored states that failed their certificate."""
+    tagged = [item for task in tasks for item in task]
+    hows = [how for how, _ in tagged]
+    _log.debug("%s: %d rows, %d steady-state solves, %d rows from a mirrored state, "
+               "%d certificate fallbacks", caller, len(tagged),
+               hows.count("solved") + hows.count("fallback"), hows.count("mirrored"),
+               hows.count("fallback"))
+    return sorted((row for _, row in tagged), key=lambda r: r["sweep_var"])
 
 
 def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> SweepResult:
     """Steady-state correlation quantities along a parameter grid.
 
     One row per grid point; per-point solver failures are recorded in the
-    row's ``error`` field and do not abort the sweep.  Rows are computed
-    independently, so the table is invariant under grid reordering.
+    row's ``error`` field and do not abort the sweep.  A resonant detuning
+    sweep solves one point of each mirror pair and takes the other row's
+    state from the mirror (see :func:`_work_items`); every row's
+    correlations are read from its own state, and the table does not depend
+    on the grid's order.
     """
-    rows = _map_points(_sweep_point, _work_items(spec), threads)
-    rows.sort(key=lambda r: r["sweep_var"])
-    return SweepResult(spec, rows)
+    items = _work_items(spec)
+    rows = _sorted_rows(_map_points(_sweep_point, items, threads), "run_sweep")
+    return SweepResult(spec, rows, pool_workers(threads, len(items)))
 
 
-def _oracle_point(x: float, p: SystemParams, cfg: TruncationConfig, *_modes_orders) -> dict:
-    row = _sweep_point(x, p, cfg, ("a", "b", "c"), (2,))
+def _oracle_row(row: dict, p: SystemParams) -> dict:
     for key in ("g2_a", "g2_b", "g2_c"):
         if key in row:
             row["me_" + key] = row.pop(key)
@@ -351,6 +474,15 @@ def _oracle_point(x: float, p: SystemParams, cfg: TruncationConfig, *_modes_orde
     except PolaritonError as exc:
         row["oracle_error"] = f"{type(exc).__name__}: {exc}"
     return row
+
+
+def _oracle_point(x: float, p: SystemParams, cfg: TruncationConfig, _modes, _orders,
+                  mirror: Optional[tuple[float, SystemParams]] = None) -> list[tuple[str, dict]]:
+    """:func:`_sweep_point` rows for modes a, b, c at k = 2, with the
+    weak-drive oracle of each row's own parameters."""
+    params = [p] if mirror is None else [p, mirror[1]]
+    return [(how, _oracle_row(row, q)) for (how, row), q
+            in zip(_sweep_point(x, p, cfg, ("a", "b", "c"), (2,), mirror), params)]
 
 
 def _extrema(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -390,17 +522,21 @@ class OracleComparison:
     spec: SweepSpec
     rows: list[dict]
     summary: dict
+    #: Worker processes that ran the sweep's pool tasks.
+    workers: int
 
 
 def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComparison:
     """Master-equation vs weak-drive-oracle g2 along a sweep.
 
-    Every row carries both values plus independent error fields; the
-    summary locates the extrema of each mode's curve for both methods
-    (grid-resolution locations, deepest/highest first).
+    Every row carries both values plus independent error fields, and the
+    oracle runs at every row's own parameters; a resonant detuning sweep
+    pairs its points as :func:`run_sweep` does.  The summary locates the
+    extrema of each mode's curve for both methods (grid-resolution
+    locations, deepest/highest first).
     """
-    rows = _map_points(_oracle_point, _work_items(spec), threads)
-    rows.sort(key=lambda r: r["sweep_var"])
+    items = _work_items(spec)
+    rows = _sorted_rows(_map_points(_oracle_point, items, threads), "compare_oracle")
     xs = np.array([r["sweep_var"] for r in rows])
     summary: dict = {"grid_step": float(xs[1] - xs[0]) if len(xs) > 1 else 0.0}
     for method in ("me", "oracle"):
@@ -410,7 +546,7 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
             ys = np.array([r.get(key, np.nan) if not r.get(err_key) else np.nan for r in rows],
                           dtype=float)
             summary[key] = _extrema(xs, ys)
-    return OracleComparison(spec, rows, summary)
+    return OracleComparison(spec, rows, summary, pool_workers(threads, len(items)))
 
 
 def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float],

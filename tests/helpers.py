@@ -1,17 +1,47 @@
 """Shared test utilities."""
 
 import os
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 import polariton
-from polariton import (DensityMatrix, DimensionError, FockLabel, Liouvillian,
+from polariton import (DensityMatrix, DimensionError, Liouvillian,
                        SteadyStateError, SystemParams, TruncationConfig, closed_form_double,
                        closed_form_single)
 from polariton.lindblad import _propagate
+
+
+@dataclass(frozen=True)
+class FockLabel:
+    """Basis ket |n_a, n_b, q> with q in {'g', 'e'}."""
+
+    n_a: int
+    n_b: int
+    q: str
+
+    def __post_init__(self):
+        if self.n_a < 0 or self.n_b < 0:
+            raise DimensionError(f"negative occupation in {self}")
+        if self.q not in ("g", "e"):
+            raise DimensionError(f"qubit state must be 'g' or 'e', got {self.q!r}")
+
+    @property
+    def excitations(self) -> int:
+        """Total excitation number n_a + n_b + (q == 'e')."""
+        return self.n_a + self.n_b + (1 if self.q == "e" else 0)
+
+
+def labels(cfg: TruncationConfig) -> Iterator[FockLabel]:
+    """All Fock labels of ``cfg`` in canonical index order."""
+    for n_a in range(cfg.n_a_max + 1):
+        for n_b in range(cfg.n_b_max + 1):
+            for q in ("g", "e"):
+                yield FockLabel(n_a, n_b, q)
 
 
 def index_of(cfg: TruncationConfig, label: FockLabel) -> int:

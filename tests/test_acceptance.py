@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from polariton import (DensityMatrix, FockLabel, SweepSpec, SystemParams,
+from polariton import (DensityMatrix, SweepSpec, SystemParams,
                        TruncationConfig, analytic_manifolds,
                        build_liouvillian, bundle_params, classify_dynamics,
                        compare_oracle, dominant_period, g2_tau, g_k_zero,
@@ -18,8 +18,8 @@ from polariton import (DensityMatrix, FockLabel, SweepSpec, SystemParams,
                        hybrid_moments_from_local, manifold_spectrum,
                        preset_params, run_sweep, solve_point, steady_state,
                        tau_to_us)
-from helpers import (basis_state, closed_form_g2_b_dip, evolve, expect, hermiticity_defect,
-                     random_composite_density, random_params, trace)
+from helpers import (FockLabel, basis_state, closed_form_g2_b_dip, evolve, expect,
+                     hermiticity_defect, random_composite_density, random_params, trace)
 
 THREADS = int(os.environ.get("POLARITON_THREADS", "2"))
 CUTOFF5 = TruncationConfig(5, 5)

@@ -43,11 +43,16 @@ def test_g2sweep_row_count_and_schema(tmp_path):
     assert summary["config"]["preset"] == "A2"
 
 
-def test_g2sweep_golden_determinism(tmp_path):
+def test_g2sweep_golden_determinism(tmp_path, caplog):
+    """A mirrored sweep (two of its five rows from mirrored states) writes
+    the same bytes on one worker and on two."""
     cfg1 = write(tmp_path / "c1.yaml", SWEEP_CFG.format(out=tmp_path / "o1"))
     cfg2 = write(tmp_path / "c2.yaml", SWEEP_CFG.format(out=tmp_path / "o2"))
-    assert main(["g2sweep", "--config", cfg1, "--threads", "1"]) == 0
-    assert main(["g2sweep", "--config", cfg2, "--threads", "2"]) == 0
+    with caplog.at_level("DEBUG", logger="polariton.scenarios"):
+        assert main(["g2sweep", "--config", cfg1, "--threads", "1"]) == 0
+        assert main(["g2sweep", "--config", cfg2, "--threads", "2"]) == 0
+    assert caplog.text.count("run_sweep: 5 rows, 3 steady-state solves, "
+                             "2 rows from a mirrored state") == 2
     b1 = (tmp_path / "o1" / "sweep.csv").read_bytes()
     b2 = (tmp_path / "o2" / "sweep.csv").read_bytes()
     assert b1 == b2
@@ -194,14 +199,17 @@ output: {{directory: {out}, basename: tau}}
                        "resonant: true}\n"),
 ], ids=["g2tau", "g2sweep", "oracle-compare"])
 def test_summary_records_workers_used(tmp_path, command, body):
-    """Three points: unset threads run min(usable cores, 3) workers,
-    --threads 1 one; the tables and the summary's results do not depend on
-    the count."""
+    """Three points, in three pool tasks, or two for the mirrored
+    oracle-compare grid: unset threads run min(usable cores, tasks)
+    workers, --threads 1 one; the tables and the summary's results do not
+    depend on the count."""
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", body + "truncation: {n_a_max: 2, n_b_max: 2}\n"
                 f"output: {{directory: {out}, basename: run}}\n")
+    tasks = 2 if command == "oracle-compare" else 3
     runs = []
-    for flags, workers in (([], min(len(os.sched_getaffinity(0)), 3)), (["--threads", "1"], 1)):
+    for flags, workers in (([], min(len(os.sched_getaffinity(0)), tasks)),
+                           (["--threads", "1"], 1)):
         assert main([command, "--config", cfg] + flags) == 0
         summary = json.loads((out / "run.summary.json").read_text())
         assert summary["workers"] == workers

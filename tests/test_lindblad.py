@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 from scipy.sparse.linalg import splu
 
-from polariton import (OVERRIDE_BUNDLES, DensityMatrix, FockLabel, IntegrationError,
+from polariton import (OVERRIDE_BUNDLES, DensityMatrix, IntegrationError,
                        NonUniqueSteadyStateError, ParameterError,
                        SteadyStateError, SystemParams, TruncationConfig,
                        build_liouvillian, bundle_params, g2_tau, g_k_zero,
@@ -22,9 +22,9 @@ from polariton.lindblad import (MAX_EIGENBASIS_COND, ZERO_MODE_RTOL, Liouvillian
                                 _count_zero_modes, _lu_steady_state, _propagate, _real_form,
                                 _real_generator, _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
-from helpers import (basis_state, evolve, expect, fresh_env, hermiticity_defect,
-                     kron_liouvillian, random_composite_density, random_params, trace,
-                     validate)
+from helpers import (FockLabel, basis_state, evolve, expect, fresh_env,
+                     hermiticity_defect, kron_liouvillian, random_composite_density,
+                     random_params, trace, validate)
 
 CFG = TruncationConfig(2, 2)
 

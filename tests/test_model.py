@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from polariton import (FockLabel, ParameterError, SystemParams,
+from polariton import (ParameterError, SystemParams,
                        TruncationConfig, annihilation, embed, hamiltonian_qd_driven,
                        hamiltonian_smr_driven, hamiltonian_undriven,
                        hybrid_mode_operator, linear_coupler, qubit_lowering, tau_to_us)
 from polariton.model import _bare_ops, _hamiltonian_terms, mode_moment
-from helpers import basis_state, random_params
+from helpers import FockLabel, basis_state, labels, random_params
 
 CFG = TruncationConfig(3, 3)
 
@@ -125,7 +125,7 @@ def test_mode_moments_match_fresh_powers():
 def test_polariton_conservation_and_drive_breaking():
     rng = np.random.default_rng(6)
     # exact integers on the diagonal, so the commutator vanishes bitwise
-    N = np.diag([float(lab.excitations) for lab in CFG.labels()])
+    N = np.diag([float(lab.excitations) for lab in labels(CFG)])
     for sign in (+1, -1):
         for _ in range(5):
             p = random_params(rng).with_(eta_a=0.0, eta_b=0.0)
@@ -153,8 +153,7 @@ def test_first_manifold_eigenvalues_at_resonance():
     delta, g, f = 1.3, 7.5, 5.0
     p = SystemParams(delta_a=delta, delta_b=delta, delta_q=delta, g=g, f=f)
     H = hamiltonian_undriven(p, +1, CFG)
-    labels = list(CFG.labels())
-    idx = [i for i, lab in enumerate(labels) if lab.excitations == 1]
+    idx = [i for i, lab in enumerate(labels(CFG)) if lab.excitations == 1]
     evals = np.linalg.eigvalsh(H[np.ix_(idx, idx)])
     split = np.sqrt(g * g + f * f)
     assert np.allclose(evals, [delta - split, delta, delta + split], atol=1e-12)
@@ -167,8 +166,8 @@ def test_hybrid_mode_commutators_defect_confined_to_boundary():
     for op, target in ((c @ c.conj().T - c.conj().T @ c, eye),
                        (c @ d.conj().T - d.conj().T @ c, 0 * eye)):
         defect = op - target
-        for i, lab_i in enumerate(CFG.labels()):
-            for j, lab_j in enumerate(CFG.labels()):
+        for i, lab_i in enumerate(labels(CFG)):
+            for j, lab_j in enumerate(labels(CFG)):
                 boundary = (lab_i.n_a == CFG.n_a_max or lab_i.n_b == CFG.n_b_max
                             or lab_j.n_a == CFG.n_a_max or lab_j.n_b == CFG.n_b_max)
                 if not boundary:

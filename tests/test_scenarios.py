@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from multiprocessing import Pool
@@ -6,11 +7,11 @@ from multiprocessing import Pool
 import numpy as np
 import pytest
 
-from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SweepSpec,
-                       SystemParams, TruncationConfig, bundle_params,
+from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SteadyStateError,
+                       SweepSpec, SystemParams, TruncationConfig, bundle_params,
                        compare_oracle, g_k_zero, hamiltonian_qd_driven,
-                       hamiltonian_smr_driven, preset_params, run_sweep,
-                       solve_point)
+                       hamiltonian_smr_driven, oracle_g2, preset_params, run_sweep,
+                       solve_point, steady_amplitudes)
 from polariton import scenarios
 from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
                                  _openblas_thread_counts, build_hamiltonian, run_g2tau)
@@ -264,3 +265,135 @@ def test_fresh_interpreter_runs_g2tau_points_on_one_blas_thread(tmp_path):
         assert counts and all(n == 1 for n in counts), seen
     assert seen["after"] == seen["before"]
     assert seen["env_after"] == seen["env"] == "2"
+
+
+A2_RESONANT = dict(swept="delta_smr", preset="A2", overrides={"g": 4.5}, resonant=True,
+                   truncation=CFG3, modes=("a", "b", "c", "d"), orders=(2, 3))
+
+
+def direct_rows(spec: SweepSpec) -> list[dict]:
+    """Every grid point's row from its own solve, in ascending order."""
+    return [scenarios._sweep_row(x, scenarios._solve(spec.point_params(x), spec.truncation),
+                                 spec.modes, spec.orders) for x in sorted(spec.grid().tolist())]
+
+
+def assert_rows_close(rows: list[dict], reference: list[dict]):
+    """Same grid values, keys, labels and errors; numbers within 1e-10 relative."""
+    assert [r["sweep_var"] for r in rows] == [r["sweep_var"] for r in reference]
+    for row, ref in zip(rows, reference):
+        assert row.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float) and key != "sweep_var":
+                assert row[key] == pytest.approx(value, rel=1e-10, abs=0), (row["sweep_var"], key)
+            else:
+                assert row[key] == value, (row["sweep_var"], key)
+
+
+def mirrors(spec: SweepSpec) -> list[tuple]:
+    """(x, mirror x' or None) of each pool task."""
+    return [(x, mirror and mirror[0]) for x, *_, mirror in scenarios._work_items(spec)]
+
+
+def test_mirror_pairs_take_values_a_few_ulps_off(caplog):
+    spec = SweepSpec(values=(3.0, -0.7, 2.0, 0.7000000000000001, -2.0000000000000004),
+                     **A2_RESONANT)
+    assert mirrors(spec) == [(0.7000000000000001, -0.7), (2.0, -2.0000000000000004), (3.0, None)]
+    with caplog.at_level("DEBUG", logger="polariton.scenarios"):
+        rows = run_sweep(spec).rows
+    assert ("run_sweep: 5 rows, 3 steady-state solves, 2 rows from a mirrored state, "
+            "0 certificate fallbacks") in caplog.text
+    assert_rows_close(rows, direct_rows(spec))
+
+
+def test_mirror_partners_match_a_loop_over_every_pair():
+    """Repeated values and gaps around the tolerance: each x > 0, smallest
+    first, takes the nearest unused value <= 0 within MIRROR_RTOL."""
+    def reference(ranked):
+        used, partners = set(), {}
+        for i in [i for i, x in enumerate(ranked) if x > 0]:
+            tol = scenarios.MIRROR_RTOL * max(1.0, abs(ranked[i]))
+            near = [j for j, y in enumerate(ranked)
+                    if y <= 0 and j not in used and abs(y + ranked[i]) <= tol]
+            if near:
+                j = min(near, key=lambda j: (abs(ranked[j] + ranked[i]), j))
+                used.add(j)
+                partners[i] = j
+        return partners
+
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        base = rng.choice([-1e5, -2.0, -0.5, -1e-13, 0.0, 1e-13, 0.5, 2.0, 3.0, 1e5],
+                          size=rng.integers(1, 12))
+        jitter = rng.choice([0.0, 1e-15, 5e-13, 1e-12, 2e-12], size=base.size)
+        ranked = np.sort(base + rng.choice([-1, 1], size=base.size) * jitter
+                         * np.maximum(1.0, np.abs(base)))
+        assert scenarios._mirror_partners(ranked) == reference(ranked.tolist()), ranked
+
+
+def test_odd_mirrored_grid_solves_zero_alone():
+    spec = SweepSpec(start=-1.0, stop=1.0, count=5, **A2_RESONANT)
+    assert mirrors(spec) == [(0.0, None), (0.5, -0.5), (1.0, -1.0)]
+    rows, reference = run_sweep(spec).rows, direct_rows(spec)
+    assert rows[2] == reference[2]
+    assert_rows_close(rows, reference)
+
+
+@pytest.mark.parametrize("changes", [
+    {"values": (-1.3, 0.4, 2.2)},  # resonant, but no value has a mirror
+    {"values": (-1.0, 1.0), "resonant": False},  # keeps A2's detuning offsets
+    {"values": (-1.0, 1.0), "swept": "g", "resonant": False},
+], ids=["asymmetric", "offset-detunings", "g"])
+def test_sweeps_without_mirrors_solve_every_point(changes):
+    spec = SweepSpec(**{**A2_RESONANT, **changes})
+    assert all(mirror is None for _, mirror in mirrors(spec))
+    assert run_sweep(spec).rows == direct_rows(spec)
+
+
+def test_failed_solve_leaves_the_mirror_point_its_own_solve(monkeypatch, caplog):
+    spec = SweepSpec(values=(-1.0, 1.0), **A2_RESONANT)
+    reference = direct_rows(spec)
+    real_solve_point = scenarios.solve_point
+
+    def fail_above_zero(p, cfg):
+        if p.delta_a > 0:
+            raise SteadyStateError("no steady state here")
+        return real_solve_point(p, cfg)
+
+    monkeypatch.setattr(scenarios, "solve_point", fail_above_zero)
+    with caplog.at_level("DEBUG", logger="polariton.scenarios"):
+        rows = run_sweep(spec, threads=1).rows
+    assert "2 rows, 2 steady-state solves, 0 rows from a mirrored state" in caplog.text
+    assert rows[0] == reference[0]
+    assert rows[1] == {"sweep_var": 1.0, "error": "SteadyStateError: no steady state here"}
+
+
+def test_failed_certificate_falls_back_to_a_direct_solve(monkeypatch, caplog):
+    spec = SweepSpec(values=(-1.0, 1.0), **A2_RESONANT)
+
+    def reject(L, mat):
+        raise SteadyStateError("rejected")
+
+    monkeypatch.setattr(scenarios, "certify", reject)
+    with caplog.at_level("DEBUG", logger="polariton.scenarios"):
+        rows = run_sweep(spec, threads=1).rows
+    assert ("2 rows, 2 steady-state solves, 0 rows from a mirrored state, "
+            "1 certificate fallbacks") in caplog.text
+    assert rows == direct_rows(spec)
+
+
+def test_compare_oracle_runs_the_oracle_at_each_mirrored_row():
+    spec = SweepSpec(swept="delta_smr", preset="A2", values=(-1.5, -0.5, 0.5, 1.5),
+                     overrides={"g": 4.5, "kappa_a": 6.0, "kappa_b": 6.0}, resonant=True,
+                     truncation=CFG3)
+    assert mirrors(spec) == [(0.5, -0.5), (1.5, -1.5)]
+    result = compare_oracle(spec)
+    assert result.workers == min(2, len(os.sched_getaffinity(0)))
+    for row in result.rows:
+        p = spec.point_params(row["sweep_var"])
+        rho, _ = solve_point(p, CFG3)
+        est = oracle_g2(steady_amplitudes(p))
+        assert (row["oracle_g2_a"], row["oracle_g2_b"], row["oracle_g2_c"]) == (
+            est.g2_a, est.g2_b, est.g2_c)
+        for mode in "abc":
+            assert row[f"me_g2_{mode}"] == pytest.approx(g_k_zero(rho, mode, 2), rel=1e-10, abs=0)
+        assert not row["me_error"] and not row["oracle_error"]

@@ -6,8 +6,7 @@ from polariton import (ParameterError, ResonanceSingularityError, SystemParams,
                        bs_transform_amplitudes, closed_form_double, closed_form_single,
                        hybrid_mode_operator, oracle_g2, solve_double_excitation,
                        solve_single_excitation, steady_amplitudes)
-from polariton.hilbert import FockLabel
-from helpers import closed_form_g2_b_dip, index_of
+from helpers import FockLabel, closed_form_g2_b_dip, index_of
 
 
 def resonant(delta, f, g, kappa, eta, gamma=1.0):
