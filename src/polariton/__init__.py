@@ -16,7 +16,7 @@ from .correlations import (DynamicsLabel, StatisticsCase, classify_dynamics,
                            classify_statistics, dominant_period, g2_tau, g_k_zero,
                            hybrid_moments_from_local)
 from .spectrum import (JCDoublet, ManifoldSpectrum, ResonanceDistances,
-                       analytic_manifolds, jc_spectrum, manifold_spectrum,
+                       analytic_manifolds, jc_spectrum, manifold_blocks, manifold_spectrum,
                        minimum_gap, resonance_distances)
 from .weakdrive import (AmplitudeSet, HybridAmplitudeSet, OracleG2,
                         bs_transform_amplitudes, closed_form_double,

@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -60,6 +61,8 @@ _SPECTRUM_KEYS = {"kind", "g", "manifolds", "sweep", "frequencies"}
 
 def _fmt(value) -> str:
     """Fixed scientific notation, 12 significant digits; empty for missing."""
+    if isinstance(value, float):  # the common cell, np.float64 included
+        return f"{value:.11e}" if math.isfinite(value) else ""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -68,10 +71,7 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, str):
         return value
-    v = float(value)
-    if not np.isfinite(v):
-        return ""
-    return f"{v:.11e}"
+    return _fmt(float(value))
 
 
 def _check_keys(mapping: dict, allowed: set, where: str):
@@ -425,22 +425,15 @@ def _cmd_spectrum(config: dict) -> int:
         header = ["sweep_var"]
         for n in manifolds:
             header += [f"m{n}_{i + 1}" for i in range(result.manifold_rows[n].shape[1])]
-        rows = []
-        for i, x in enumerate(result.sweep_values):
-            row = {"sweep_var": float(x)}
-            for n in manifolds:
-                for j, freq in enumerate(result.manifold_rows[n][i]):
-                    row[f"m{n}_{j + 1}"] = float(freq)
-            rows.append(row)
-        writer.write_table(header, rows)
+        table = np.column_stack([result.sweep_values] + [result.manifold_rows[n] for n in manifolds])
+        writer.write_table(header, [dict(zip(header, row)) for row in table.tolist()])
         writer.write_summary("spectrum-manifolds-v1", config, [], {
             "min_gaps": {str(n): result.min_gaps[n] for n in manifolds}})
     else:
         rows = resonance_distance_sweep(config["preset"], g, grid)
         writer.write_table(["sweep_var", "d1", "d2", "d3", "error"], rows)
-        d1 = np.array([r["d1"] for r in rows])
         writer.write_summary("spectrum-distances-v1", config, [], {
-            "d1_min_at": float(grid[int(np.argmin(d1))])})
+            "d1_min_at": min(rows, key=lambda r: r["d1"])["sweep_var"]})
     return 0
 
 

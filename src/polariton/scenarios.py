@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence, Union
@@ -38,7 +39,7 @@ from .hilbert import TruncationConfig
 from .lindblad import DensityMatrix, build_liouvillian, certify, steady_state
 from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
-from .spectrum import manifold_spectrum, minimum_gap, resonance_distances
+from .spectrum import manifold_blocks, manifold_spectrum, minimum_gap, resonance_distances
 from .weakdrive import oracle_g2, steady_amplitudes
 
 SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b")
@@ -594,8 +595,8 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
 
     The photon and qubit frequencies come from the preset's absolute
     values unless ``frequencies`` = (omega_smr, omega_q) overrides them;
-    drives are zeroed (the undriven Hamiltonian conserves the polariton
-    number).
+    drives are zeroed, so H(+) conserves the polariton number and each
+    manifold's blocks along the grid take one batched eigvalsh.
     """
     pre = PRESETS[preset]
     omega_smr, _, omega_q = pre.frequencies
@@ -605,14 +606,14 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
                             delta_a=omega_smr, delta_q=omega_q)
     cfg = TruncationConfig(n_a_max=max(3, max(manifolds)), n_b_max=max(3, max(manifolds)))
     grid = np.asarray(omega_m_grid, dtype=float)
-    rows: dict[int, list] = {n: [] for n in manifolds}
-    for omega_m in grid:
-        H = hamiltonian_undriven(base.with_(delta_b=float(omega_m)), +1, cfg)
-        for n in manifolds:
-            rows[n].append(manifold_spectrum(H, n, cfg).frequencies)
-    stacked = {n: np.vstack(v) for n, v in rows.items()}
-    gaps = {n: minimum_gap(list(v)) for n, v in stacked.items()}
-    return SpectrumResult(grid, stacked, gaps)
+    start = time.perf_counter()
+    blocks = [manifold_blocks(hamiltonian_undriven(base.with_(delta_b=omega_m), +1, cfg),
+                              manifolds, cfg) for omega_m in grid.tolist()]
+    rows = {n: np.linalg.eigvalsh(np.stack([b[k] for b in blocks]))
+            for k, n in enumerate(manifolds)}
+    _log.debug("spectrum_sweep: %d grid points, manifolds %s, dimension %d, %.4f s",
+               len(grid), list(manifolds), cfg.dim, time.perf_counter() - start)
+    return SpectrumResult(grid, rows, {n: minimum_gap(v) for n, v in rows.items()})
 
 
 def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[float]) -> list[dict]:
@@ -622,12 +623,12 @@ def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[flo
     base = pre.params.with_(eta_a=0.0, eta_b=0.0, g=g, delta_a=omega_smr,
                             delta_b=omega_m, delta_q=omega_q)
     cfg = TruncationConfig(n_a_max=3, n_b_max=3)
+    grid = np.asarray(delta_smr_grid, dtype=float)
+    start = time.perf_counter()
     H = hamiltonian_undriven(base, +1, cfg)
-    spectra = [manifold_spectrum(H, n, cfg) for n in (1, 2, 3)]
-    rows = []
-    for delta in np.asarray(delta_smr_grid, dtype=float):
-        omega_p = omega_smr - float(delta)
-        d = resonance_distances(omega_p, spectra)
-        rows.append({"sweep_var": float(delta), "d1": d.d1, "d2": d.d2, "d3": d.d3,
-                     "error": ""})
+    d = resonance_distances(omega_smr - grid, [manifold_spectrum(H, n, cfg) for n in (1, 2, 3)])
+    rows = [{"sweep_var": x, "d1": d1, "d2": d2, "d3": d3, "error": ""}
+            for x, d1, d2, d3 in zip(grid.tolist(), d.d1.tolist(), d.d2.tolist(), d.d3.tolist())]
+    _log.debug("resonance_distance_sweep: %d grid points, manifolds [1, 2, 3], dimension %d, "
+               "%.4f s", len(grid), cfg.dim, time.perf_counter() - start)
     return rows

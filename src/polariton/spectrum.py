@@ -28,28 +28,22 @@ class ManifoldSpectrum:
     n: int
     frequencies: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "frequencies", np.asarray(self.frequencies, dtype=float))
-
 
 @dataclass(frozen=True)
 class ResonanceDistances:
     """Squared detunings of k pump quanta from the nearest k-th manifold level."""
 
-    d1: float
-    d2: float
-    d3: float
+    d1: float | np.ndarray
+    d2: float | np.ndarray
+    d3: float | np.ndarray
 
 
-def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldSpectrum:
-    """Eigenvalues of H, on the space of ``cfg``, restricted to the
-    n-polariton manifold, ascending.
-
-    Requires H to conserve the polariton number; any matrix element
-    between different manifolds raises a precondition error.  Degenerate
-    eigenvalues keep the deterministic LAPACK ascending order, with basis
-    states enumerated by canonical index.
-    """
+def manifold_blocks(H: np.ndarray, manifolds: Sequence[int],
+                    cfg: TruncationConfig) -> list[np.ndarray]:
+    """H's blocks on the n-polariton manifolds ``manifolds``, in that order,
+    basis states in canonical order.  H, on the space of ``cfg``, must
+    conserve the polariton number: one check for all blocks raises a
+    precondition error on any element between different manifolds."""
     cfg.check_operator(H, "Hamiltonian")
     excitations = excitation_numbers(cfg)
     mask = excitations[:, None] != excitations[None, :]
@@ -58,10 +52,19 @@ def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldS
         raise ParameterError(
             "Hamiltonian does not conserve the polariton number "
             f"(off-manifold weight {off_block.max():.2e}); was it built with a drive?")
-    idx = np.flatnonzero(excitations == n)
-    if idx.size == 0:
-        raise ParameterError(f"manifold n={n} is empty within truncation {cfg.dims}")
-    return ManifoldSpectrum(n, np.linalg.eigvalsh(H[np.ix_(idx, idx)]))
+    blocks = []
+    for n in manifolds:
+        idx = np.flatnonzero(excitations == n)
+        if idx.size == 0:
+            raise ParameterError(f"manifold n={n} is empty within truncation {cfg.dims}")
+        blocks.append(H[idx[:, None], idx])
+    return blocks
+
+
+def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldSpectrum:
+    """Eigenvalues of H's block on the n-polariton manifold, ascending;
+    degenerate ones keep the deterministic LAPACK order."""
+    return ManifoldSpectrum(n, np.linalg.eigvalsh(manifold_blocks(H, (n,), cfg)[0]))
 
 
 def _common_detuning(p: SystemParams) -> float:
@@ -128,14 +131,16 @@ def jc_spectrum(n: int, p: SystemParams) -> JCDoublet:
     return JCDoublet(n, n * omega + half_split, n * omega - half_split, rabi, angle, resonant)
 
 
-def resonance_distances(omega_p: float, spectra: Sequence[ManifoldSpectrum]) -> ResonanceDistances:
+def resonance_distances(omega_p, spectra: Sequence[ManifoldSpectrum]) -> ResonanceDistances:
     """D_kPR = min_i |k omega_p - w_i^(k)|^2 for k = 1, 2, 3.
 
     ``spectra`` must contain the manifolds n = 1, 2, 3 (any order); the
     frequencies are interpreted in the same frame as omega_p (lab frame
-    for pump-resonance diagnostics).
+    for pump-resonance diagnostics).  A float ``omega_p`` gives floats, an
+    array of pump frequencies arrays of its shape.
     """
     by_n = {s.n: s for s in spectra}
+    omega_p = np.asarray(omega_p, dtype=float)[..., None]
     dists = []
     for k in (1, 2, 3):
         if k not in by_n:
@@ -143,18 +148,19 @@ def resonance_distances(omega_p: float, spectra: Sequence[ManifoldSpectrum]) -> 
         freqs = by_n[k].frequencies
         if freqs.size == 0:
             raise ParameterError(f"manifold n={k} is empty")
-        dists.append(float(np.min(np.abs(k * omega_p - freqs) ** 2)))
+        d = np.min(np.abs(k * omega_p - freqs) ** 2, axis=-1)
+        dists.append(d if d.ndim else float(d))
     return ResonanceDistances(*dists)
 
 
-def minimum_gap(frequency_rows: Sequence[np.ndarray]) -> float:
-    """Smallest adjacent-level gap across a sweep of sorted manifold spectra.
+def minimum_gap(frequency_rows) -> float:
+    """Smallest adjacent-level gap across a sweep of sorted manifold
+    spectra, given as a (points, levels) array.
 
     A strictly positive result over an anti-crossing window certifies that
     the levels repel rather than cross.
     """
-    gaps = [np.diff(np.asarray(row, dtype=float)).min() for row in frequency_rows
-            if len(row) >= 2]
-    if not gaps:
+    rows = np.asarray(frequency_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] < 2:
         raise ParameterError("need at least one spectrum with two levels")
-    return float(min(gaps))
+    return float(np.diff(rows, axis=1).min())

@@ -11,7 +11,7 @@ import pytest
 
 from polariton import (ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point,
                        tau_to_us)
-from polariton.cli import load_config, main
+from polariton.cli import _fmt, load_config, main
 from helpers import fresh_env
 
 
@@ -27,6 +27,18 @@ truncation: {{n_a_max: 3, n_b_max: 3}}
 sweep: {{variable: delta_smr, start: -1.0, stop: 1.0, count: 5, resonant: true}}
 output: {{directory: {out}, basename: sweep}}
 """
+
+
+@pytest.mark.parametrize("value, text", [
+    (1.5, "1.50000000000e+00"), (-2.25e-7, "-2.25000000000e-07"),
+    (np.float64(3.141592653589793), "3.14159265359e+00"),
+    (np.float32(0.1), "1.00000001490e-01"),  # not a float subclass: converted first
+    (np.float32(np.inf), ""), (float("inf"), ""), (float("-inf"), ""), (float("nan"), ""),
+    (np.float64("nan"), ""), (-0.0, "-0.00000000000e+00"), (1e-300, "1.00000000000e-300"),
+    (True, "true"), (False, "false"), (7, "7"), (np.int64(-12), "-12"), (None, ""),
+    ("x y", "x y")])
+def test_fmt_cells(value, text):
+    assert _fmt(value) == text
 
 
 def test_g2sweep_row_count_and_schema(tmp_path):

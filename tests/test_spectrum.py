@@ -1,9 +1,12 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from polariton import (ParameterError, SystemParams,
+from polariton import (PRESETS, ParameterError, SystemParams,
                        TruncationConfig, analytic_manifolds, hamiltonian_qd_driven,
-                       hamiltonian_undriven, jc_spectrum, manifold_spectrum,
+                       hamiltonian_undriven, jc_spectrum, manifold_blocks, manifold_spectrum,
                        minimum_gap, resonance_distances)
 from polariton.scenarios import resonance_distance_sweep, spectrum_sweep
 
@@ -31,6 +34,18 @@ def test_driven_hamiltonian_rejected():
     H = hamiltonian_qd_driven(p.with_(eta_a=0.0, eta_b=0.3), CFG)
     with pytest.raises(ParameterError):
         manifold_spectrum(H, 1, CFG)
+
+
+def test_manifold_blocks_checks_and_order():
+    p = SystemParams(delta_a=1.0, eta_b=0.3)
+    with pytest.raises(ParameterError, match="does not conserve the polariton number"):
+        manifold_blocks(hamiltonian_qd_driven(p, CFG), (1, 2, 3), CFG)
+    H = hamiltonian_undriven(resonant_params(0.5, 1.0, 2.0), +1, CFG)
+    with pytest.raises(ParameterError, match="manifold n=9 is empty"):
+        manifold_blocks(H, (1, 9), CFG)
+    blocks = manifold_blocks(H, (2, 1), CFG)
+    assert [b.shape for b in blocks] == [(5, 5), (3, 3)]
+    assert np.array_equal(np.linalg.eigvalsh(blocks[0]), manifold_spectrum(H, 2, CFG).frequencies)
 
 
 def test_quoted_eigenvalues():
@@ -126,6 +141,66 @@ def test_spectrum_sweep_anticrossing_and_continuity():
         # eigenvalue curves move at most n * d(omega_m) between grid points
         step = grid[1] - grid[0]
         assert np.max(np.abs(np.diff(rows, axis=0))) <= n * step + 1e-9
+
+
+SHIPPED_OMEGA_M = np.linspace(1544.0, 1564.0, 101)  # configs/manifold_spectra.yaml
+
+
+@pytest.mark.parametrize("manifolds, frequencies", [((1, 2, 3), None), ((1, 4), None),
+                                                    ((1, 2, 3), (1552.0, 1557.5))])
+def test_spectrum_sweep_equals_per_point_manifold_spectra(manifolds, frequencies):
+    result = spectrum_sweep("A1", 7.5, SHIPPED_OMEGA_M, manifolds, frequencies)
+    omega_smr, _, omega_q = PRESETS["A1"].frequencies
+    if frequencies is not None:
+        omega_smr, omega_q = frequencies
+    base = PRESETS["A1"].params.with_(eta_a=0.0, eta_b=0.0, g=7.5,
+                                      delta_a=omega_smr, delta_q=omega_q)
+    cfg = TruncationConfig(max(3, *manifolds), max(3, *manifolds))
+    for n in manifolds:
+        rows = np.array([manifold_spectrum(hamiltonian_undriven(base.with_(delta_b=float(x)), +1,
+                                                                cfg), n, cfg).frequencies
+                         for x in SHIPPED_OMEGA_M])
+        assert np.array_equal(result.manifold_rows[n], rows)
+        assert result.min_gaps[n] == min(np.diff(row).min() for row in rows)
+
+
+def test_spectrum_sweep_memory_stays_per_point():
+    spectrum_sweep("A1", 7.5, SHIPPED_OMEGA_M[:2])  # caches filled outside the window
+    tracemalloc.start()
+    try:
+        spectrum_sweep("A1", 7.5, SHIPPED_OMEGA_M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_resonance_distances_array_equals_scalar_calls():
+    omega_smr, omega_m, omega_q = PRESETS["A1"].frequencies
+    base = PRESETS["A1"].params.with_(eta_a=0.0, g=7.58, delta_a=omega_smr,
+                                      delta_b=omega_m, delta_q=omega_q)
+    H = hamiltonian_undriven(base, +1, CFG)
+    spectra = [manifold_spectrum(H, n, CFG) for n in (1, 2, 3)]
+    grid = np.linspace(-15.0, 15.0, 601)  # configs/resonance_distances.yaml
+    batch = resonance_distances(omega_smr - grid, spectra)
+    rows = resonance_distance_sweep("A1", 7.58, grid)
+    for i, delta in enumerate(grid):
+        one = resonance_distances(omega_smr - float(delta), spectra)
+        assert type(one.d1) is float
+        assert (batch.d1[i], batch.d2[i], batch.d3[i]) == (one.d1, one.d2, one.d3)
+        assert (rows[i]["d1"], rows[i]["d2"], rows[i]["d3"]) == (one.d1, one.d2, one.d3)
+
+
+def test_spectrum_sweeps_log_one_debug_line_each(caplog):
+    with caplog.at_level(logging.DEBUG, logger="polariton.scenarios"):
+        spectrum_sweep("A1", 7.5, SHIPPED_OMEGA_M[:4], manifolds=(1, 4))
+        resonance_distance_sweep("A1", 7.58, np.linspace(-1.0, 1.0, 5))
+    lines = [r.getMessage() for r in caplog.records if r.name == "polariton.scenarios"]
+    assert len(lines) == 2
+    assert lines[0].startswith("spectrum_sweep: 4 grid points, manifolds [1, 4], dimension 50, ")
+    assert lines[1].startswith("resonance_distance_sweep: 5 grid points, manifolds [1, 2, 3], "
+                               "dimension 32, ")
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_minimum_gap_validation():
