@@ -15,13 +15,11 @@ from .lindblad import DensityMatrix, Liouvillian, build_liouvillian, steady_stat
 from .correlations import (DynamicsLabel, StatisticsCase, classify_dynamics,
                            classify_statistics, dominant_period, g2_tau, g_k_zero,
                            hybrid_moments_from_local)
-from .spectrum import (JCDoublet, ManifoldSpectrum, ResonanceDistances,
-                       analytic_manifolds, jc_spectrum, manifold_blocks, manifold_spectrum,
-                       minimum_gap, resonance_distances)
-from .weakdrive import (AmplitudeSet, HybridAmplitudeSet, OracleG2,
-                        bs_transform_amplitudes, closed_form_double,
-                        closed_form_single, oracle_g2, solve_double_excitation,
-                        solve_single_excitation, steady_amplitudes)
+from .spectrum import (JCDoublet, analytic_manifolds, jc_spectrum, manifold_blocks,
+                       manifold_spectrum, minimum_gap, resonance_distances)
+from .weakdrive import (bs_transform_amplitudes, closed_form_double, closed_form_single,
+                        oracle_g2, solve_double_excitation, solve_single_excitation,
+                        steady_amplitudes)
 from .scenarios import (OVERRIDE_BUNDLES, PRESETS, OracleComparison, Preset,
                         SweepResult, SweepSpec, bundle_params, compare_oracle,
                         g2tau_point, preset_params, resonance_distance_sweep,

@@ -37,7 +37,7 @@ from .errors import (ConfigError, DimensionError, InsufficientDataError, Paramet
                      PolaritonError)
 from .hilbert import TruncationConfig
 from .model import MODES, SystemParams, tau_to_us
-from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, compare_oracle,
+from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, check_one_drive, compare_oracle,
                         pool_workers, resolve_params, resonance_distance_sweep, run_g2tau,
                         run_sweep, spectrum_sweep)
 
@@ -242,8 +242,11 @@ def _validate(config: dict, command: str):
         if bad:
             raise ConfigError(f"unknown modes {bad}")
         _check_unique(config["modes"], "modes")
-    if "orders" in config:
-        _check_list(config["orders"], "orders", lambda k, where: _check_count(k, where, minimum=2))
+    if "orders" in config:  # the g2sweep-v1 table has columns for these orders only
+        bad = [k for k in _check_list(config["orders"], "orders")
+               if type(k) is not int or k not in DEFAULT_ORDERS]
+        if bad:
+            raise ConfigError(f"orders {bad} outside the allowed set {list(DEFAULT_ORDERS)}")
         _check_unique(config["orders"], "orders")
     _check_count(config.get("threads", 1), "threads")
 
@@ -379,6 +382,8 @@ def _cmd_g2tau(config: dict) -> int:
         params = SystemParams(**config["params"]) if "params" in config else None
         base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
         points = [base.with_(**point) for point in config["points"]]
+        for p in points:
+            check_one_drive(p)
     except ParameterError as exc:
         raise ConfigError(str(exc))
     results = run_g2tau(points, _truncation(config), grid_inv_gamma, modes, config.get("threads"))

@@ -158,6 +158,7 @@ class SweepSpec:
         if min(self.orders, default=2) < 2:
             raise ParameterError("correlation orders must all be >= 2")
         base = self.base_params()
+        check_one_drive(base)
         if self.swept == "eta_a" and base.eta_b != 0.0:
             raise ParameterError("cannot sweep eta_a while the preset drives the phonon mode")
         if self.swept == "eta_b" and base.eta_a != 0.0:
@@ -182,12 +183,17 @@ class SweepSpec:
                           delta_q=x + (base.delta_q - base.delta_a))
 
 
-def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
-    """Rotating-frame Hamiltonian with the photon mode driven when eta_a is
-    nonzero and the phonon mode driven otherwise; driving both is rejected."""
+def check_one_drive(p: SystemParams) -> None:
+    """Reject parameters that drive both the photon and the phonon mode."""
     if p.eta_a != 0.0 and p.eta_b != 0.0:
         raise ParameterError(
             f"drive one mode only: eta_a = {p.eta_a} and eta_b = {p.eta_b} are both nonzero")
+
+
+def build_hamiltonian(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
+    """Rotating-frame Hamiltonian with the photon mode driven when eta_a is
+    nonzero and the phonon mode driven otherwise; driving both is rejected."""
+    check_one_drive(p)
     if p.eta_a != 0.0:
         return hamiltonian_smr_driven(p, cfg)
     return hamiltonian_qd_driven(p, cfg)
@@ -470,8 +476,8 @@ def _oracle_row(row: dict, p: SystemParams) -> dict:
     row.pop("boundary", None)
     row["oracle_error"] = ""
     try:
-        est = oracle_g2(steady_amplitudes(p))
-        row.update(oracle_g2_a=est.g2_a, oracle_g2_b=est.g2_b, oracle_g2_c=est.g2_c)
+        row.update(zip(("oracle_g2_a", "oracle_g2_b", "oracle_g2_c"),
+                       oracle_g2(steady_amplitudes(p)).tolist()))
     except PolaritonError as exc:
         row["oracle_error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -628,7 +634,7 @@ def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[flo
     H = hamiltonian_undriven(base, +1, cfg)
     d = resonance_distances(omega_smr - grid, [manifold_spectrum(H, n, cfg) for n in (1, 2, 3)])
     rows = [{"sweep_var": x, "d1": d1, "d2": d2, "d3": d3, "error": ""}
-            for x, d1, d2, d3 in zip(grid.tolist(), d.d1.tolist(), d.d2.tolist(), d.d3.tolist())]
+            for x, (d1, d2, d3) in zip(grid.tolist(), d.T.tolist())]
     _log.debug("resonance_distance_sweep: %d grid points, manifolds [1, 2, 3], dimension %d, "
                "%.4f s", len(grid), cfg.dim, time.perf_counter() - start)
     return rows

@@ -21,23 +21,6 @@ from .hilbert import TruncationConfig, excitation_numbers
 from .model import SystemParams
 
 
-@dataclass(frozen=True)
-class ManifoldSpectrum:
-    """Sorted eigenfrequencies of one fixed-excitation manifold."""
-
-    n: int
-    frequencies: np.ndarray
-
-
-@dataclass(frozen=True)
-class ResonanceDistances:
-    """Squared detunings of k pump quanta from the nearest k-th manifold level."""
-
-    d1: float | np.ndarray
-    d2: float | np.ndarray
-    d3: float | np.ndarray
-
-
 def manifold_blocks(H: np.ndarray, manifolds: Sequence[int],
                     cfg: TruncationConfig) -> list[np.ndarray]:
     """H's blocks on the n-polariton manifolds ``manifolds``, in that order,
@@ -61,10 +44,10 @@ def manifold_blocks(H: np.ndarray, manifolds: Sequence[int],
     return blocks
 
 
-def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> ManifoldSpectrum:
+def manifold_spectrum(H: np.ndarray, n: int, cfg: TruncationConfig) -> np.ndarray:
     """Eigenvalues of H's block on the n-polariton manifold, ascending;
     degenerate ones keep the deterministic LAPACK order."""
-    return ManifoldSpectrum(n, np.linalg.eigvalsh(manifold_blocks(H, (n,), cfg)[0]))
+    return np.linalg.eigvalsh(manifold_blocks(H, (n,), cfg)[0])
 
 
 def _common_detuning(p: SystemParams) -> float:
@@ -131,26 +114,23 @@ def jc_spectrum(n: int, p: SystemParams) -> JCDoublet:
     return JCDoublet(n, n * omega + half_split, n * omega - half_split, rabi, angle, resonant)
 
 
-def resonance_distances(omega_p, spectra: Sequence[ManifoldSpectrum]) -> ResonanceDistances:
-    """D_kPR = min_i |k omega_p - w_i^(k)|^2 for k = 1, 2, 3.
+def resonance_distances(omega_p, spectra: Sequence[np.ndarray]) -> np.ndarray:
+    """D_kPR = min_i |k omega_p - w_i^(k)|^2 for k = 1, 2, 3, as an array of
+    shape (3,) + shape(omega_p).
 
-    ``spectra`` must contain the manifolds n = 1, 2, 3 (any order); the
-    frequencies are interpreted in the same frame as omega_p (lab frame
-    for pump-resonance diagnostics).  A float ``omega_p`` gives floats, an
-    array of pump frequencies arrays of its shape.
+    ``spectra`` holds the frequencies of the manifolds n = 1, 2, 3, in that
+    order, in the same frame as omega_p (lab frame for pump-resonance
+    diagnostics).
     """
-    by_n = {s.n: s for s in spectra}
+    if len(spectra) < 3:
+        raise ParameterError(f"missing manifold n={len(spectra) + 1} for resonance distances")
     omega_p = np.asarray(omega_p, dtype=float)[..., None]
     dists = []
-    for k in (1, 2, 3):
-        if k not in by_n:
-            raise ParameterError(f"missing manifold n={k} for resonance distances")
-        freqs = by_n[k].frequencies
-        if freqs.size == 0:
+    for k, freqs in zip((1, 2, 3), spectra):
+        if np.size(freqs) == 0:
             raise ParameterError(f"manifold n={k} is empty")
-        d = np.min(np.abs(k * omega_p - freqs) ** 2, axis=-1)
-        dists.append(d if d.ndim else float(d))
-    return ResonanceDistances(*dists)
+        dists.append(np.min(np.abs(k * omega_p - freqs) ** 2, axis=-1))
+    return np.array(dists)
 
 
 def minimum_gap(frequency_rows) -> float:

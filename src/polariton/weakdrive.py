@@ -18,7 +18,6 @@ which cancels in every observable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,43 +26,6 @@ from .errors import ParameterError, ResonanceSingularityError, UndefinedCorrelat
 from .model import SystemParams
 
 _SQRT2 = math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """Steady-state amplitudes of the weak-drive expansion, C00g fixed at 1."""
-
-    c10g: complex
-    c01g: complex
-    c00e: complex
-    c11g: complex
-    c20g: complex
-    c02g: complex
-    c10e: complex
-    c01e: complex
-    c00g: complex = 1.0
-
-
-@dataclass(frozen=True)
-class HybridAmplitudeSet:
-    """Amplitudes in the hybrid-mode basis (balanced-coupler images)."""
-
-    c10g: complex
-    c01g: complex
-    c10e: complex
-    c01e: complex
-    c11g: complex
-    c20g: complex
-    c02g: complex
-
-
-@dataclass(frozen=True)
-class OracleG2:
-    """Weak-drive estimates of the three second-order correlations."""
-
-    g2_a: float
-    g2_b: float
-    g2_c: float
 
 
 def _oracle_context(p: SystemParams) -> tuple[float, float, float, complex, complex]:
@@ -138,17 +100,23 @@ def solve_double_excitation(
     return complex(c11g), complex(c20g), complex(c02g), complex(c10e), complex(c01e)
 
 
-def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
-    """Full amplitude set from the two linear solves."""
-    singles = solve_single_excitation(p)
+def steady_amplitudes(p: SystemParams) -> np.ndarray:
+    """Amplitudes C[n_a, n_b, q] from the two linear solves, q = 0 for g and
+    1 for e: the (3, 3, 2) layout of ``TruncationConfig(2, 2)``, so
+    ``C.ravel()`` is its state vector.  C[0, 0, 0] = 1, and the entries
+    above two excitations are 0."""
+    c01g, c10g, c00e = singles = solve_single_excitation(p)
     c11g, c20g, c02g, c10e, c01e = solve_double_excitation(p, singles)
-    c01g, c10g, c00e = singles
-    return AmplitudeSet(c10g=c10g, c01g=c01g, c00e=c00e, c11g=c11g,
-                        c20g=c20g, c02g=c02g, c10e=c10e, c01e=c01e)
+    C = np.zeros((3, 3, 2), dtype=complex)
+    C[0, 0] = 1.0, c00e
+    C[1, 0] = c10g, c10e
+    C[0, 1] = c01g, c01e
+    C[1, 1, 0], C[2, 0, 0], C[0, 2, 0] = c11g, c20g, c02g
+    return C
 
 
-def bs_transform_amplitudes(amps: AmplitudeSet) -> HybridAmplitudeSet:
-    """Balanced-coupler images of the amplitudes (hybrid-mode basis).
+def bs_transform_amplitudes(C: np.ndarray) -> np.ndarray:
+    """Balanced-coupler images C'[n_c, n_d, q] of the amplitudes C[n_a, n_b, q].
 
     Each (n_c, n_d) amplitude is the coefficient of |n_c, n_d> in the Fock
     basis of c, d = (a +/- b)/sqrt(2): the outputs of ``linear_coupler`` at
@@ -156,30 +124,28 @@ def bs_transform_amplitudes(amps: AmplitudeSet) -> HybridAmplitudeSet:
     follow from a' = (c' + d')/sqrt(2) and b' = (c' - d')/sqrt(2): a term
     changes sign once for each d quantum that comes from a b'.
     """
-    return HybridAmplitudeSet(
-        c10g=(amps.c10g + amps.c01g) / _SQRT2,
-        c01g=(amps.c10g - amps.c01g) / _SQRT2,
-        c10e=(amps.c10e + amps.c01e) / _SQRT2,
-        c01e=(amps.c10e - amps.c01e) / _SQRT2,
-        c11g=(amps.c20g - amps.c02g) / _SQRT2,
-        c20g=(amps.c20g + _SQRT2 * amps.c11g + amps.c02g) / 2.0,
-        c02g=(amps.c20g - _SQRT2 * amps.c11g + amps.c02g) / 2.0,
-    )
+    hybrid = np.zeros_like(C)
+    hybrid[0, 0] = C[0, 0]
+    hybrid[1, 0] = (C[1, 0] + C[0, 1]) / _SQRT2
+    hybrid[0, 1] = (C[1, 0] - C[0, 1]) / _SQRT2
+    hybrid[1, 1, 0] = (C[2, 0, 0] - C[0, 2, 0]) / _SQRT2
+    hybrid[2, 0, 0] = (C[2, 0, 0] + _SQRT2 * C[1, 1, 0] + C[0, 2, 0]) / 2.0
+    hybrid[0, 2, 0] = (C[2, 0, 0] - _SQRT2 * C[1, 1, 0] + C[0, 2, 0]) / 2.0
+    return hybrid
 
 
-def oracle_g2(amps: AmplitudeSet) -> OracleG2:
-    """Weak-drive g2 estimates for the photon, phonon, and hybrid-c modes."""
-    hybrid = bs_transform_amplitudes(amps)
-    out = []
-    for label, c2, c1 in (("a", amps.c20g, amps.c10g),
-                          ("b", amps.c02g, amps.c01g),
-                          ("c", hybrid.c20g, hybrid.c10g)):
-        occ = abs(c1) ** 2
+def oracle_g2(C: np.ndarray) -> np.ndarray:
+    """Weak-drive (g2_a, g2_b, g2_c): 2 |C20g|^2 / |C10g|^4 of the amplitudes C,
+    of C with n_a and n_b swapped, and of the coupler image of C."""
+    out = np.empty(3)
+    for i, (label, amps) in enumerate((("a", C), ("b", C.transpose(1, 0, 2)),
+                                       ("c", bs_transform_amplitudes(C)))):
+        occ = abs(amps[1, 0, 0]) ** 2
         if occ <= OCCUPANCY_FLOOR:
             raise UndefinedCorrelationError(
                 f"oracle mode {label}: occupation {occ:.3e} at or below the floor")
-        out.append(2.0 * abs(c2) ** 2 / occ ** 2)
-    return OracleG2(*out)
+        out[i] = 2.0 * abs(amps[2, 0, 0]) ** 2 / occ ** 2
+    return out
 
 
 def closed_form_single(p: SystemParams) -> tuple[complex, complex]:

@@ -33,8 +33,8 @@ def test_criterion_1_manifold_eigenvalues():
     delta, f, g = 1.0, 5.0, 7.5
     p = SystemParams(delta_a=delta, delta_b=delta, delta_q=delta, f=f, g=g)
     H = hamiltonian_undriven(p, +1, TruncationConfig(3, 3))
-    m1 = manifold_spectrum(H, 1, TruncationConfig(3, 3)).frequencies
-    m2 = manifold_spectrum(H, 2, TruncationConfig(3, 3)).frequencies
+    m1 = manifold_spectrum(H, 1, TruncationConfig(3, 3))
+    m2 = manifold_spectrum(H, 2, TruncationConfig(3, 3))
     quoted1 = delta + np.array([-9.01388, 0.0, 9.01388])
     quoted2 = 2 * delta + np.array([-16.11725, -5.82965, 0.0, 5.82965, 16.11725])
     e1, e2 = analytic_manifolds(p)
@@ -161,7 +161,7 @@ def test_criterion_6_oscillation_period():
     ok = rel <= 0.05
     # single-excitation lines of the undriven Hamiltonian attribute the period
     H0 = hamiltonian_undriven(p.with_(eta_a=0.0, eta_b=0.0), +1, CUTOFF5)
-    lines = manifold_spectrum(H0, 1, CUTOFF5).frequencies
+    lines = manifold_spectrum(H0, 1, CUTOFF5)
     measured = 2 * np.pi / period
     nearest = abs(lines[np.argmin(np.abs(np.abs(lines) - measured))])
     _report(6, "hybrid-mode oscillation period",

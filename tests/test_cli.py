@@ -150,11 +150,21 @@ def test_g2sweep_leaves_negative_moments_empty(tmp_path):
         assert all(row[c] for c in cells) and row["error"] == ""
 
 
-def test_g2sweep_rejects_two_drives_at_every_point(tmp_path, capsys):
-    cfg = write(tmp_path / "cfg.yaml", G_CFG.format(out=tmp_path / "out"))
-    assert main(["g2sweep", "--config", cfg, "--preset", "A1",
-                 "--override", "eta_b=0.3"]) == 2
-    assert "ParameterError" in capsys.readouterr().err
+@pytest.mark.parametrize("command,body", [
+    ("g2sweep", G_CFG + "preset: A2\noverrides: {{eta_a: 0.5}}\n"),
+    ("oracle-compare", "preset: A2\noverrides: {{g: 4.5, kappa_a: 6.0, kappa_b: 6.0, eta_a: 0.5}}\n"
+                       "sweep: {{variable: delta_smr, values: [-1.0, 1.0], resonant: true}}\n"
+                       "output: {{directory: {out}}}\n"),
+    ("g2tau", "preset: A3\npoints: [{{g: 10.5}}, {{g: 7.7, eta_a: 0.1}}]\n"
+              "tau: {{stop: 0.3, count: 4}}\noutput: {{directory: {out}}}\n"),
+], ids=["g2sweep", "oracle-compare", "g2tau"])
+def test_two_drives_are_a_config_error(tmp_path, capsys, command, body):
+    """A config whose parameters drive both modes is refused before any
+    point runs."""
+    cfg = write(tmp_path / "cfg.yaml", body.format(out=tmp_path / "out"))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "eta_a" in err and "eta_b" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -179,11 +189,11 @@ output: {{directory: {out}, basename: tau}}
 
 
 def test_g2tau_tables_identical_for_one_and_two_workers(tmp_path):
-    # four points, the last of which drives both modes and fails in its worker
+    # four points, the last of which is undriven and fails in its worker
     out = tmp_path / "out"
     cfg = write(tmp_path / "cfg.yaml", f"""
 preset: A3
-points: [{{g: 10.5}}, {{g: 7.35}}, {{g: 13.3}}, {{g: 7.7, eta_a: 0.1}}]
+points: [{{g: 10.5}}, {{g: 7.35}}, {{g: 13.3}}, {{g: 7.7, eta_b: 0.0}}]
 truncation: {{n_a_max: 2, n_b_max: 2}}
 tau: {{stop: 0.3, count: 31}}
 modes: [a, b, c, d]
@@ -445,6 +455,16 @@ def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, bo
     assert main(command.split() + ["--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("orders", ["[2, 5]", "[1]", "[2.0]", "[true]"])
+def test_g2sweep_orders_outside_the_table_are_config_errors(tmp_path, capsys, orders):
+    """g2sweep-v1 has columns for g2 to g4 only, so no other order is computed."""
+    cfg = write(tmp_path / "cfg.yaml",
+                G_SWEEP_BASE + f"orders: {orders}\noutput: {{directory: {tmp_path / 'out'}}}\n")
+    assert main(["g2sweep", "--config", cfg]) == 1
+    assert "allowed set [2, 3, 4]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_takes_no_threads_flag(tmp_path, capsys):

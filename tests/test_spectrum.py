@@ -19,14 +19,14 @@ def resonant_params(delta, g, f):
 
 def test_manifold_dimensions():
     H = hamiltonian_undriven(resonant_params(0.5, 1.0, 2.0), +1, CFG)
-    assert manifold_spectrum(H, 0, CFG).frequencies.shape == (1,)
-    assert manifold_spectrum(H, 1, CFG).frequencies.shape == (3,)
-    assert manifold_spectrum(H, 2, CFG).frequencies.shape == (5,)
+    assert manifold_spectrum(H, 0, CFG).shape == (1,)
+    assert manifold_spectrum(H, 1, CFG).shape == (3,)
+    assert manifold_spectrum(H, 2, CFG).shape == (5,)
 
 
 def test_ground_manifold_is_zero():
     H = hamiltonian_undriven(resonant_params(1.2, 2.0, 1.0), +1, CFG)
-    assert manifold_spectrum(H, 0, CFG).frequencies[0] == 0.0
+    assert manifold_spectrum(H, 0, CFG)[0] == 0.0
 
 
 def test_driven_hamiltonian_rejected():
@@ -45,15 +45,15 @@ def test_manifold_blocks_checks_and_order():
         manifold_blocks(H, (1, 9), CFG)
     blocks = manifold_blocks(H, (2, 1), CFG)
     assert [b.shape for b in blocks] == [(5, 5), (3, 3)]
-    assert np.array_equal(np.linalg.eigvalsh(blocks[0]), manifold_spectrum(H, 2, CFG).frequencies)
+    assert np.array_equal(np.linalg.eigvalsh(blocks[0]), manifold_spectrum(H, 2, CFG))
 
 
 def test_quoted_eigenvalues():
     delta = 2.0
     p = resonant_params(delta, 7.5, 5.0)
     H = hamiltonian_undriven(p, +1, CFG)
-    m1 = manifold_spectrum(H, 1, CFG).frequencies - delta
-    m2 = manifold_spectrum(H, 2, CFG).frequencies - 2 * delta
+    m1 = manifold_spectrum(H, 1, CFG) - delta
+    m2 = manifold_spectrum(H, 2, CFG) - 2 * delta
     assert np.allclose(m1, [-9.01388, 0.0, 9.01388], atol=1e-4)
     assert np.allclose(m2, [-16.11725, -5.82965, 0.0, 5.82965, 16.11725], atol=1e-4)
 
@@ -66,14 +66,14 @@ def test_analytic_numeric_agreement_on_grid():
         p = resonant_params(delta, g, f)
         H = hamiltonian_undriven(p, +1, CFG)
         e1, e2 = analytic_manifolds(p)
-        assert np.allclose(manifold_spectrum(H, 1, CFG).frequencies, e1, atol=1e-9)
-        assert np.allclose(manifold_spectrum(H, 2, CFG).frequencies, e2, atol=1e-9)
+        assert np.allclose(manifold_spectrum(H, 1, CFG), e1, atol=1e-9)
+        assert np.allclose(manifold_spectrum(H, 2, CFG), e2, atol=1e-9)
     # the minus-sign Hamiltonian shares the manifold spectra
     p = resonant_params(0.7, 3.0, 4.0)
     Hm = hamiltonian_undriven(p, -1, CFG)
     e1, e2 = analytic_manifolds(p)
-    assert np.allclose(manifold_spectrum(Hm, 1, CFG).frequencies, e1, atol=1e-9)
-    assert np.allclose(manifold_spectrum(Hm, 2, CFG).frequencies, e2, atol=1e-9)
+    assert np.allclose(manifold_spectrum(Hm, 1, CFG), e1, atol=1e-9)
+    assert np.allclose(manifold_spectrum(Hm, 2, CFG), e2, atol=1e-9)
 
 
 def test_analytic_manifolds_uncoupled_degenerate():
@@ -103,7 +103,7 @@ def test_jc_spectrum_matches_numeric_manifolds():
     offset = 0.5 * (p.delta_a + p.delta_q)
     for n in (0, 1, 2):
         doublet = jc_spectrum(n, p)
-        freqs = manifold_spectrum(H, n + 1, cfg).frequencies
+        freqs = manifold_spectrum(H, n + 1, cfg)
         for target in (doublet.e_minus + offset, doublet.e_plus + offset):
             assert np.min(np.abs(freqs - target)) < 1e-10
 
@@ -112,11 +112,14 @@ def test_resonance_distances_direct():
     delta = 0.0
     H = hamiltonian_undriven(resonant_params(delta, 2.0, 1.0), +1, CFG)
     spectra = [manifold_spectrum(H, n, CFG) for n in (1, 2, 3)]
-    omega_hit = spectra[0].frequencies[1]
+    omega_hit = spectra[0][1]
     d = resonance_distances(omega_hit, spectra)
-    assert d.d1 == pytest.approx(0.0, abs=1e-20)
-    with pytest.raises(ParameterError):
+    assert d.shape == (3,)
+    assert d[0] == pytest.approx(0.0, abs=1e-20)
+    with pytest.raises(ParameterError, match="missing manifold n=3"):
         resonance_distances(1.0, spectra[:2])
+    with pytest.raises(ParameterError, match="manifold n=2 is empty"):
+        resonance_distances(1.0, [spectra[0], np.array([]), spectra[2]])
 
 
 def test_resonance_distance_sweep_dips():
@@ -158,7 +161,7 @@ def test_spectrum_sweep_equals_per_point_manifold_spectra(manifolds, frequencies
     cfg = TruncationConfig(max(3, *manifolds), max(3, *manifolds))
     for n in manifolds:
         rows = np.array([manifold_spectrum(hamiltonian_undriven(base.with_(delta_b=float(x)), +1,
-                                                                cfg), n, cfg).frequencies
+                                                                cfg), n, cfg)
                          for x in SHIPPED_OMEGA_M])
         assert np.array_equal(result.manifold_rows[n], rows)
         assert result.min_gaps[n] == min(np.diff(row).min() for row in rows)
@@ -183,12 +186,13 @@ def test_resonance_distances_array_equals_scalar_calls():
     spectra = [manifold_spectrum(H, n, CFG) for n in (1, 2, 3)]
     grid = np.linspace(-15.0, 15.0, 601)  # configs/resonance_distances.yaml
     batch = resonance_distances(omega_smr - grid, spectra)
+    assert batch.shape == (3, 601)
     rows = resonance_distance_sweep("A1", 7.58, grid)
     for i, delta in enumerate(grid):
         one = resonance_distances(omega_smr - float(delta), spectra)
-        assert type(one.d1) is float
-        assert (batch.d1[i], batch.d2[i], batch.d3[i]) == (one.d1, one.d2, one.d3)
-        assert (rows[i]["d1"], rows[i]["d2"], rows[i]["d3"]) == (one.d1, one.d2, one.d3)
+        assert one.shape == (3,)
+        assert np.array_equal(batch[:, i], one)
+        assert [rows[i]["d1"], rows[i]["d2"], rows[i]["d3"]] == one.tolist()
 
 
 def test_spectrum_sweeps_log_one_debug_line_each(caplog):
@@ -212,6 +216,4 @@ def test_minimum_gap_validation():
 def test_degenerate_sorting_deterministic():
     p = resonant_params(1.0, 0.0, 0.0)
     H = hamiltonian_undriven(p, +1, CFG)
-    s1 = manifold_spectrum(H, 2, CFG)
-    s2 = manifold_spectrum(H, 2, CFG)
-    assert np.array_equal(s1.frequencies, s2.frequencies)
+    assert np.array_equal(manifold_spectrum(H, 2, CFG), manifold_spectrum(H, 2, CFG))

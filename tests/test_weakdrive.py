@@ -6,7 +6,8 @@ from polariton import (ParameterError, ResonanceSingularityError, SystemParams,
                        bs_transform_amplitudes, closed_form_double, closed_form_single,
                        hybrid_mode_operator, oracle_g2, solve_double_excitation,
                        solve_single_excitation, steady_amplitudes)
-from helpers import FockLabel, closed_form_g2_b_dip, index_of
+from polariton.hilbert import excitation_numbers
+from helpers import closed_form_g2_b_dip
 
 
 def resonant(delta, f, g, kappa, eta, gamma=1.0):
@@ -68,75 +69,69 @@ def test_c02g_identity():
     assert abs(c02g - rhs) < 1e-12 * max(1.0, abs(c02g))
 
 
+def test_amplitude_layout():
+    # C[n_a, n_b, q] and its image C'[n_c, n_d, q] share the layout of
+    # TruncationConfig(2, 2), with nothing above two excitations
+    C = steady_amplitudes(resonant(0.8, 2.0, 1.1, 1.5, 0.3))
+    above_two = excitation_numbers(TruncationConfig(2, 2)).reshape(3, 3, 2) > 2
+    for amps in (C, bs_transform_amplitudes(C)):
+        assert amps.shape == (3, 3, 2) and amps.dtype == complex
+        assert amps[0, 0, 0] == 1.0
+        assert not amps[above_two].any()
+
+
 def test_bs_transform_symmetry_and_norms():
     amps = steady_amplitudes(resonant(0.8, 2.0, 1.1, 1.5, 0.3))
-    sym = type(amps)(c10g=0.3 + 0.1j, c01g=0.3 + 0.1j, c00e=0.05,
-                     c11g=0.0, c20g=0.02 - 0.01j, c02g=0.02 - 0.01j,
-                     c10e=0.01, c01e=0.01)
+    sym = np.zeros((3, 3, 2), dtype=complex)
+    sym[0, 0] = 1.0, 0.05
+    sym[1, 0] = sym[0, 1] = 0.3 + 0.1j, 0.01
+    sym[2, 0, 0] = sym[0, 2, 0] = 0.02 - 0.01j
     hyb = bs_transform_amplitudes(sym)
-    assert hyb.c01g == 0.0
-    assert hyb.c20g == pytest.approx(hyb.c02g)
-    # sector norms preserved (the coupler is passive)
+    assert hyb[0, 1, 0] == 0.0
+    assert hyb[2, 0, 0] == pytest.approx(hyb[0, 2, 0])
+    # norms of the sectors of fixed n_a + n_b and q preserved (the coupler is passive)
     hyb2 = bs_transform_amplitudes(amps)
-    ones = abs(amps.c10g) ** 2 + abs(amps.c01g) ** 2
-    assert abs(hyb2.c10g) ** 2 + abs(hyb2.c01g) ** 2 == pytest.approx(ones, rel=1e-12)
-    twos = abs(amps.c11g) ** 2 + abs(amps.c20g) ** 2 + abs(amps.c02g) ** 2
-    assert (abs(hyb2.c11g) ** 2 + abs(hyb2.c20g) ** 2 + abs(hyb2.c02g) ** 2
-            == pytest.approx(twos, rel=1e-12))
-    es = abs(amps.c10e) ** 2 + abs(amps.c01e) ** 2
-    assert abs(hyb2.c10e) ** 2 + abs(hyb2.c01e) ** 2 == pytest.approx(es, rel=1e-12)
+    n_a, n_b, q = np.indices(amps.shape)
+    for bosons, qubit in ((1, 0), (2, 0), (1, 1)):
+        sector = (n_a + n_b == bosons) & (q == qubit)
+        assert (np.sum(np.abs(hyb2[sector]) ** 2)
+                == pytest.approx(np.sum(np.abs(amps[sector]) ** 2), rel=1e-12))
 
 
 def test_bs_transform_consistent_with_fock_map():
-    # assembling the amplitudes into a state and applying the balanced-coupler
-    # unitary reproduces the transformed amplitudes; the components involving
-    # the second output mode carry the opposite sign convention
+    # the balanced-coupler unitary applied to the state C.ravel() gives the
+    # transformed amplitudes on all 18 entries; the components with an odd
+    # number of quanta in the second output mode carry the opposite sign
     cfg = TruncationConfig(2, 2)
-    amps = steady_amplitudes(resonant(0.8, 2.0, 1.1, 1.5, 0.3))
-    vec = np.zeros(cfg.dim, dtype=complex)
-    entries = {(0, 0, "g"): amps.c00g, (1, 0, "g"): amps.c10g, (0, 1, "g"): amps.c01g,
-               (0, 0, "e"): amps.c00e, (1, 1, "g"): amps.c11g, (2, 0, "g"): amps.c20g,
-               (0, 2, "g"): amps.c02g, (1, 0, "e"): amps.c10e, (0, 1, "e"): amps.c01e}
-    for (na, nb, q), c in entries.items():
-        vec[index_of(cfg, FockLabel(na, nb, q))] = c
+    C = steady_amplitudes(resonant(0.8, 2.0, 1.1, 1.5, 0.3))
     # a'b - b'a conserves n_a + n_b, so at cutoffs 2 the exponential is exact
     # on the sector of at most two quanta
     from scipy.linalg import expm
     a = hybrid_mode_operator("a", cfg)
     b = hybrid_mode_operator("b", cfg)
-    out = expm(np.pi / 4 * (a.conj().T @ b - b.conj().T @ a)) @ vec
-    hyb = bs_transform_amplitudes(amps)
-
-    def comp(na, nb, q):
-        return out[index_of(cfg, FockLabel(na, nb, q))]
-
-    assert comp(1, 0, "g") == pytest.approx(hyb.c10g, abs=1e-14)
-    assert comp(2, 0, "g") == pytest.approx(hyb.c20g, abs=1e-14)
-    assert comp(0, 2, "g") == pytest.approx(hyb.c02g, abs=1e-14)
-    assert comp(1, 0, "e") == pytest.approx(hyb.c10e, abs=1e-14)
-    assert comp(0, 1, "g") == pytest.approx(-hyb.c01g, abs=1e-14)
-    assert comp(1, 1, "g") == pytest.approx(-hyb.c11g, abs=1e-14)
-    assert comp(0, 1, "e") == pytest.approx(-hyb.c01e, abs=1e-14)
+    out = (expm(np.pi / 4 * (a.conj().T @ b - b.conj().T @ a)) @ C.ravel()).reshape(C.shape)
+    n_d = np.indices(C.shape)[1]
+    assert np.allclose(out, bs_transform_amplitudes(C) * (-1.0) ** n_d, rtol=0, atol=1e-14)
 
 
 def test_oracle_g2_drive_invariance():
     p = resonant(1.1, 2.3, 1.4, 1.8, 0.1)
     est1 = oracle_g2(steady_amplitudes(p))
     est2 = oracle_g2(steady_amplitudes(p.with_(eta_b=0.7)))
-    assert est1.g2_a == pytest.approx(est2.g2_a, rel=1e-10)
-    assert est1.g2_b == pytest.approx(est2.g2_b, rel=1e-10)
-    assert est1.g2_c == pytest.approx(est2.g2_c, rel=1e-10)
+    assert est1.shape == (3,)
+    for g2_1, g2_2 in zip(est1, est2):  # g2_a, g2_b, g2_c
+        assert g2_1 == pytest.approx(g2_2, rel=1e-10)
 
 
 def test_oracle_linear_limit_is_poissonian():
     # g -> 0 makes the driven mode linear: the phonon statistics become
     # exactly Poissonian within the weak-drive algebra
     p = resonant(1.3, 2.6, 0.0, 1.7, 0.25)
-    est = oracle_g2(steady_amplitudes(p))
-    assert est.g2_b == pytest.approx(1.0, abs=1e-12)
+    _, g2_b, _ = oracle_g2(steady_amplitudes(p))
+    assert g2_b == pytest.approx(1.0, abs=1e-12)
     for g_small in (1e-4, 1e-2):
-        est = oracle_g2(steady_amplitudes(p.with_(g=g_small)))
-        assert est.g2_b == pytest.approx(1.0, abs=1e-3)
+        _, g2_b, _ = oracle_g2(steady_amplitudes(p.with_(g=g_small)))
+        assert g2_b == pytest.approx(1.0, abs=1e-3)
 
 
 def test_oracle_preconditions():
@@ -165,10 +160,10 @@ def test_oracle_occupancy_floor():
 def test_hierarchy_ratios_at_validated_point():
     p = resonant(5.4, 7.0, 4.5, 6.0, 0.5)  # oracle-comparison configuration
     amps = steady_amplitudes(p)
+    n = excitation_numbers(TruncationConfig(2, 2)).reshape(amps.shape)
     # (first/ground, second/first) amplitude magnitude ratios
-    first = max(abs(amps.c10g), abs(amps.c01g), abs(amps.c00e)) / abs(amps.c00g)
-    second = max(abs(amps.c11g), abs(amps.c20g), abs(amps.c02g),
-                 abs(amps.c10e), abs(amps.c01e)) / first
+    first = np.abs(amps[n == 1]).max() / abs(amps[0, 0, 0])
+    second = np.abs(amps[n == 2]).max() / first
     assert first < 0.3
     assert second < 0.3
 
@@ -185,6 +180,6 @@ def test_master_equation_converges_to_oracle_with_weak_drive():
         p = resonant(delta, 7.0, 4.5, 6.0, eta)
         rho, _ = solve_point(p, cfg)
         me = g_k_zero(rho, "b", 2)
-        est = oracle_g2(steady_amplitudes(p)).g2_b
+        _, est, _ = oracle_g2(steady_amplitudes(p))
         deviations.append(abs(me - est))
     assert deviations[0] > deviations[1] > deviations[2]
