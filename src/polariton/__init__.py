@@ -7,7 +7,7 @@ from .errors import (ClassificationError, ConfigError, DimensionError,
                      NonUniqueSteadyStateError, ParameterError, PolaritonError,
                      ResonanceSingularityError, SteadyStateError,
                      UndefinedCorrelationError)
-from .hilbert import TruncationConfig, annihilation, embed, qubit_lowering
+from .hilbert import TruncationConfig
 from .model import (GAMMA_RAD_PER_US, MODES, SystemParams, hamiltonian_qd_driven,
                     hamiltonian_smr_driven, hamiltonian_undriven, hybrid_mode_operator,
                     linear_coupler, tau_to_us)

@@ -208,6 +208,7 @@ def _validate(config: dict, command: str):
     if "spectrum" in config:
         spec = config["spectrum"]
         _check_keys(spec, _SPECTRUM_KEYS, "spectrum")
+        _check_number(spec.get("g", 0.0), "spectrum.g")
         if spec.get("kind") not in ("manifolds", "distances"):
             raise ConfigError("spectrum.kind must be 'manifolds' or 'distances'")
         if spec["kind"] == "distances":  # the distances use manifolds 1-3 at preset frequencies
@@ -420,7 +421,7 @@ def _cmd_spectrum(config: dict) -> int:
     s = config["spectrum"]
     sweep = s["sweep"]
     grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), sweep["count"])
-    g = _check_number(s.get("g", config.get("overrides", {}).get("g", 0.0)), "spectrum.g")
+    g = float(s.get("g", config.get("overrides", {}).get("g", 0.0)))
     writer = _OutputWriter(config, "spectrum")
     if s["kind"] == "manifolds":
         manifolds = tuple(int(n) for n in s.get("manifolds", (1, 2, 3)))
@@ -446,10 +447,11 @@ def _cmd_oracle_compare(config: dict) -> int:
     spec = _sweep_spec(config)
     result = compare_oracle(spec, config.get("threads"))
     writer = _OutputWriter(config, "oracle_compare")
-    me_failed = [r for r in result.rows if r.get("me_error")]
-    oracle_failed = [r for r in result.rows if r.get("oracle_error")]
-    if len(me_failed) == len(result.rows) and len(oracle_failed) == len(result.rows):
-        print("error: both methods failed at every point", file=sys.stderr)
+    me_failed, oracle_failed = result.failed_rows("me"), result.failed_rows("oracle")
+    if len(me_failed) == len(oracle_failed) == len(result.rows):
+        print("error: both methods failed at every point; first master-equation error: "
+              f"{me_failed[0]['me_error']}; first oracle error: "
+              f"{oracle_failed[0]['oracle_error']}", file=sys.stderr)
         return 2
     header = (["sweep_var"] + [f"me_g2_{m}" for m in "abc"]
               + [f"oracle_g2_{m}" for m in "abc"] + ["me_error", "oracle_error"])

@@ -5,11 +5,12 @@ order.  A Fock label (n_a, n_b, q) maps to the canonical basis index
 
     index = (n_a * (n_b_max + 1) + n_b) * 2 + q,      q: g -> 0, e -> 1,
 
-i.e. the qubit index varies fastest and the photon index slowest.  Every
+i.e. the qubit index varies fastest and the photon index slowest, as
+:func:`occupations` tabulates; everything else reads that table.  Every
 operator in the package is a complex ``np.ndarray`` in this basis; the
 cached ones are read-only.  The :class:`TruncationConfig` is the one record
-of the layout: objects that cross module boundaries carry it, and a matrix
-is checked against its side where it enters.
+of the truncation: objects that cross module boundaries carry it, and a
+matrix is checked against its side where it enters.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-
-SLOT_NAMES = ("photon", "phonon", "qubit")
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,8 @@ class TruncationConfig:
 
     @property
     def dim(self) -> int:
-        """Composite Hilbert-space dimension."""
-        da, db, dq = self.dims
-        return da * db * dq
+        """Composite Hilbert-space dimension: the number of basis states."""
+        return occupations(self).shape[1]
 
     def check_operator(self, mat: np.ndarray, what: str) -> None:
         """Raise :class:`DimensionError` unless ``mat`` is dim x dim."""
@@ -58,50 +56,44 @@ class TruncationConfig:
                                  f"({self.n_a_max}, {self.n_b_max}) need side {self.dim}")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=8)
+def occupations(cfg: TruncationConfig) -> np.ndarray:
+    """The (3, dim) table of (n_a, n_b, q) of each basis state, in canonical
+    index order (read-only, cached per config)."""
+    return _read_only(np.indices(cfg.dims).reshape(3, -1))
+
+
 @lru_cache(maxsize=8)
 def excitation_numbers(cfg: TruncationConfig) -> np.ndarray:
     """Excitation number n_a + n_b + (q == 'e') of each basis state, in
     canonical index order (read-only, cached per config)."""
-    n = np.indices(cfg.dims).reshape(3, -1).sum(axis=0)
-    n.flags.writeable = False
-    return n
+    return _read_only(occupations(cfg).sum(axis=0))
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Single-mode bosonic annihilation operator, <n-1|a|n> = sqrt(n).
+@lru_cache(maxsize=8)
+def lowering(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Photon, phonon and qubit lowering operators a, b and sigma_- on the
+    composite space (complex, read-only, cached per config).
 
-    Parameters
-    ----------
-    dim : int
-        Number of retained Fock states (>= 2).
+    Each is read off :func:`occupations`: lowering slot s of a state with
+    n > 0 there gives sqrt(n) times the state with n - 1 there, so sqrt(n)
+    goes at (row of the lowered state, column of the state).  The row is
+    found by the states' keys in the box, so any canonical-order set of
+    states closed under lowering works alike.
     """
-    if dim < 2:
-        raise DimensionError(f"annihilation needs dim >= 2, got {dim}")
-    return np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-
-
-def qubit_lowering() -> np.ndarray:
-    """Qubit lowering operator sigma_- = |g><e| in the {|g>, |e>} basis."""
-    mat = np.zeros((2, 2), dtype=complex)
-    mat[0, 1] = 1.0
-    return mat
-
-
-def embed(op: np.ndarray, slot: str, cfg: TruncationConfig) -> np.ndarray:
-    """Embed a single-subsystem operator into the composite space.
-
-    Returns I (x) ... (x) op (x) ... (x) I, read-only, with the fixed
-    subsystem order [photon, phonon, qubit]; ``slot`` names one of them.
-    """
-    if slot not in SLOT_NAMES:
-        raise DimensionError(f"unknown slot {slot!r}; use one of {SLOT_NAMES}")
-    k_slot = SLOT_NAMES.index(slot)
-    dims = cfg.dims
-    if np.shape(op) != (dims[k_slot],) * 2:
-        raise DimensionError(f"operator shape {np.shape(op)} does not fit slot {slot} "
-                             f"of dim {dims[k_slot]}")
-    mat = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims):
-        mat = np.kron(mat, op if k == k_slot else np.eye(d, dtype=complex))
-    mat.flags.writeable = False
-    return mat
+    occ = occupations(cfg)
+    keys = np.ravel_multi_index(occ, cfg.dims)
+    ops = []
+    for slot in range(3):
+        cols = np.flatnonzero(occ[slot])
+        lowered = occ[:, cols] - (np.arange(3) == slot)[:, None]
+        rows = np.searchsorted(keys, np.ravel_multi_index(lowered, cfg.dims))
+        mat = np.zeros((keys.size, keys.size), dtype=complex)
+        mat[rows, cols] = np.sqrt(occ[slot, cols])
+        ops.append(_read_only(mat))
+    return tuple(ops)

@@ -67,8 +67,8 @@ import numpy as np
 
 from .errors import (IntegrationError, NonUniqueSteadyStateError, ParameterError,
                      SteadyStateError)
-from .hilbert import TruncationConfig, excitation_numbers
-from .model import SystemParams, _bare_ops
+from .hilbert import TruncationConfig, excitation_numbers, lowering
+from .model import SystemParams
 
 #: Relative residual bound for accepted steady states, ||L rho|| <= RTOL ||L||.
 STEADY_RTOL = 1e-10
@@ -220,7 +220,7 @@ def build_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> 
     if herm_defect > 1e-12 * max(1.0, np.linalg.norm(H)):
         raise ParameterError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
     rates = (float(p.kappa_a), float(p.kappa_b), float(p.gamma))
-    return Liouvillian(H, list(zip(rates, _bare_ops(cfg))), cfg,
+    return Liouvillian(H, list(zip(rates, lowering(cfg))), cfg,
                        unique_steady_state=min(rates) > 0)
 
 

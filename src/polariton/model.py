@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .hilbert import TruncationConfig, annihilation, embed, qubit_lowering
+from .hilbert import TruncationConfig, _read_only, lowering
 
 #: Qubit decay rate in angular frequency units, rad / microsecond.
 GAMMA_RAD_PER_US = 10.0 * math.pi
@@ -68,20 +68,6 @@ class SystemParams:
 MODES = ("a", "b", "c", "d")
 
 
-@lru_cache(maxsize=8)
-def _bare_ops(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Composite-space a, b, sigma_- operators (read-only, cached per config)."""
-    a = embed(annihilation(cfg.n_a_max + 1), "photon", cfg)
-    b = embed(annihilation(cfg.n_b_max + 1), "phonon", cfg)
-    sm = embed(qubit_lowering(), "qubit", cfg)
-    return a, b, sm
-
-
-def _read_only(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
-
-
 def _hermitian_pair(op: np.ndarray) -> np.ndarray:
     # T + T' built from one matrix so Hermiticity holds exactly in floats
     return _read_only(op + op.conj().T)
@@ -90,7 +76,7 @@ def _hermitian_pair(op: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
     """The fixed operator of each Hamiltonian term (read-only, cached per config)."""
-    a, b, sm = _bare_ops(cfg)
+    a, b, sm = lowering(cfg)
     ad, bd = a.conj().T, b.conj().T
     hop = a @ bd
     return {
@@ -165,7 +151,7 @@ def hybrid_mode_operator(mode: str, cfg: TruncationConfig) -> np.ndarray:
     if mode in ("c", "d"):
         c, d = linear_coupler(math.pi / 4, cfg)
         return c if mode == "c" else d
-    a, b, _ = _bare_ops(cfg)
+    a, b, _ = lowering(cfg)
     return a if mode == "a" else b
 
 
@@ -186,6 +172,6 @@ def linear_coupler(theta: float, cfg: TruncationConfig) -> tuple[np.ndarray, np.
     as a multi-level SWAP (a, -b), and theta = 0 relabels the modes as (b, a).
     Both are read-only.
     """
-    a, b, _ = _bare_ops(cfg)
+    a, b, _ = lowering(cfg)
     s, c = math.sin(theta), math.cos(theta)
     return _read_only(s * a + c * b), _read_only(c * a - s * b)

@@ -35,7 +35,7 @@ import numpy as np
 from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
                            sign_pattern)
 from .errors import ParameterError, PolaritonError, SteadyStateError
-from .hilbert import TruncationConfig
+from .hilbert import TruncationConfig, occupations
 from .lindblad import DensityMatrix, build_liouvillian, certify, steady_state
 from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
@@ -209,7 +209,7 @@ def _mirror_parity(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
     """Diagonal of the parity U with U H(Delta) U' = -H(-Delta) for the
     Hamiltonian of :func:`build_hamiltonian`, all three detunings negated:
     (-1)^n_a when the photon mode is driven, (-1)^(n_b + q) otherwise."""
-    n_a, n_b, q = np.indices(cfg.dims).reshape(3, -1)
+    n_a, n_b, q = occupations(cfg)
     return (-1.0) ** (n_a if p.eta_a != 0.0 else n_b + q)
 
 
@@ -378,6 +378,14 @@ def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
         return pool.starmap(worker, work_items)
 
 
+def _failed_rows(rows: list[dict], prefix: str) -> list[dict]:
+    """Rows of failed points: those with a ``prefix + "error"`` and no
+    ``prefix + "g"`` value at all.  A row with only some cells undefined is
+    not a failed point."""
+    return [r for r in rows if r.get(prefix + "error")
+            and not any(k.startswith(prefix + "g") for k in r)]
+
+
 @dataclass
 class SweepResult:
     spec: SweepSpec
@@ -387,32 +395,24 @@ class SweepResult:
 
     @property
     def failed_rows(self) -> list[dict]:
-        """Rows that carry an error and no correlation data at all."""
-        return [r for r in self.rows
-                if r.get("error") and not any(k.startswith("g") for k in r)]
+        """Rows of failed points (:func:`_failed_rows`)."""
+        return _failed_rows(self.rows, "")
 
     def cases(self) -> set[int]:
         return {r["case"] for r in self.rows if r.get("case") is not None}
 
 
 def _mirror_partners(ranked: np.ndarray) -> dict[int, int]:
-    """For each positive value of the ascending array ``ranked``, smallest
-    first, the index of the unused value <= 0 nearest its negative, when one
-    lies within MIRROR_RTOL * max(1, |x|)."""
-    tol = MIRROR_RTOL * np.maximum(1.0, np.abs(ranked))
-    # the search brackets the candidates with room for rounding; the gap decides
-    lo = np.searchsorted(ranked, -ranked - 2 * tol, side="left")
-    hi = np.minimum(np.searchsorted(ranked, -ranked + 2 * tol, side="right"),
-                    np.searchsorted(ranked, 0.0, side="right"))
-    used = np.zeros(len(ranked), dtype=bool)
+    """For each positive value x of the ascending array ``ranked``, smallest
+    first, the index of the unused value <= 0 nearest -x, when one lies
+    within MIRROR_RTOL * max(1, x); the lower index wins a tie."""
+    free = ranked <= 0
     partners = {}
     for i in np.flatnonzero(ranked > 0):
-        window = np.arange(lo[i], hi[i])
-        gap = np.abs(ranked[window] + ranked[i])
-        free = ~used[window] & (gap <= tol[i])
-        if free.any():
-            j = int(window[free][np.argmin(gap[free])])
-            used[j] = True
+        gap = np.where(free, np.abs(ranked + ranked[i]), np.inf)
+        j = int(np.argmin(gap))
+        if gap[j] <= MIRROR_RTOL * max(1.0, ranked[i]):
+            free[j] = False
             partners[int(i)] = j
     return partners
 
@@ -532,6 +532,10 @@ class OracleComparison:
     #: Worker processes that ran the sweep's pool tasks.
     workers: int
 
+    def failed_rows(self, method: str) -> list[dict]:
+        """Rows where ``method``, "me" or "oracle", failed (:func:`_failed_rows`)."""
+        return _failed_rows(self.rows, method + "_")
+
 
 def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComparison:
     """Master-equation vs weak-drive-oracle g2 along a sweep.
@@ -546,13 +550,9 @@ def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComp
     rows = _sorted_rows(_map_points(_oracle_point, items, threads), "compare_oracle")
     xs = np.array([r["sweep_var"] for r in rows])
     summary: dict = {"grid_step": float(xs[1] - xs[0]) if len(xs) > 1 else 0.0}
-    for method in ("me", "oracle"):
-        err_key = f"{method}_error"
-        for mode in ("a", "b", "c"):
-            key = f"{method}_g2_{mode}"
-            ys = np.array([r.get(key, np.nan) if not r.get(err_key) else np.nan for r in rows],
-                          dtype=float)
-            summary[key] = _extrema(xs, ys)
+    for key in [f"{method}_g2_{mode}" for method in ("me", "oracle") for mode in "abc"]:
+        # a cell is missing exactly where its value is undefined
+        summary[key] = _extrema(xs, np.array([r.get(key, np.nan) for r in rows], dtype=float))
     return OracleComparison(spec, rows, summary, pool_workers(threads, len(items)))
 
 

@@ -101,25 +101,47 @@ def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid) -> list[DensityMatrix]:
     return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.cfg) for R in Rs]
 
 
+def lowering(n: int) -> sp.csr_matrix:
+    """Single-mode lowering operator on n levels, <k-1|a|k> = sqrt(k)."""
+    return sp.diags(np.sqrt(np.arange(1.0, n)), 1, format="csr")
+
+
+def composite(photon, phonon, qubit) -> sp.csr_matrix:
+    """photon (x) phonon (x) qubit, the canonical subsystem order."""
+    return sp.kron(sp.kron(photon, phonon), qubit, format="csr")
+
+
+def kron_lowering(cfg: TruncationConfig) -> tuple[sp.csr_matrix, ...]:
+    """Reference photon, phonon and qubit lowering operators, each a
+    Kronecker product with the identities of the other subsystems."""
+    da, db, dq = cfg.dims
+    Ia, Ib, Iq = sp.identity(da), sp.identity(db), sp.identity(dq)
+    return (composite(lowering(da), Ib, Iq), composite(Ia, lowering(db), Iq),
+            composite(Ia, Ib, lowering(dq)))
+
+
+def kron_parity(p: SystemParams, cfg: TruncationConfig) -> sp.csr_matrix:
+    """Reference mirror parity for negated detunings, from Kronecker
+    products: (-1)^n_a when the photon mode is driven, (-1)^(n_b + q)
+    otherwise."""
+    da, db, dq = cfg.dims
+
+    def parity(n: int) -> sp.csr_matrix:
+        return sp.diags((-1.0) ** np.arange(n), format="csr")
+
+    if p.eta_a != 0.0:
+        return composite(parity(da), sp.identity(db), sp.identity(dq))
+    return composite(sp.identity(da), parity(db), parity(dq))
+
+
 def kron_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> sp.csr_matrix:
     """Reference Lindblad superoperator from the textbook kron construction.
 
     -i(H (x) I - I (x) H^T) + kappa D[J] for each channel, with
     D[J] = J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2 under the row-major vec,
-    and the photon, phonon and qubit lowering operators built here.
+    and the lowering operators of :func:`kron_lowering`.
     """
-    da, db, dq = cfg.dims
-
-    def lowering(n: int) -> sp.csr_matrix:
-        return sp.diags(np.sqrt(np.arange(1.0, n)), 1, format="csr")
-
-    def composite(photon, phonon, qubit) -> sp.csr_matrix:
-        return sp.kron(sp.kron(photon, phonon), qubit, format="csr")
-
-    Ia, Ib, Iq = sp.identity(da), sp.identity(db), sp.identity(dq)
-    channels = ((p.kappa_a, composite(lowering(da), Ib, Iq)),
-                (p.kappa_b, composite(Ia, lowering(db), Iq)),
-                (p.gamma, composite(Ia, Ib, lowering(dq))))
+    channels = zip((p.kappa_a, p.kappa_b, p.gamma), kron_lowering(cfg))
     I = sp.identity(cfg.dim, format="csr")
     Hs = sp.csr_matrix(H)
     L = -1j * (sp.kron(Hs, I) - sp.kron(I, Hs.T))

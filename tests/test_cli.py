@@ -100,7 +100,7 @@ def test_cli_overrides_and_json_format(tmp_path):
     assert summary["config"]["overrides"]["g"] == 5.0
 
 
-def test_all_points_failing_exits_two(tmp_path):
+def test_all_points_failing_exits_two(tmp_path, capsys):
     cfg = write(tmp_path / "cfg.yaml", f"""
 params: {{kappa_a: 1.0, kappa_b: 1.0, gamma: 1.0}}
 truncation: {{n_a_max: 2, n_b_max: 2}}
@@ -108,6 +108,34 @@ sweep: {{variable: g, start: 0.2, stop: 0.6, count: 2}}
 output: {{directory: {tmp_path / 'out2'}, basename: dead}}
 """)
     assert main(["g2sweep", "--config", cfg]) == 2
+    capsys.readouterr()
+    assert main(["oracle-compare", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "first master-equation error: g2_a: mode a: " in err
+    assert "; first oracle error: " in err
+    assert not (tmp_path / "out2").exists()
+
+
+def test_oracle_compare_counts_a_row_with_values_as_solved(tmp_path):
+    """At f = 0 mode a is empty, so g2_a is undefined at every row while
+    g2_b and g2_c are not; the oracle refuses kappa_a != kappa_b."""
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "cfg.yaml", f"""
+preset: A2
+overrides: {{g: 4.5, f: 0.0}}
+truncation: {{n_a_max: 2, n_b_max: 2}}
+sweep: {{variable: delta_smr, values: [1.0, 2.0, 3.0]}}
+output: {{directory: {out}, basename: oc}}
+""")
+    assert main(["oracle-compare", "--config", cfg]) == 0
+    rows = list(csv.DictReader((out / "oc.csv").read_text().splitlines()))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["me_g2_a"] == "" and row["me_error"].startswith("g2_a: ")
+        assert float(row["me_g2_b"]) > 0 and float(row["me_g2_c"]) > 0
+    summary = json.loads((out / "oc.summary.json").read_text())
+    assert summary["warnings"] == ["3 oracle points failed"]
+    assert summary["extrema"]["me_g2_b"]["global_min_at"] in (1.0, 2.0, 3.0)
 
 
 G_CFG = """
@@ -493,6 +521,14 @@ def test_shipped_config_validates(name):
     """Every file in configs/ validates against its command's schema; a file
     missing from the table fails here."""
     assert load_config(str(SHIPPED / name), SHIPPED_COMMANDS[name], [], None)
+
+
+@pytest.mark.parametrize("g", ["x", ".nan", "true"])
+def test_load_config_checks_spectrum_g(tmp_path, g):
+    body = SPECTRUM_BASE.replace("7.5", g) + "{start: -1.0, stop: 1.0, count: 3}}\n"
+    cfg = write(tmp_path / "cfg.yaml", body)
+    with pytest.raises(ConfigError, match="spectrum.g"):
+        load_config(cfg, "spectrum", [], None)
 
 
 def test_load_config_rejects_tau_unit(tmp_path):

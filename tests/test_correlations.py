@@ -3,17 +3,20 @@ import pytest
 
 from polariton import (DensityMatrix, InsufficientDataError,
                        ClassificationError, SystemParams, TruncationConfig,
-                       UndefinedCorrelationError, annihilation,
+                       UndefinedCorrelationError,
                        build_liouvillian, bundle_params, classify_dynamics,
                        classify_statistics,
-                       dominant_period, embed, g2_tau, g_k_zero,
+                       dominant_period, g2_tau, g_k_zero,
                        hybrid_moments_from_local,
-                       hybrid_mode_operator, preset_params, qubit_lowering,
+                       hybrid_mode_operator, preset_params,
                        steady_state, solve_point)
 from polariton.correlations import POISSONIAN_BAND, sign_pattern
+from polariton.hilbert import lowering
 from polariton.lindblad import _propagate, _real_form
 from polariton.model import mode_moment
-from helpers import FockLabel, basis_state, coherent_vector, random_composite_density
+from polariton.scenarios import _mirror_parity
+from helpers import (FockLabel, basis_state, coherent_vector, kron_parity,
+                     random_composite_density)
 
 CFG = TruncationConfig(2, 2)
 
@@ -237,9 +240,7 @@ def test_exchange_symmetry_against_mirrored_construction():
                      eta_b=0.4, kappa_a=2.0, kappa_b=1.2, gamma=1.0)
     rho, _ = solve_point(p, cfg)
 
-    a = embed(annihilation(4), "photon", cfg)
-    b = embed(annihilation(4), "phonon", cfg)
-    sm = embed(qubit_lowering(), "qubit", cfg)
+    a, b, sm = lowering(cfg)
     swapped = p.with_(delta_a=p.delta_b, delta_b=p.delta_a,
                       kappa_a=p.kappa_b, kappa_b=p.kappa_a,
                       eta_a=p.eta_b, eta_b=0.0)
@@ -278,8 +279,12 @@ def test_dominant_period_rejects_line_below_band():
         dominant_period(t, np.cos(2 * np.pi * t))
 
 
-def _parity(dim: int) -> np.ndarray:
-    return np.diag((-1.0) ** np.arange(dim)).astype(complex)
+@pytest.mark.parametrize("bundle", ["oracle-comparison", "strong-coupling-a1"])
+@pytest.mark.parametrize("cutoffs", [(3, 3), (4, 2)])
+def test_mirror_parity_is_the_kronecker_parity(bundle, cutoffs):
+    cfg = TruncationConfig(*cutoffs)
+    p = bundle_params(bundle)
+    assert np.array_equal(_mirror_parity(p, cfg), kron_parity(p, cfg).diagonal())
 
 
 @pytest.mark.parametrize("bundle", ["oracle-comparison", "eight-case-a3", "strong-coupling-a1",
@@ -293,10 +298,7 @@ def test_negated_detunings_mirror_the_steady_state(bundle, cutoff):
     of its largest entry (A1 and A3 bundles, cutoffs 3 and 4)."""
     cfg = TruncationConfig(cutoff, cutoff)
     p = bundle_params(bundle)
-    if p.eta_a != 0.0:
-        U = embed(_parity(cutoff + 1), "photon", cfg)
-    else:
-        U = embed(_parity(cutoff + 1), "phonon", cfg) @ embed(_parity(2), "qubit", cfg)
+    U = kron_parity(p, cfg).toarray()
     for delta in (0.7, 3.1, 5.12):
         plus, _ = solve_point(p.with_(delta_a=delta, delta_b=delta, delta_q=delta), cfg)
         minus, _ = solve_point(p.with_(delta_a=-delta, delta_b=-delta, delta_q=-delta), cfg)

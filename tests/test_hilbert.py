@@ -1,32 +1,44 @@
 import numpy as np
 import pytest
 
-from polariton import DimensionError, TruncationConfig, annihilation, embed, qubit_lowering
-from polariton.hilbert import excitation_numbers
-from helpers import FockLabel, basis_state, index_of, labels
+from polariton import DimensionError, TruncationConfig
+from polariton.hilbert import excitation_numbers, lowering, occupations
+from helpers import FockLabel, basis_state, index_of, kron_lowering, labels
+
+CUTOFFS = [(2, 2), (3, 3), (5, 5), (3, 6), (7, 2)]
+
+
+@pytest.mark.parametrize("cutoffs", CUTOFFS)
+def test_lowering_equals_the_kronecker_construction(cutoffs):
+    cfg = TruncationConfig(*cutoffs)
+    ops = lowering(cfg)
+    for op, ref in zip(ops, kron_lowering(cfg)):
+        assert op.dtype == complex and not op.flags.writeable
+        assert np.array_equal(op, ref.toarray())
+    assert lowering(TruncationConfig(*cutoffs)) is ops
 
 
 def test_annihilation_ladder_entries():
-    a = annihilation(6)
-    e = np.eye(6, dtype=complex)
-    assert np.allclose(a @ e[:, 1], e[:, 0])          # a|1> = |0>
-    assert np.allclose(a @ e[:, 4], 2.0 * e[:, 3])    # a|4> = 2|3>
-    num = a.conj().T @ a
-    assert np.allclose(num, np.diag(np.arange(6.0)))
+    cfg = TruncationConfig(5, 2)
+    a = lowering(cfg)[0]
 
+    def ket(n):
+        return basis_state(FockLabel(n, 1, "e"), cfg)
 
-def test_annihilation_rejects_dim_below_two():
-    with pytest.raises(DimensionError):
-        annihilation(1)
+    assert np.allclose(a @ ket(1), ket(0))           # a|1> = |0>
+    assert np.allclose(a @ ket(4), 2.0 * ket(3))     # a|4> = 2|3>
+    assert not (a @ ket(0)).any()
+    assert np.allclose(a.conj().T @ a, np.diag(occupations(cfg)[0]))  # a'a = diag(0..n)
 
 
 def test_qubit_lowering():
-    sm = qubit_lowering()
-    g = np.array([1, 0], dtype=complex)
-    e = np.array([0, 1], dtype=complex)
+    cfg = TruncationConfig(2, 2)
+    sm = lowering(cfg)[2]
+    g = basis_state(FockLabel(1, 2, "g"), cfg)
+    e = basis_state(FockLabel(1, 2, "e"), cfg)
     assert np.allclose(sm @ e, g)
-    assert np.allclose(sm @ g, 0.0)
-    assert np.allclose(sm.conj().T @ sm, np.diag([0.0, 1.0]))
+    assert not (sm @ g).any()
+    assert np.allclose(sm.conj().T @ sm, np.diag(occupations(cfg)[2]))
 
 
 def test_truncation_config_invariants():
@@ -47,10 +59,20 @@ def test_canonical_index_formula():
     assert indices == list(range(cfg.dim))
 
 
+def test_occupations_follow_the_labels():
+    cfg = TruncationConfig(3, 4)
+    occ = occupations(cfg)
+    q = {"g": 0, "e": 1}
+    assert occ.T.tolist() == [[lab.n_a, lab.n_b, q[lab.q]] for lab in labels(cfg)]
+    assert occ.shape == (3, cfg.dim) and not occ.flags.writeable
+    assert occupations(TruncationConfig(3, 4)) is occ
+
+
 def test_excitation_numbers_follow_the_labels():
     cfg = TruncationConfig(3, 4)
     n = excitation_numbers(cfg)
     assert n.tolist() == [lab.excitations for lab in labels(cfg)]
+    assert np.array_equal(n, occupations(cfg).sum(0))
     assert not n.flags.writeable
     assert excitation_numbers(TruncationConfig(3, 4)) is n
 
@@ -61,7 +83,7 @@ def test_basis_state():
     assert v0[0] == 1.0 and np.count_nonzero(v0) == 1
     for lab in labels(cfg):
         assert np.linalg.norm(basis_state(lab, cfg)) == 1.0
-    a_dag = embed(annihilation(3), "photon", cfg).conj().T
+    a_dag = lowering(cfg)[0].conj().T
     bra = basis_state(FockLabel(1, 0, "g"), cfg)
     ket = basis_state(FockLabel(0, 0, "g"), cfg)
     assert abs(np.vdot(bra, a_dag @ ket) - 1.0) < 1e-15
@@ -69,49 +91,39 @@ def test_basis_state():
         basis_state(FockLabel(3, 0, "g"), cfg)
 
 
-def test_embed_actions_and_commutation():
+def test_lowering_actions_and_commutation():
     cfg = TruncationConfig(2, 2)
-    a = embed(annihilation(3), "photon", cfg)
-    b = embed(annihilation(3), "phonon", cfg)
-    sm = embed(qubit_lowering(), "qubit", cfg)
+    a, b, sm = lowering(cfg)
     assert np.allclose(a @ basis_state(FockLabel(1, 0, "g"), cfg),
                        basis_state(FockLabel(0, 0, "g"), cfg))
+    assert np.allclose(b @ basis_state(FockLabel(0, 2, "e"), cfg),
+                       np.sqrt(2.0) * basis_state(FockLabel(0, 1, "e"), cfg))
     assert np.allclose(sm @ basis_state(FockLabel(0, 0, "e"), cfg),
                        basis_state(FockLabel(0, 0, "g"), cfg))
     # disjoint subsystems commute exactly
-    comm = a @ b.conj().T - b.conj().T @ a
-    assert not comm.any()
-
-
-def test_embed_errors():
-    cfg = TruncationConfig(2, 2)
-    with pytest.raises(DimensionError):
-        embed(annihilation(4), "photon", cfg)  # wrong dim for slot
-    with pytest.raises(DimensionError):
-        embed(annihilation(3), "nowhere", cfg)
-    with pytest.raises(DimensionError):
-        embed(annihilation(3), 5, cfg)
+    for x, y in ((a, b), (a, sm), (b, sm)):
+        for y_ in (y, y.conj().T):
+            assert not (x @ y_ - y_ @ x).any()
 
 
 def test_truncated_commutator_identity_off_boundary():
-    dim = 6
-    a = annihilation(dim)
-    comm = a @ a.conj().T - a.conj().T @ a
-    # identity everywhere except the top Fock level
-    assert np.allclose(comm[:-1, :-1], np.eye(dim - 1))
-    assert comm[-1, -1] == pytest.approx(-(dim - 1), rel=1e-14)
+    cfg = TruncationConfig(5, 3)
+    for slot in (0, 1):
+        z = lowering(cfg)[slot]
+        n, top = occupations(cfg)[slot], cfg.dims[slot] - 1
+        comm = z @ z.conj().T - z.conj().T @ z
+        # diagonal; the identity everywhere except the top Fock level
+        assert np.array_equal(comm, np.diag(comm.diagonal()))
+        assert np.allclose(comm.diagonal()[n < top], 1.0)
+        assert comm.diagonal()[n == top] == pytest.approx(-top, rel=1e-14)
 
 
-def test_embed_preserves_spectrum_with_multiplicity():
-    cfg = TruncationConfig(2, 2)
-    rng = np.random.default_rng(11)
-    mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    op = mat + mat.conj().T
-    embedded = embed(op, "phonon", cfg)
-    base = np.sort(np.linalg.eigvalsh(op))
-    full = np.sort(np.linalg.eigvalsh(embedded))
-    codim = cfg.dim // 3
-    assert np.allclose(full, np.sort(np.repeat(base, codim)))
+def test_number_operator_spectrum_has_multiplicity():
+    cfg = TruncationConfig(2, 3)
+    b = lowering(cfg)[1]
+    full = np.sort(np.linalg.eigvalsh(b.conj().T @ b))
+    codim = cfg.dim // 4
+    assert np.allclose(full, np.repeat(np.arange(4.0), codim))
 
 
 def test_wrong_side_raises_dimension_error():
@@ -133,7 +145,5 @@ def test_wrong_side_raises_dimension_error():
         build_liouvillian(H, SystemParams(kappa_a=1.0), cfg)
     with pytest.raises(DimensionError):
         manifold_spectrum(H, 1, cfg)
-    with pytest.raises(DimensionError):
-        embed(np.zeros((3, 4)), "photon", TruncationConfig(2, 2))  # does not fit its slot
     with pytest.raises(DimensionError):
         DensityMatrix(np.ones((2, 3)), cfg)  # one shape check for operators and states

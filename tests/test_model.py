@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from polariton import (ParameterError, SystemParams,
-                       TruncationConfig, annihilation, embed, hamiltonian_qd_driven,
+                       TruncationConfig, hamiltonian_qd_driven,
                        hamiltonian_smr_driven, hamiltonian_undriven,
-                       hybrid_mode_operator, linear_coupler, qubit_lowering, tau_to_us)
-from polariton.model import _bare_ops, _hamiltonian_terms, mode_moment
+                       hybrid_mode_operator, linear_coupler, tau_to_us)
+from polariton.hilbert import lowering, occupations
+from polariton.model import _hamiltonian_terms, mode_moment
 from helpers import FockLabel, basis_state, labels, random_params
 
 CFG = TruncationConfig(3, 3)
@@ -74,7 +75,7 @@ def fresh_hamiltonian(p, cfg, drive, sign):
     def pair(op):
         return op + op.conj().T
 
-    a, b, sm = _bare_ops(cfg)
+    a, b, sm = lowering(cfg)
     hop = a @ b.conj().T
     H = (p.delta_a * (a.conj().T @ a) + p.delta_b * (b.conj().T @ b)
          + p.delta_q * (sm.conj().T @ sm) + p.g * pair(a.conj().T @ sm))
@@ -104,10 +105,10 @@ def test_cached_terms_give_the_fresh_hamiltonian_bitwise():
 
 
 def test_cached_operators_are_read_only():
-    arrays = list(_hamiltonian_terms(CFG).values()) + list(_bare_ops(CFG))
+    arrays = list(_hamiltonian_terms(CFG).values()) + list(lowering(CFG))
     arrays += [hybrid_mode_operator(mode, CFG) for mode in "abcd"]
     arrays += [mode_moment(mode, CFG, k) for mode in "abcd" for k in (1, 2, 3, 4)]
-    arrays.append(embed(annihilation(CFG.n_a_max + 1), "photon", CFG))
+    arrays.append(occupations(CFG))
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -211,7 +212,7 @@ def hamiltonian_smr_driven_bs(p, cfg):
     def pair(op):
         return op + op.conj().T
 
-    sm = embed(qubit_lowering(), "qubit", cfg)
+    sm = lowering(cfg)[2]
     c, d = linear_coupler(np.pi / 4, cfg)
     cd, dd = c.conj().T, d.conj().T
     delta_mean = 0.5 * (p.delta_a + p.delta_b)
