@@ -206,3 +206,15 @@ def fresh_env(**variables: str) -> dict:
     src = str(Path(polariton.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path, **variables)
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+#: The subcommand of each shipped config.
+SHIPPED_COMMANDS = {
+    "dynamics_cases.yaml": "g2tau",
+    "eight_cases_a2.yaml": "g2sweep",
+    "hybrid_blockade_gsweep.yaml": "g2sweep",
+    "manifold_spectra.yaml": "spectrum",
+    "oracle_compare.yaml": "oracle-compare",
+    "resonance_distances.yaml": "spectrum",
+}

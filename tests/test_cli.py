@@ -12,7 +12,7 @@ import pytest
 from polariton import (ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point,
                        tau_to_us)
 from polariton.cli import _fmt, load_config, main
-from helpers import fresh_env
+from helpers import SHIPPED, SHIPPED_COMMANDS, fresh_env
 
 
 def write(path: Path, text: str) -> str:
@@ -503,17 +503,6 @@ def test_spectrum_takes_no_threads_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
     assert not out.exists()
-
-
-SHIPPED = Path(__file__).resolve().parents[1] / "configs"
-SHIPPED_COMMANDS = {
-    "dynamics_cases.yaml": "g2tau",
-    "eight_cases_a2.yaml": "g2sweep",
-    "hybrid_blockade_gsweep.yaml": "g2sweep",
-    "manifold_spectra.yaml": "spectrum",
-    "oracle_compare.yaml": "oracle-compare",
-    "resonance_distances.yaml": "spectrum",
-}
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED.iterdir()))
