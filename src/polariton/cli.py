@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .correlations import dominant_period
+from .correlations import dominant_period, sign_pattern
 from .errors import (ConfigError, DimensionError, InsufficientDataError, ParameterError,
                      PolaritonError)
 from .hilbert import TruncationConfig
@@ -40,6 +40,7 @@ from .model import MODES, SystemParams, tau_to_us
 from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, check_one_drive, compare_oracle,
                         pool_workers, resolve_params, resonance_distance_sweep, run_g2tau,
                         run_sweep, spectrum_sweep)
+from .spectrum import minimum_gap
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 
@@ -103,7 +104,9 @@ def _check_list(value, where: str, check=None) -> list:
     return value
 
 
-def _check_unique(items: list, where: str):
+def _check_nonempty_unique(items: list, where: str):
+    if not items:
+        raise ConfigError(f"{where}: expected a non-empty list")
     if len(set(items)) != len(items):
         raise ConfigError(f"{where}: duplicate entries in {items}")
 
@@ -219,11 +222,8 @@ def _validate(config: dict, command: str):
         for key in ("start", "stop"):
             _check_number(sweep.get(key), f"spectrum.sweep.{key}")
         _check_count(sweep.get("count"), "spectrum.sweep.count")
-        manifolds = _check_list(spec.get("manifolds", [1, 2, 3]), "spectrum.manifolds",
-                                _check_count)
-        if not manifolds:
-            raise ConfigError("spectrum.manifolds: expected a non-empty list")
-        _check_unique(manifolds, "spectrum.manifolds")
+        _check_nonempty_unique(_check_list(spec.get("manifolds", [1, 2, 3]), "spectrum.manifolds",
+                                           _check_count), "spectrum.manifolds")
         freqs = spec.get("frequencies", [0.0, 0.0])
         if len(_check_list(freqs, "spectrum.frequencies", _check_number)) != 2:
             raise ConfigError("spectrum.frequencies must be [omega_smr, omega_q]")
@@ -238,17 +238,14 @@ def _validate(config: dict, command: str):
             raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
         if not isinstance(config["output"].get("gnuplot", False), bool):
             raise ConfigError("output.gnuplot must be true or false")
-    if "modes" in config:
-        bad = [m for m in _check_list(config["modes"], "modes") if m not in MODES]
-        if bad:
-            raise ConfigError(f"unknown modes {bad}")
-        _check_unique(config["modes"], "modes")
-    if "orders" in config:  # the g2sweep-v1 table has columns for these orders only
-        bad = [k for k in _check_list(config["orders"], "orders")
-               if type(k) is not int or k not in DEFAULT_ORDERS]
-        if bad:
-            raise ConfigError(f"orders {bad} outside the allowed set {list(DEFAULT_ORDERS)}")
-        _check_unique(config["orders"], "orders")
+    # the g2sweep-v1 table has columns for these modes and orders only
+    for key, allowed in (("modes", MODES), ("orders", DEFAULT_ORDERS)):
+        if key in config:
+            bad = [v for v in _check_list(config[key], key)
+                   if type(v) is not type(allowed[0]) or v not in allowed]
+            if bad:
+                raise ConfigError(f"{key} {bad} outside the allowed set {list(allowed)}")
+            _check_nonempty_unique(config[key], key)
     _check_count(config.get("threads", 1), "threads")
 
 
@@ -283,7 +280,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
 
 
 class _OutputWriter:
-    """Collects rows, then writes CSV/JSON (+ optional gnuplot .dat) files."""
+    """Writes tables as CSV/JSON (+ optional gnuplot .dat) files, and the summary."""
 
     def __init__(self, config: dict, default_basename: str):
         out = config.get("output", {})
@@ -296,9 +293,10 @@ class _OutputWriter:
     def path(self, suffix: str) -> Path:
         return self.directory / f"{self.basename}{suffix}"
 
-    def write_table(self, header: list[str], rows: list[dict], suffix: str = ""):
+    def write_table(self, header: list[str], rows: list[list], suffix: str = ""):
+        """Write ``rows``, each a list of cells in ``header`` order."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        cells = [[_fmt(row.get(col)) for col in header] for row in rows]
+        cells = [[_fmt(value) for value in row] for row in rows]
         if self.format == "csv":
             buffer = io.StringIO()
             writer = csv.writer(buffer, lineterminator="\n")
@@ -358,16 +356,23 @@ def _cmd_g2sweep(config: dict) -> int:
     spec = _sweep_spec(config)
     result = run_sweep(spec, config.get("threads"))
     writer = _OutputWriter(config, "g2sweep")
-    failed = result.failed_rows
-    if len(failed) == len(result.rows):
-        print("error: every sweep point failed; first error: "
-              f"{failed[0]['error']}", file=sys.stderr)
+    failed = int(result.failed.sum())
+    if failed == len(result.x):
+        print(f"error: every sweep point failed; first error: {result.errors[0]}",
+              file=sys.stderr)
         return 2
-    writer.write_table(_G2SWEEP_HEADER, result.rows)
-    warnings = [f"{len(failed)} of {len(result.rows)} points failed"] if failed else []
+    rows = []
+    for x, g, stat, error in zip(result.x.tolist(), result.g, result.statistics(),
+                                 result.errors):
+        g234 = [sign_pattern(v)[1] if np.isfinite(v).all() else None
+                for v in g[:, :3].T.tolist()]  # modes a, b, c
+        label = (None, None) if stat is None else (stat.case, stat.boundary)
+        rows.append([x, *g.ravel().tolist(), *label, *g234, error])
+    writer.write_table(_G2SWEEP_HEADER, rows)
+    warnings = [f"{failed} of {len(rows)} points failed"] if failed else []
     writer.write_summary("g2sweep-v1", config, warnings, {
         "cases_found": sorted(result.cases()),
-        "n_rows": len(result.rows),
+        "n_rows": len(rows),
         "workers": result.workers,
     })
     return 0
@@ -391,20 +396,19 @@ def _cmd_g2tau(config: dict) -> int:
     writer = _OutputWriter(config, "g2tau")
     summary_points = []
     warnings: list[str] = []
-    for i, (point, curves) in enumerate(zip(config["points"], results)):
-        if isinstance(curves, PolaritonError):
-            warnings.append(f"point {i} failed: {type(curves).__name__}: {curves}")
-            summary_points.append({"point": point, "error": str(curves)})
+    for i, (point, result) in enumerate(zip(config["points"], results)):
+        if isinstance(result, PolaritonError):
+            warnings.append(f"point {i} failed: {type(result).__name__}: {result}")
+            summary_points.append({"point": point, "error": str(result)})
             continue
-        rows = [{"tau": float(tau), **{f"g2_{m}": float(curves[m]["curve"][j])
-                                       for m in modes}} for j, tau in enumerate(grid)]
-        writer.write_table(["tau"] + [f"g2_{m}" for m in modes], rows, suffix=f"_p{i}")
+        curves, labels = result
+        writer.write_table(["tau"] + [f"g2_{m}" for m in modes],
+                           np.column_stack([grid, curves.T]).tolist(), suffix=f"_p{i}")
         info: dict = {"point": point, "file": writer.written[-1]}
-        for m in modes:
-            dyn = curves[m]["dynamics"]
-            info[f"dynamics_{m}"] = dataclasses.asdict(dyn) if dyn else None
+        for m, curve, label in zip(modes, curves, labels):
+            info[f"dynamics_{m}"] = dataclasses.asdict(label) if label else None
             try:
-                info[f"dominant_period_{m}"] = dominant_period(grid, curves[m]["curve"])
+                info[f"dominant_period_{m}"] = dominant_period(grid, curve)
             except InsufficientDataError:
                 info[f"dominant_period_{m}"] = None
         summary_points.append(info)
@@ -426,44 +430,48 @@ def _cmd_spectrum(config: dict) -> int:
     if s["kind"] == "manifolds":
         manifolds = tuple(int(n) for n in s.get("manifolds", (1, 2, 3)))
         freqs = s.get("frequencies")
-        result = spectrum_sweep(config["preset"], g, grid, manifolds,
-                                frequencies=tuple(map(float, freqs)) if freqs else None)
-        header = ["sweep_var"]
-        for n in manifolds:
-            header += [f"m{n}_{i + 1}" for i in range(result.manifold_rows[n].shape[1])]
-        table = np.column_stack([result.sweep_values] + [result.manifold_rows[n] for n in manifolds])
-        writer.write_table(header, [dict(zip(header, row)) for row in table.tolist()])
+        spectra = spectrum_sweep(config["preset"], g, grid, manifolds,
+                                 frequencies=tuple(map(float, freqs)) if freqs else None)
+        header = ["sweep_var"] + [f"m{n}_{i + 1}" for n in manifolds
+                                  for i in range(spectra[n].shape[1])]
+        table = np.column_stack([grid] + [spectra[n] for n in manifolds])
+        writer.write_table(header, table.tolist())
         writer.write_summary("spectrum-manifolds-v1", config, [], {
-            "min_gaps": {str(n): result.min_gaps[n] for n in manifolds}})
+            "min_gaps": {str(n): minimum_gap(spectra[n]) for n in manifolds}})
     else:
-        rows = resonance_distance_sweep(config["preset"], g, grid)
-        writer.write_table(["sweep_var", "d1", "d2", "d3", "error"], rows)
+        d = resonance_distance_sweep(config["preset"], g, grid)
+        writer.write_table(["sweep_var", "d1", "d2", "d3", "error"],
+                           [row + [""] for row in np.column_stack([grid, d.T]).tolist()])
         writer.write_summary("spectrum-distances-v1", config, [], {
-            "d1_min_at": min(rows, key=lambda r: r["d1"])["sweep_var"]})
+            "d1_min_at": float(grid[np.argmin(d[0])])})
     return 0
 
 
 def _cmd_oracle_compare(config: dict) -> int:
     spec = _sweep_spec(config)
     result = compare_oracle(spec, config.get("threads"))
+    sweep = result.sweep
     writer = _OutputWriter(config, "oracle_compare")
-    me_failed, oracle_failed = result.failed_rows("me"), result.failed_rows("oracle")
-    if len(me_failed) == len(oracle_failed) == len(result.rows):
+    me_failed = int(sweep.failed.sum())
+    oracle_failed = sum(1 for error in result.oracle_errors if error)  # all three values or none
+    if me_failed == oracle_failed == len(sweep.x):
         print("error: both methods failed at every point; first master-equation error: "
-              f"{me_failed[0]['me_error']}; first oracle error: "
-              f"{oracle_failed[0]['oracle_error']}", file=sys.stderr)
+              f"{sweep.errors[0]}; first oracle error: {result.oracle_errors[0]}",
+              file=sys.stderr)
         return 2
     header = (["sweep_var"] + [f"me_g2_{m}" for m in "abc"]
               + [f"oracle_g2_{m}" for m in "abc"] + ["me_error", "oracle_error"])
-    writer.write_table(header, result.rows)
+    points = zip(sweep.x.tolist(), sweep.g[:, 0, :3].tolist(), result.oracle.tolist(),
+                 sweep.errors, result.oracle_errors)
+    writer.write_table(header, [[x, *me, *oracle, *errors] for x, me, oracle, *errors in points])
     warnings = []
     if me_failed:
-        warnings.append(f"{len(me_failed)} master-equation points failed")
+        warnings.append(f"{me_failed} master-equation points failed")
     if oracle_failed:
-        warnings.append(f"{len(oracle_failed)} oracle points failed")
+        warnings.append(f"{oracle_failed} oracle points failed")
     writer.write_summary("oracle-compare-v1", config, warnings, {
         "extrema": result.summary,
-        "workers": result.workers})
+        "workers": sweep.workers})
     return 0
 
 

@@ -12,13 +12,13 @@ Sweeps run their points on a worker pool, one task per point, except that
 a resonant detuning sweep is mirror-symmetric.  Negating all three
 detunings at fixed g, f, drive and rates maps the steady state to
 U rho* U', with U a parity (see :func:`_mirror_parity`), so one task solves
-a point x > 0 and writes the row of the grid value nearest -x from the
-mirrored state too, once that state passes the steady-state certificate
-against its own Liouvillian; if it does not, that point is solved
-directly.  The rows of a pair agree with direct solves to the
-certificate's tolerance, g^(k)_a and g^(k)_b being even in the detuning
-and g^(k)_c(-x) equal to g^(k)_d(x).  Other sweeps, including detuning
-sweeps that keep the preset's detuning offsets, are not mirrored.
+a point x > 0 and reads the grid value nearest -x from the mirrored state
+too, once that state passes the steady-state certificate against its own
+Liouvillian; if it does not, that point is solved directly.  The values
+of a pair agree with direct solves to the certificate's tolerance,
+g^(k)_a and g^(k)_b being even in the detuning and g^(k)_c(-x) equal to
+g^(k)_d(x).  Other sweeps, including detuning sweeps that keep the
+preset's detuning offsets, are not mirrored.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .correlations import (classify_dynamics, classify_statistics, g2_tau, g_k_zero,
-                           sign_pattern)
+from .correlations import (DynamicsLabel, StatisticsCase, classify_dynamics,
+                           classify_statistics, g2_tau, g_k_zero)
 from .errors import ParameterError, PolaritonError, SteadyStateError
 from .hilbert import TruncationConfig, occupations
 from .lindblad import DensityMatrix, build_liouvillian, certify, steady_state
 from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
                     hamiltonian_undriven)
-from .spectrum import manifold_blocks, manifold_spectrum, minimum_gap, resonance_distances
+from .spectrum import manifold_blocks, manifold_spectrum, resonance_distances
 from .weakdrive import oracle_g2, steady_amplitudes
 
 SWEEP_VARIABLES = ("g", "delta_smr", "eta_a", "eta_b")
@@ -155,8 +155,11 @@ class SweepSpec:
             raise ParameterError("grid count must be >= 2 (or pass explicit values)")
         if self.values is not None and len(self.values) == 0:
             raise ParameterError("explicit values list must be non-empty")
-        if min(self.orders, default=2) < 2:
-            raise ParameterError("correlation orders must all be >= 2")
+        # a point's (3, 4) array of g^(k) has cells for these modes and orders only
+        if not (self.modes and set(self.modes) <= set(MODES)
+                and self.orders and set(self.orders) <= set(DEFAULT_ORDERS)):
+            raise ParameterError(f"modes {self.modes} and orders {self.orders} must be "
+                                 f"non-empty subsets of {MODES} and {DEFAULT_ORDERS}")
         base = self.base_params()
         check_one_drive(base)
         if self.swept == "eta_a" and base.eta_b != 0.0:
@@ -237,43 +240,36 @@ def _solve(p: SystemParams, cfg: TruncationConfig) -> Union[DensityMatrix, Polar
         return exc
 
 
-def _sweep_row(x: float, rho: Union[DensityMatrix, PolaritonError],
-               modes: Sequence[str], orders: Sequence[int]) -> dict:
-    row: dict = {"sweep_var": x, "error": ""}
+def _values(rho: Union[DensityMatrix, PolaritonError], modes: Sequence[str],
+            orders: Sequence[int]) -> tuple[np.ndarray, str]:
+    """g^(k) of a point in the (3, 4) layout DEFAULT_ORDERS x MODES, NaN
+    where a cell was not asked for or is undefined, and the point's error:
+    the solve's, or one entry per undefined cell ("" when there is none)."""
+    g = np.full((len(DEFAULT_ORDERS), len(MODES)), np.nan)
     if isinstance(rho, PolaritonError):
-        row["error"] = f"{type(rho).__name__}: {rho}"
-        return row
-    values: dict[tuple[int, str], float] = {}
+        return g, f"{type(rho).__name__}: {rho}"
     cell_errors = []
     for mode in modes:
         for k in orders:
             try:
-                values[(k, mode)] = row[f"g{k}_{mode}"] = g_k_zero(rho, mode, k)
+                g[DEFAULT_ORDERS.index(k), MODES.index(mode)] = g_k_zero(rho, mode, k)
             except PolaritonError as exc:
-                # undefined cell (occupancy floor, truncation, negative moment); leave it empty
+                # undefined cell (occupancy floor, truncation, negative moment); leave it NaN
                 cell_errors.append(f"g{k}_{mode}: {exc}")
-    if all((2, m) in values for m in ("a", "b", "c")):
-        stat = classify_statistics(values[(2, "a")], values[(2, "b")], values[(2, "c")])
-        row["case"] = stat.case
-        row["boundary"] = stat.boundary
-    for mode in ("a", "b", "c"):
-        if mode in modes and all((k, mode) in values for k in (2, 3, 4)):
-            _, row[f"g234_{mode}"] = sign_pattern([values[(k, mode)] for k in (2, 3, 4)])
-    if cell_errors:
-        row["error"] = "; ".join(cell_errors)
-    return row
+    return g, "; ".join(cell_errors)
 
 
 def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig, modes: Sequence[str],
                  orders: Sequence[int], mirror: Optional[tuple[float, SystemParams]] = None
-                 ) -> list[tuple[str, dict]]:
-    """The row of grid point x, then, given ``mirror`` = (x', params at x'),
-    the row of its mirror point x'; each tagged with how its state was found:
-    "solved", "mirrored" (:func:`_mirrored_state` of x's state) or
-    "fallback" (solved after the mirrored state failed its certificate).
-    x' is solved directly also when x's solve failed."""
+                 ) -> list[tuple[str, float, np.ndarray, str]]:
+    """(how, x, g, error) of grid point x, with g and error from
+    :func:`_values`, then, given ``mirror`` = (x', params at x'), those of
+    its mirror point x'.  ``how`` tells how the state was found: "solved",
+    "mirrored" (:func:`_mirrored_state` of x's state) or "fallback" (solved
+    after the mirrored state failed its certificate).  x' is solved
+    directly also when x's solve failed."""
     rho = _solve(p, cfg)
-    rows = [("solved", _sweep_row(x, rho, modes, orders))]
+    points = [("solved", x, *_values(rho, modes, orders))]
     if mirror is not None:
         x_m, p_m = mirror
         how, rho_m = "solved", None
@@ -282,8 +278,8 @@ def _sweep_point(x: float, p: SystemParams, cfg: TruncationConfig, modes: Sequen
             how = "fallback" if rho_m is None else "mirrored"
         if rho_m is None:
             rho_m = _solve(p_m, cfg)
-        rows.append((how, _sweep_row(x_m, rho_m, modes, orders)))
-    return rows
+        points.append((how, x_m, *_values(rho_m, modes, orders)))
+    return points
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -378,28 +374,32 @@ def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
         return pool.starmap(worker, work_items)
 
 
-def _failed_rows(rows: list[dict], prefix: str) -> list[dict]:
-    """Rows of failed points: those with a ``prefix + "error"`` and no
-    ``prefix + "g"`` value at all.  A row with only some cells undefined is
-    not a failed point."""
-    return [r for r in rows if r.get(prefix + "error")
-            and not any(k.startswith(prefix + "g") for k in r)]
-
-
 @dataclass
 class SweepResult:
+    """The points of a sweep in ascending ``x``, as arrays: ``g[i]`` and
+    ``errors[i]`` are point i's (3, 4) array and error (:func:`_values`)."""
+
     spec: SweepSpec
-    rows: list[dict]
+    x: np.ndarray
+    g: np.ndarray
+    errors: list[str]
     #: Worker processes that ran the sweep's pool tasks.
     workers: int
 
     @property
-    def failed_rows(self) -> list[dict]:
-        """Rows of failed points (:func:`_failed_rows`)."""
-        return _failed_rows(self.rows, "")
+    def failed(self) -> np.ndarray:
+        """Points with no g^(k) value; each names its error, as modes and
+        orders are never empty.  Some undefined cells are no failure."""
+        return np.isnan(self.g).all(axis=(1, 2))
+
+    def statistics(self) -> list[Optional[StatisticsCase]]:
+        """Classification of each point's (g2_a, g2_b, g2_c); None where
+        one of them is undefined."""
+        return [classify_statistics(*g2) if np.isfinite(g2).all() else None
+                for g2 in self.g[:, 0, :3].tolist()]
 
     def cases(self) -> set[int]:
-        return {r["case"] for r in self.rows if r.get("case") is not None}
+        return {s.case for s in self.statistics() if s is not None and s.case is not None}
 
 
 def _mirror_partners(ranked: np.ndarray) -> dict[int, int]:
@@ -439,57 +439,49 @@ def _work_items(spec: SweepSpec) -> list[tuple]:
     return items
 
 
-def _sorted_rows(tasks: list[list[tuple[str, dict]]], caller: str) -> list[dict]:
-    """The rows of the pool tasks, ordered by sweep_var, after one debug
-    line: rows written, steady-state solves run, rows taken from a mirrored
-    state and mirrored states that failed their certificate."""
-    tagged = [item for task in tasks for item in task]
-    hows = [how for how, _ in tagged]
+def _sorted_points(tasks: list[list[tuple]], caller: str) -> list[tuple]:
+    """The columns (x, g, error, ...) of the pool tasks' points, ordered by
+    x, after one debug line: rows written, steady-state solves run, rows
+    taken from a mirrored state and mirrored states that failed their
+    certificate."""
+    points = sorted((point for task in tasks for point in task), key=lambda point: point[1])
+    hows = [point[0] for point in points]
     _log.debug("%s: %d rows, %d steady-state solves, %d rows from a mirrored state, "
-               "%d certificate fallbacks", caller, len(tagged),
+               "%d certificate fallbacks", caller, len(points),
                hows.count("solved") + hows.count("fallback"), hows.count("mirrored"),
                hows.count("fallback"))
-    return sorted((row for _, row in tagged), key=lambda r: r["sweep_var"])
+    return list(zip(*points))[1:]
 
 
 def run_sweep(spec: SweepSpec, threads: Optional[int] = None) -> SweepResult:
     """Steady-state correlation quantities along a parameter grid.
 
-    One row per grid point; per-point solver failures are recorded in the
-    row's ``error`` field and do not abort the sweep.  A resonant detuning
-    sweep solves one point of each mirror pair and takes the other row's
-    state from the mirror (see :func:`_work_items`); every row's
-    correlations are read from its own state, and the table does not depend
-    on the grid's order.
+    One point per grid value; a point's solver failure is recorded as its
+    error and does not abort the sweep.  A resonant detuning sweep solves
+    one point of each mirror pair and takes the other point's state from
+    the mirror (see :func:`_work_items`); every point's correlations are
+    read from its own state, and the result does not depend on the grid's
+    order.
     """
     items = _work_items(spec)
-    rows = _sorted_rows(_map_points(_sweep_point, items, threads), "run_sweep")
-    return SweepResult(spec, rows, pool_workers(threads, len(items)))
-
-
-def _oracle_row(row: dict, p: SystemParams) -> dict:
-    for key in ("g2_a", "g2_b", "g2_c"):
-        if key in row:
-            row["me_" + key] = row.pop(key)
-    row["me_error"] = row.pop("error")
-    row.pop("case", None)
-    row.pop("boundary", None)
-    row["oracle_error"] = ""
-    try:
-        row.update(zip(("oracle_g2_a", "oracle_g2_b", "oracle_g2_c"),
-                       oracle_g2(steady_amplitudes(p)).tolist()))
-    except PolaritonError as exc:
-        row["oracle_error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    x, g, errors = _sorted_points(_map_points(_sweep_point, items, threads), "run_sweep")
+    return SweepResult(spec, np.array(x), np.array(g), list(errors),
+                       pool_workers(threads, len(items)))
 
 
 def _oracle_point(x: float, p: SystemParams, cfg: TruncationConfig, _modes, _orders,
-                  mirror: Optional[tuple[float, SystemParams]] = None) -> list[tuple[str, dict]]:
-    """:func:`_sweep_point` rows for modes a, b, c at k = 2, with the
-    weak-drive oracle of each row's own parameters."""
-    params = [p] if mirror is None else [p, mirror[1]]
-    return [(how, _oracle_row(row, q)) for (how, row), q
-            in zip(_sweep_point(x, p, cfg, ("a", "b", "c"), (2,), mirror), params)]
+                  mirror: Optional[tuple[float, SystemParams]] = None) -> list[tuple]:
+    """:func:`_sweep_point` points for modes a, b, c at k = 2, each followed
+    by the weak-drive oracle's (g2_a, g2_b, g2_c) at its own parameters,
+    NaN where the oracle fails, and the oracle's error ("" when none)."""
+    points = []
+    for point, q in zip(_sweep_point(x, p, cfg, ("a", "b", "c"), (2,), mirror),
+                        [p] if mirror is None else [p, mirror[1]]):
+        try:
+            points.append(point + (oracle_g2(steady_amplitudes(q)), ""))
+        except PolaritonError as exc:
+            points.append(point + (np.full(3, np.nan), f"{type(exc).__name__}: {exc}"))
+    return points
 
 
 def _extrema(xs: np.ndarray, ys: np.ndarray) -> dict:
@@ -526,50 +518,53 @@ def _extrema(xs: np.ndarray, ys: np.ndarray) -> dict:
 
 @dataclass
 class OracleComparison:
-    spec: SweepSpec
-    rows: list[dict]
-    summary: dict
-    #: Worker processes that ran the sweep's pool tasks.
-    workers: int
+    """Master equation (``sweep.g[:, 0, :3]``, g2 of modes a, b, c) against
+    the weak-drive oracle (``oracle[i]``, (g2_a, g2_b, g2_c) at point i, NaN
+    where ``oracle_errors[i]`` names its failure) along one sweep."""
 
-    def failed_rows(self, method: str) -> list[dict]:
-        """Rows where ``method``, "me" or "oracle", failed (:func:`_failed_rows`)."""
-        return _failed_rows(self.rows, method + "_")
+    sweep: SweepResult
+    oracle: np.ndarray
+    oracle_errors: list[str]
+    summary: dict
 
 
 def compare_oracle(spec: SweepSpec, threads: Optional[int] = None) -> OracleComparison:
     """Master-equation vs weak-drive-oracle g2 along a sweep.
 
-    Every row carries both values plus independent error fields, and the
-    oracle runs at every row's own parameters; a resonant detuning sweep
-    pairs its points as :func:`run_sweep` does.  The summary locates the
-    extrema of each mode's curve for both methods (grid-resolution
-    locations, deepest/highest first).
+    Every point carries both methods' values and errors, and the oracle
+    runs at every point's own parameters; a resonant detuning sweep pairs
+    its points as :func:`run_sweep` does.  The summary locates the extrema
+    of each mode's curve for both methods (grid-resolution locations,
+    deepest/highest first).
     """
     items = _work_items(spec)
-    rows = _sorted_rows(_map_points(_oracle_point, items, threads), "compare_oracle")
-    xs = np.array([r["sweep_var"] for r in rows])
-    summary: dict = {"grid_step": float(xs[1] - xs[0]) if len(xs) > 1 else 0.0}
-    for key in [f"{method}_g2_{mode}" for method in ("me", "oracle") for mode in "abc"]:
-        # a cell is missing exactly where its value is undefined
-        summary[key] = _extrema(xs, np.array([r.get(key, np.nan) for r in rows], dtype=float))
-    return OracleComparison(spec, rows, summary, pool_workers(threads, len(items)))
+    x, g, errors, oracle, oracle_errors = _sorted_points(
+        _map_points(_oracle_point, items, threads), "compare_oracle")
+    sweep = SweepResult(spec, np.array(x), np.array(g), list(errors),
+                        pool_workers(threads, len(items)))
+    oracle = np.array(oracle)
+    summary: dict = {"grid_step": float(sweep.x[1] - sweep.x[0]) if len(sweep.x) > 1 else 0.0}
+    for method, values in (("me", sweep.g[:, 0, :3]), ("oracle", oracle)):
+        for i, mode in enumerate("abc"):  # NaN exactly where a value is undefined
+            summary[f"{method}_g2_{mode}"] = _extrema(sweep.x, values[:, i])
+    return OracleComparison(sweep, oracle, list(oracle_errors), summary)
 
 
 def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float],
-                modes: Sequence[str] = ("a", "b", "c")) -> dict[str, dict]:
-    """Delay-time curves, on a grid in units of 1/gamma, and dynamics labels
-    for one operating point."""
-    out: dict[str, dict] = {}
+                modes: Sequence[str] = ("a", "b", "c")
+                ) -> tuple[np.ndarray, list[Optional[DynamicsLabel]]]:
+    """Delay-time curves of one operating point, one row per mode, on a grid
+    in units of 1/gamma, and each curve's dynamics label (None where it
+    cannot be classified)."""
     rho, L = solve_point(p, cfg)
-    for mode in modes:
-        curve = g2_tau(rho, L, mode, tau_grid)
+    curves = np.array([g2_tau(rho, L, mode, tau_grid) for mode in modes])
+    labels = []
+    for curve in curves:
         try:
-            label = classify_dynamics(tau_grid, curve, p)
+            labels.append(classify_dynamics(tau_grid, curve, p))
         except PolaritonError:
-            label = None
-        out[mode] = {"curve": curve, "dynamics": label}
-    return out
+            labels.append(None)
+    return curves, labels
 
 
 def _g2tau_point_or_error(*args):
@@ -587,17 +582,12 @@ def run_g2tau(points: Sequence[SystemParams], cfg: TruncationConfig, tau_grid: S
                        [(p, cfg, tau_grid, modes) for p in points], threads)
 
 
-@dataclass
-class SpectrumResult:
-    sweep_values: np.ndarray
-    manifold_rows: dict[int, np.ndarray]  # n -> (len(grid), manifold_dim) frequencies
-    min_gaps: dict[int, float]
-
-
 def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
                    manifolds: Sequence[int] = (1, 2, 3),
-                   frequencies: Optional[tuple[float, float]] = None) -> SpectrumResult:
-    """Lab-frame manifold frequencies of H(+) versus the mechanical frequency.
+                   frequencies: Optional[tuple[float, float]] = None) -> dict[int, np.ndarray]:
+    """Lab-frame manifold frequencies of H(+) versus the mechanical frequency:
+    for each manifold n, the (grid points, dimension of n) array of its
+    ascending frequencies.
 
     The photon and qubit frequencies come from the preset's absolute
     values unless ``frequencies`` = (omega_smr, omega_q) overrides them;
@@ -619,11 +609,13 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
             for k, n in enumerate(manifolds)}
     _log.debug("spectrum_sweep: %d grid points, manifolds %s, dimension %d, %.4f s",
                len(grid), list(manifolds), cfg.dim, time.perf_counter() - start)
-    return SpectrumResult(grid, rows, {n: minimum_gap(v) for n, v in rows.items()})
+    return rows
 
 
-def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[float]) -> list[dict]:
-    """D_kPR of H(+) versus the photon-pump detuning, in the preset's lab frame."""
+def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[float]
+                             ) -> np.ndarray:
+    """(D_1PR, D_2PR, D_3PR) of H(+) versus the photon-pump detuning, in the
+    preset's lab frame: a (3, grid points) array."""
     pre = PRESETS[preset]
     omega_smr, omega_m, omega_q = pre.frequencies
     base = pre.params.with_(eta_a=0.0, eta_b=0.0, g=g, delta_a=omega_smr,
@@ -633,8 +625,6 @@ def resonance_distance_sweep(preset: str, g: float, delta_smr_grid: Sequence[flo
     start = time.perf_counter()
     H = hamiltonian_undriven(base, +1, cfg)
     d = resonance_distances(omega_smr - grid, [manifold_spectrum(H, n, cfg) for n in (1, 2, 3)])
-    rows = [{"sweep_var": x, "d1": d1, "d2": d2, "d3": d3, "error": ""}
-            for x, (d1, d2, d3) in zip(grid.tolist(), d.T.tolist())]
     _log.debug("resonance_distance_sweep: %d grid points, manifolds [1, 2, 3], dimension %d, "
                "%.4f s", len(grid), cfg.dim, time.perf_counter() - start)
-    return rows
+    return d

@@ -52,12 +52,12 @@ def test_criterion_2_hybrid_blockade_region():
     spec = SweepSpec(swept="g", preset="A2", start=0.2, stop=1.2 * kappa_max,
                      count=45, truncation=CUTOFF5, modes=("a", "b", "c"), orders=(2,))
     result = run_sweep(spec, threads=THREADS)
-    cases = [row.get("case") for row in result.rows]
+    cases = [None if stat is None else stat.case for stat in result.statistics()]
     best_run, current = 0, 0
     for c in cases:
         current = current + 1 if c == 7 else 0
         best_run = max(best_run, current)
-    g_values = [row["sweep_var"] for row in result.rows if row.get("case") == 7]
+    g_values = [x for x, c in zip(result.x.tolist(), cases) if c == 7]
     ok = best_run >= 3
     _report(2, "contiguous hybrid-blockade (case 7) region",
             ok, f"longest run {best_run} of {len(cases)} points; case-7 g range "

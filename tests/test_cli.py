@@ -463,6 +463,9 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ("g2tau", "preset: A3\npoints: [{g: .nan}, {g: 10.5}]\ntau: {stop: 0.3, count: 4}"),
     ("g2sweep", "preset: A2\nsweep: {variable: g, values: [.nan, 4.0]}"),
     ("g2sweep --override g=.inf", G_SWEEP_BASE),
+    ("g2sweep", G_SWEEP_BASE + "modes: []"),
+    ("g2sweep", G_SWEEP_BASE + "orders: []"),
+    ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 4}\nmodes: []"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
@@ -473,7 +476,8 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "spectrum.manifolds=[0]", "spectrum.manifolds=[0,1]", "spectrum.manifolds=[1,1]",
         "distances.frequencies", "distances.manifolds", 'sweep.resonant="false"',
         "sweep.resonant=maybe", "sweep.resonant=[1]", "modes=[a,a]", "orders=[2,2]",
-        "spectrum.threads=3", "points.g=nan", "sweep.values=[nan,4]", "--override=g=inf"])
+        "spectrum.threads=3", "points.g=nan", "sweep.values=[nan,4]", "--override=g=inf",
+        "modes=[]", "orders=[]", "g2tau.modes=[]"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"

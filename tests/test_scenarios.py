@@ -71,16 +71,43 @@ def test_sweepspec_validation():
         SweepSpec(swept="g", preset="A2", values=())
 
 
+@pytest.mark.parametrize("changes", [{"orders": (2, 5)}, {"orders": (1,)}, {"orders": ()},
+                                     {"modes": ("a", "e")}, {"modes": ()}],
+                         ids=["order-5", "order-1", "no-orders", "mode-e", "no-modes"])
+def test_sweepspec_rejects_modes_and_orders_outside_the_layout(changes):
+    """A point's g^(k) array has cells for orders 2-4 and modes a-d only."""
+    with pytest.raises(ParameterError, match="non-empty subsets"):
+        SweepSpec(swept="g", preset="A2", values=(4.5,), **changes)
+
+
 def test_single_point_sweep_matches_direct_calls():
     spec = SweepSpec(swept="g", preset="A2", values=(4.5,), truncation=CFG3,
                      modes=("a", "b", "c"), orders=(2,))
     result = run_sweep(spec)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    assert result.x.tolist() == [4.5] and result.g.shape == (1, 3, 4)
     rho, _ = solve_point(preset_params("A2", g=4.5), CFG3)
-    for mode in ("a", "b", "c"):
-        assert row[f"g2_{mode}"] == g_k_zero(rho, mode, 2)
-    assert row["case"] == 7
+    for i, mode in enumerate(("a", "b", "c")):
+        assert result.g[0, 0, i] == g_k_zero(rho, mode, 2)
+    assert np.isnan(result.g[0, 0, 3]) and np.isnan(result.g[0, 1:]).all()
+    assert result.errors == [""]
+    assert result.statistics()[0].case == 7
+
+
+def test_point_values_land_in_the_fixed_layout():
+    spec = SweepSpec(swept="g", preset="A2", values=(4.5,), truncation=CFG3,
+                     modes=("d", "b"), orders=(3,))
+    g = run_sweep(spec, threads=1).g[0]
+    rho, _ = solve_point(preset_params("A2", g=4.5), CFG3)
+    assert (g[1, 1], g[1, 3]) == (g_k_zero(rho, "b", 3), g_k_zero(rho, "d", 3))
+    g[1, [1, 3]] = np.nan
+    assert np.isnan(g).all()
+
+
+def assert_same_points(result, reference):
+    """Same grid values and errors, and g^(k) bitwise equal, NaN included."""
+    assert np.array_equal(result.x, reference.x)
+    assert np.array_equal(result.g, reference.g, equal_nan=True)
+    assert result.errors == reference.errors
 
 
 def test_determinism_and_row_independence():
@@ -89,11 +116,11 @@ def test_determinism_and_row_independence():
                      modes=("a", "b"), orders=(2,))
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
-    assert r1.rows == r2.rows  # bitwise identical floats
+    assert_same_points(r1, r2)
     sorted_spec = SweepSpec(swept="g", preset="A2", values=tuple(sorted(values)),
                             truncation=CFG3, modes=("a", "b"), orders=(2,))
     r3 = run_sweep(sorted_spec)
-    assert r1.rows == r3.rows  # shuffled grid, same sorted table
+    assert_same_points(r1, r3)  # shuffled grid, same sorted points
 
 
 def test_threaded_sweep_matches_serial():
@@ -101,7 +128,7 @@ def test_threaded_sweep_matches_serial():
                      modes=("a", "c"), orders=(2,))
     serial = run_sweep(spec, threads=1)
     threaded = run_sweep(spec, threads=2)
-    assert serial.rows == threaded.rows
+    assert_same_points(serial, threaded)
 
 
 def test_sweep_records_point_errors_without_aborting():
@@ -111,9 +138,9 @@ def test_sweep_records_point_errors_without_aborting():
     spec = SweepSpec(swept="g", params=params, values=(0.5, 1.0),
                      truncation=TruncationConfig(2, 2), modes=("a",), orders=(2,))
     result = run_sweep(spec)
-    assert len(result.rows) == 2
-    assert all(row["error"] for row in result.rows)
-    assert len(result.failed_rows) == 2
+    assert len(result.x) == 2
+    assert all(result.errors)
+    assert result.failed.tolist() == [True, True]
 
 
 def test_resonant_and_offset_detuning_sweeps():
@@ -131,20 +158,22 @@ def test_compare_oracle_linear_limit():
                      overrides={"g": 0.0, "kappa_a": 6.0, "kappa_b": 6.0},
                      resonant=True, truncation=TruncationConfig(5, 5))
     result = compare_oracle(spec)
-    for row in result.rows:
-        assert not row["me_error"] and not row["oracle_error"]
-        assert row["me_g2_b"] == pytest.approx(1.0, abs=1e-6)
-        assert row["oracle_g2_b"] == pytest.approx(1.0, abs=1e-6)
+    assert result.sweep.errors == result.oracle_errors == ["", ""]
+    for me, oracle in zip(result.sweep.g[:, 0, :3], result.oracle):
+        assert me[1] == pytest.approx(1.0, abs=1e-6)
+        assert oracle[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_compare_oracle_reports_precondition_violations_per_point():
     spec = SweepSpec(swept="delta_smr", preset="A2", values=(1.0, 2.0),
                      overrides={"g": 4.5}, resonant=True, truncation=CFG3)
     result = compare_oracle(spec)  # A2 has unequal kappas: oracle must refuse
-    for row in result.rows:
-        assert row["oracle_error"] and "kappa" in row["oracle_error"]
-        assert not row["me_error"]
-        assert np.isfinite(row["me_g2_b"])
+    assert np.isnan(result.oracle).all()
+    for oracle_error, me_error, me in zip(result.oracle_errors, result.sweep.errors,
+                                          result.sweep.g[:, 0, :3]):
+        assert oracle_error and "kappa" in oracle_error
+        assert not me_error
+        assert np.isfinite(me[1])
 
 
 def test_compare_oracle_extrema_summary():
@@ -273,22 +302,24 @@ A2_RESONANT = dict(swept="delta_smr", preset="A2", overrides={"g": 4.5}, resonan
                    truncation=CFG3, modes=("a", "b", "c", "d"), orders=(2, 3))
 
 
-def direct_rows(spec: SweepSpec) -> list[dict]:
-    """Every grid point's row from its own solve, in ascending order."""
-    return [scenarios._sweep_row(x, scenarios._solve(spec.point_params(x), spec.truncation),
-                                 spec.modes, spec.orders) for x in sorted(spec.grid().tolist())]
+def direct_points(spec: SweepSpec) -> scenarios.SweepResult:
+    """Every grid point from its own solve, in ascending order."""
+    xs = sorted(spec.grid().tolist())
+    values = [scenarios._values(scenarios._solve(spec.point_params(x), spec.truncation),
+                                spec.modes, spec.orders) for x in xs]
+    return scenarios.SweepResult(spec, np.array(xs), np.array([g for g, _ in values]),
+                                 [error for _, error in values], 1)
 
 
-def assert_rows_close(rows: list[dict], reference: list[dict]):
-    """Same grid values, keys, labels and errors; numbers within 1e-10 relative."""
-    assert [r["sweep_var"] for r in rows] == [r["sweep_var"] for r in reference]
-    for row, ref in zip(rows, reference):
-        assert row.keys() == ref.keys()
-        for key, value in ref.items():
-            if isinstance(value, float) and key != "sweep_var":
-                assert row[key] == pytest.approx(value, rel=1e-10, abs=0), (row["sweep_var"], key)
-            else:
-                assert row[key] == value, (row["sweep_var"], key)
+def assert_points_close(result, reference):
+    """Same grid values, NaN cells, errors, labels and signs of log g^(k);
+    g^(k) within 1e-10 relative."""
+    assert np.array_equal(result.x, reference.x)
+    assert np.array_equal(np.isnan(result.g), np.isnan(reference.g))
+    np.testing.assert_allclose(result.g, reference.g, rtol=1e-10, atol=0)
+    assert result.errors == reference.errors
+    assert result.statistics() == reference.statistics()
+    assert np.array_equal(np.sign(result.g - 1.0), np.sign(reference.g - 1.0), equal_nan=True)
 
 
 def mirrors(spec: SweepSpec) -> list[tuple]:
@@ -301,10 +332,10 @@ def test_mirror_pairs_take_values_a_few_ulps_off(caplog):
                      **A2_RESONANT)
     assert mirrors(spec) == [(0.7000000000000001, -0.7), (2.0, -2.0000000000000004), (3.0, None)]
     with caplog.at_level("DEBUG", logger="polariton.scenarios"):
-        rows = run_sweep(spec).rows
+        result = run_sweep(spec)
     assert ("run_sweep: 5 rows, 3 steady-state solves, 2 rows from a mirrored state, "
             "0 certificate fallbacks") in caplog.text
-    assert_rows_close(rows, direct_rows(spec))
+    assert_points_close(result, direct_points(spec))
 
 
 def test_mirror_partners_match_a_loop_over_every_pair():
@@ -335,9 +366,10 @@ def test_mirror_partners_match_a_loop_over_every_pair():
 def test_odd_mirrored_grid_solves_zero_alone():
     spec = SweepSpec(start=-1.0, stop=1.0, count=5, **A2_RESONANT)
     assert mirrors(spec) == [(0.0, None), (0.5, -0.5), (1.0, -1.0)]
-    rows, reference = run_sweep(spec).rows, direct_rows(spec)
-    assert rows[2] == reference[2]
-    assert_rows_close(rows, reference)
+    result, reference = run_sweep(spec), direct_points(spec)
+    assert np.array_equal(result.g[2], reference.g[2], equal_nan=True)
+    assert result.errors[2] == reference.errors[2]
+    assert_points_close(result, reference)
 
 
 @pytest.mark.parametrize("changes", [
@@ -348,12 +380,12 @@ def test_odd_mirrored_grid_solves_zero_alone():
 def test_sweeps_without_mirrors_solve_every_point(changes):
     spec = SweepSpec(**{**A2_RESONANT, **changes})
     assert all(mirror is None for _, mirror in mirrors(spec))
-    assert run_sweep(spec).rows == direct_rows(spec)
+    assert_same_points(run_sweep(spec), direct_points(spec))
 
 
 def test_failed_solve_leaves_the_mirror_point_its_own_solve(monkeypatch, caplog):
     spec = SweepSpec(values=(-1.0, 1.0), **A2_RESONANT)
-    reference = direct_rows(spec)
+    reference = direct_points(spec)
     real_solve_point = scenarios.solve_point
 
     def fail_above_zero(p, cfg):
@@ -363,10 +395,13 @@ def test_failed_solve_leaves_the_mirror_point_its_own_solve(monkeypatch, caplog)
 
     monkeypatch.setattr(scenarios, "solve_point", fail_above_zero)
     with caplog.at_level("DEBUG", logger="polariton.scenarios"):
-        rows = run_sweep(spec, threads=1).rows
+        result = run_sweep(spec, threads=1)
     assert "2 rows, 2 steady-state solves, 0 rows from a mirrored state" in caplog.text
-    assert rows[0] == reference[0]
-    assert rows[1] == {"sweep_var": 1.0, "error": "SteadyStateError: no steady state here"}
+    assert result.x.tolist() == [-1.0, 1.0]
+    assert np.array_equal(result.g[0], reference.g[0], equal_nan=True)
+    assert result.errors[0] == reference.errors[0]
+    assert np.isnan(result.g[1]).all()
+    assert result.errors[1] == "SteadyStateError: no steady state here"
 
 
 def test_failed_certificate_falls_back_to_a_direct_solve(monkeypatch, caplog):
@@ -377,10 +412,10 @@ def test_failed_certificate_falls_back_to_a_direct_solve(monkeypatch, caplog):
 
     monkeypatch.setattr(scenarios, "certify", reject)
     with caplog.at_level("DEBUG", logger="polariton.scenarios"):
-        rows = run_sweep(spec, threads=1).rows
+        result = run_sweep(spec, threads=1)
     assert ("2 rows, 2 steady-state solves, 0 rows from a mirrored state, "
             "1 certificate fallbacks") in caplog.text
-    assert rows == direct_rows(spec)
+    assert_same_points(result, direct_points(spec))
 
 
 def test_compare_oracle_runs_the_oracle_at_each_mirrored_row():
@@ -389,12 +424,12 @@ def test_compare_oracle_runs_the_oracle_at_each_mirrored_row():
                      truncation=CFG3)
     assert mirrors(spec) == [(0.5, -0.5), (1.5, -1.5)]
     result = compare_oracle(spec)
-    assert result.workers == min(2, len(os.sched_getaffinity(0)))
-    for row in result.rows:
-        p = spec.point_params(row["sweep_var"])
+    assert result.sweep.workers == min(2, len(os.sched_getaffinity(0)))
+    assert result.sweep.x.tolist() == [-1.5, -0.5, 0.5, 1.5]
+    for x, me, oracle in zip(result.sweep.x.tolist(), result.sweep.g[:, 0, :3], result.oracle):
+        p = spec.point_params(x)
         rho, _ = solve_point(p, CFG3)
-        assert ([row["oracle_g2_a"], row["oracle_g2_b"], row["oracle_g2_c"]]
-                == oracle_g2(steady_amplitudes(p)).tolist())
-        for mode in "abc":
-            assert row[f"me_g2_{mode}"] == pytest.approx(g_k_zero(rho, mode, 2), rel=1e-10, abs=0)
-        assert not row["me_error"] and not row["oracle_error"]
+        assert oracle.tolist() == oracle_g2(steady_amplitudes(p)).tolist()
+        for i, mode in enumerate("abc"):
+            assert me[i] == pytest.approx(g_k_zero(rho, mode, 2), rel=1e-10, abs=0)
+    assert result.sweep.errors == result.oracle_errors == [""] * 4

@@ -124,9 +124,7 @@ def test_resonance_distances_direct():
 
 def test_resonance_distance_sweep_dips():
     grid = np.round(np.arange(-15.0, 15.0001, 0.05), 6)
-    rows = resonance_distance_sweep("A1", 7.58, grid)
-    d1 = np.array([r["d1"] for r in rows])
-    d2 = np.array([r["d2"] for r in rows])
+    d1, d2, _ = resonance_distance_sweep("A1", 7.58, grid)
     # single-photon resonance dip near +10 explains the blockade point there
     assert abs(grid[np.argmin(d1)] - 10.0) <= 0.5
     # two-photon resonance dip inside (-2, 0): tunnelling shoulder
@@ -138,9 +136,10 @@ def test_resonance_distance_sweep_dips():
 def test_spectrum_sweep_anticrossing_and_continuity():
     grid = np.linspace(1544.0, 1564.0, 41)
     result = spectrum_sweep("A1", 7.5, grid, manifolds=(1, 2))
+    assert sorted(result) == [1, 2]
     for n in (1, 2):
-        rows = result.manifold_rows[n]
-        assert result.min_gaps[n] > 0.0
+        rows = result[n]
+        assert minimum_gap(rows) > 0.0
         # eigenvalue curves move at most n * d(omega_m) between grid points
         step = grid[1] - grid[0]
         assert np.max(np.abs(np.diff(rows, axis=0))) <= n * step + 1e-9
@@ -163,8 +162,8 @@ def test_spectrum_sweep_equals_per_point_manifold_spectra(manifolds, frequencies
         rows = np.array([manifold_spectrum(hamiltonian_undriven(base.with_(delta_b=float(x)), +1,
                                                                 cfg), n, cfg)
                          for x in SHIPPED_OMEGA_M])
-        assert np.array_equal(result.manifold_rows[n], rows)
-        assert result.min_gaps[n] == min(np.diff(row).min() for row in rows)
+        assert np.array_equal(result[n], rows)
+        assert minimum_gap(result[n]) == min(np.diff(row).min() for row in rows)
 
 
 def test_spectrum_sweep_memory_stays_per_point():
@@ -187,12 +186,11 @@ def test_resonance_distances_array_equals_scalar_calls():
     grid = np.linspace(-15.0, 15.0, 601)  # configs/resonance_distances.yaml
     batch = resonance_distances(omega_smr - grid, spectra)
     assert batch.shape == (3, 601)
-    rows = resonance_distance_sweep("A1", 7.58, grid)
+    assert np.array_equal(resonance_distance_sweep("A1", 7.58, grid), batch)
     for i, delta in enumerate(grid):
         one = resonance_distances(omega_smr - float(delta), spectra)
         assert one.shape == (3,)
         assert np.array_equal(batch[:, i], one)
-        assert [rows[i]["d1"], rows[i]["d2"], rows[i]["d3"]] == one.tolist()
 
 
 def test_spectrum_sweeps_log_one_debug_line_each(caplog):
