@@ -38,8 +38,8 @@ from .errors import (ConfigError, DimensionError, InsufficientDataError, Paramet
 from .hilbert import TruncationConfig
 from .model import MODES, SystemParams, tau_to_us
 from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, check_one_drive, compare_oracle,
-                        pool_workers, resolve_params, resonance_distance_sweep, run_g2tau,
-                        run_sweep, spectrum_sweep)
+                        pool_workers, resonance_distance_sweep, run_g2tau, run_sweep,
+                        spectrum_sweep)
 from .spectrum import minimum_gap
 
 _PARAM_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
@@ -50,7 +50,7 @@ _SCHEMAS = {
                 "orders", "output", "threads"},
     "g2tau": {"preset", "params", "overrides", "truncation", "points", "tau",
               "modes", "output", "threads"},
-    "spectrum": {"preset", "overrides", "spectrum", "output"},
+    "spectrum": {"preset", "spectrum", "output"},
     "oracle-compare": {"preset", "params", "overrides", "truncation", "sweep",
                        "output", "threads"},
 }
@@ -171,8 +171,7 @@ def _validate(config: dict, command: str):
     if "params" in config:
         _check_numbers(config["params"], set(_PARAM_FIELDS), "params")
     if "overrides" in config:
-        allowed = set(_PARAM_FIELDS) if command != "spectrum" else {"g"}
-        _check_numbers(config["overrides"], allowed, "overrides")
+        _check_numbers(config["overrides"], set(_PARAM_FIELDS), "overrides")
     if "truncation" in config:
         _check_keys(config["truncation"], _TRUNCATION_KEYS, "truncation")
         for key, val in config["truncation"].items():
@@ -182,14 +181,17 @@ def _validate(config: dict, command: str):
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
         if "variable" not in sweep:
             raise ConfigError("sweep.variable is required")
-        for key, check in (("start", _check_number), ("stop", _check_number),
-                           ("count", _check_count)):
-            if key in sweep:
-                check(sweep[key], f"sweep.{key}")
-            elif sweep.get("values") is None:
-                raise ConfigError(f"sweep.{key} is required when no explicit values are given")
-        if sweep.get("values") is not None:
+        if "values" in sweep:  # the grid is either the values or a range
+            if sweep.keys() & {"start", "stop", "count"}:
+                raise ConfigError("sweep: give either values or start, stop and count, not both")
             _check_list(sweep["values"], "sweep.values", _check_number)
+        else:
+            for key in ("start", "stop", "count"):
+                if key not in sweep:
+                    raise ConfigError(f"sweep.{key} is required when no explicit values are given")
+            _check_number(sweep["start"], "sweep.start")
+            _check_number(sweep["stop"], "sweep.stop")
+            _check_count(sweep["count"], "sweep.count", minimum=2)
         if not isinstance(sweep.get("resonant", False), bool):
             raise ConfigError("sweep.resonant must be true or false")
     elif command in ("g2sweep", "oracle-compare"):
@@ -256,25 +258,23 @@ def _truncation(config: dict) -> TruncationConfig:
         raise ConfigError(f"truncation: {exc}")
 
 
+def _base_params(config: dict) -> SystemParams:
+    """The preset's parameters, or else the explicit params, with the overrides applied."""
+    base = (PRESETS[config["preset"]].params if "preset" in config
+            else SystemParams(**config["params"]))
+    return base.with_(**config.get("overrides", {}))
+
+
 def _sweep_spec(config: dict) -> SweepSpec:
     s = config["sweep"]
-    values = s.get("values")
+    grid = s["values"] if "values" in s else np.linspace(
+        float(s["start"]), float(s["stop"]), s["count"]).tolist()
     try:
-        kwargs = dict(
-            swept=str(s["variable"]),
-            resonant=s.get("resonant", False),
-            truncation=_truncation(config),
-            overrides=dict(config.get("overrides", {})),
-            modes=tuple(config.get("modes", MODES)),
-            orders=tuple(config.get("orders", DEFAULT_ORDERS)),
-            preset=config.get("preset"),
-            params=SystemParams(**config["params"]) if "params" in config else None,
-        )
-        if values is not None:
-            kwargs["values"] = tuple(float(v) for v in values)
-        else:
-            kwargs.update(start=float(s["start"]), stop=float(s["stop"]), count=s["count"])
-        return SweepSpec(**kwargs)
+        return SweepSpec(swept=str(s["variable"]), grid=tuple(float(x) for x in grid),
+                         base=_base_params(config), resonant=s.get("resonant", False),
+                         truncation=_truncation(config),
+                         modes=tuple(config.get("modes", MODES)),
+                         orders=tuple(config.get("orders", DEFAULT_ORDERS)))
     except ParameterError as exc:
         raise ConfigError(str(exc))
 
@@ -385,8 +385,7 @@ def _cmd_g2tau(config: dict) -> int:
     grid_inv_gamma = grid if unit == "inv_gamma" else grid * (1.0 / tau_to_us(1.0))
     modes = tuple(config.get("modes", ("a", "b", "c")))
     try:
-        params = SystemParams(**config["params"]) if "params" in config else None
-        base = resolve_params(config.get("preset"), params, config.get("overrides", {}))
+        base = _base_params(config)
         points = [base.with_(**point) for point in config["points"]]
         for p in points:
             check_one_drive(p)
@@ -425,7 +424,7 @@ def _cmd_spectrum(config: dict) -> int:
     s = config["spectrum"]
     sweep = s["sweep"]
     grid = np.linspace(float(sweep["start"]), float(sweep["stop"]), sweep["count"])
-    g = float(s.get("g", config.get("overrides", {}).get("g", 0.0)))
+    g = float(s.get("g", 0.0))
     writer = _OutputWriter(config, "spectrum")
     if s["kind"] == "manifolds":
         manifolds = tuple(int(n) for n in s.get("manifolds", (1, 2, 3)))
@@ -499,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", help="preset name (A1, A2, A3)")
         cmd.add_argument("--override", action="append", default=[],
                          metavar="KEY=VALUE",
-                         help="parameter override (bare keys) or dotted config path")
+                         help="parameter override (bare keys; not for spectrum) "
+                              "or dotted config path")
         cmd.add_argument("--out", help="output directory")
         if name != "spectrum":  # spectrum runs no worker pool
             cmd.add_argument("--threads", type=int, default=None,

@@ -18,7 +18,7 @@ Liouvillian; if it does not, that point is solved directly.  The values
 of a pair agree with direct solves to the certificate's tolerance,
 g^(k)_a and g^(k)_b being even in the detuning and g^(k)_c(-x) equal to
 g^(k)_d(x).  Other sweeps, including detuning sweeps that keep the
-preset's detuning offsets, are not mirrored.
+base's detuning offsets, are not mirrored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Optional, Sequence, Union
 
@@ -115,32 +115,19 @@ def bundle_params(bundle: str) -> SystemParams:
     return preset_params(preset, **overrides)
 
 
-def resolve_params(preset: Optional[str], params: Optional[SystemParams],
-                   overrides: dict) -> SystemParams:
-    """Parameters of a preset, or else of explicit params, with overrides applied."""
-    if preset is not None:
-        return preset_params(preset, **overrides)
-    return params.with_(**overrides)
-
-
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional parameter sweep over a preset or explicit parameters.
+    """One-dimensional parameter sweep around the operating point ``base``.
 
-    ``swept`` selects the variable; a detuning sweep moves all three
-    detunings together when ``resonant`` and preserves the preset's
-    detuning offsets otherwise.  Either a (start, stop, count >= 2) range
-    or an explicit ``values`` list defines the grid.
+    ``swept`` selects the variable and ``grid`` its values, in any order.
+    A detuning sweep moves all three detunings together when ``resonant``
+    and preserves the base's detuning offsets otherwise; ``resonant``
+    applies to a ``delta_smr`` sweep only.
     """
 
     swept: str
-    start: float = 0.0
-    stop: float = 0.0
-    count: int = 0
-    values: Optional[tuple[float, ...]] = None
-    preset: Optional[str] = None
-    params: Optional[SystemParams] = None
-    overrides: dict = field(default_factory=dict)
+    grid: tuple[float, ...]
+    base: SystemParams
     resonant: bool = False
     truncation: TruncationConfig = TruncationConfig()
     modes: tuple[str, ...] = MODES
@@ -149,34 +136,23 @@ class SweepSpec:
     def __post_init__(self):
         if self.swept not in SWEEP_VARIABLES:
             raise ParameterError(f"swept must be one of {SWEEP_VARIABLES}, got {self.swept!r}")
-        if (self.preset is None) == (self.params is None):
-            raise ParameterError("exactly one of preset or params must be given")
-        if self.values is None and self.count < 2:
-            raise ParameterError("grid count must be >= 2 (or pass explicit values)")
-        if self.values is not None and len(self.values) == 0:
-            raise ParameterError("explicit values list must be non-empty")
+        if self.resonant and self.swept != "delta_smr":
+            raise ParameterError(f"resonant applies to a delta_smr sweep only, not to {self.swept}")
+        if not self.grid:
+            raise ParameterError("the sweep grid must be non-empty")
         # a point's (3, 4) array of g^(k) has cells for these modes and orders only
         if not (self.modes and set(self.modes) <= set(MODES)
                 and self.orders and set(self.orders) <= set(DEFAULT_ORDERS)):
             raise ParameterError(f"modes {self.modes} and orders {self.orders} must be "
                                  f"non-empty subsets of {MODES} and {DEFAULT_ORDERS}")
-        base = self.base_params()
-        check_one_drive(base)
-        if self.swept == "eta_a" and base.eta_b != 0.0:
-            raise ParameterError("cannot sweep eta_a while the preset drives the phonon mode")
-        if self.swept == "eta_b" and base.eta_a != 0.0:
-            raise ParameterError("cannot sweep eta_b while the preset drives the photon mode")
-
-    def base_params(self) -> SystemParams:
-        return resolve_params(self.preset, self.params, self.overrides)
-
-    def grid(self) -> np.ndarray:
-        if self.values is not None:
-            return np.asarray(self.values, dtype=float)
-        return np.linspace(self.start, self.stop, self.count)
+        check_one_drive(self.base)
+        if self.swept == "eta_a" and self.base.eta_b != 0.0:
+            raise ParameterError("cannot sweep eta_a while the base drives the phonon mode")
+        if self.swept == "eta_b" and self.base.eta_a != 0.0:
+            raise ParameterError("cannot sweep eta_b while the base drives the photon mode")
 
     def point_params(self, x: float) -> SystemParams:
-        base = self.base_params()
+        base = self.base
         if self.swept != "delta_smr":
             return base.with_(**{self.swept: x})
         if self.resonant:
@@ -423,9 +399,8 @@ def _work_items(spec: SweepSpec) -> list[tuple]:
     the grid value x' paired with it by :func:`_mirror_partners` as
     mirror = (x', params at x'), and x' has no task of its own; every other
     task has mirror None."""
-    ranked = np.sort(spec.grid())
-    mirrored = spec.swept == "delta_smr" and spec.resonant
-    partners = _mirror_partners(ranked) if mirrored else {}
+    ranked = np.sort(spec.grid)
+    partners = _mirror_partners(ranked) if spec.resonant else {}  # a delta_smr sweep
     paired = set(partners.values())
     items = []
     for i, x in enumerate(ranked.tolist()):

@@ -200,6 +200,11 @@ def closed_form_g2_b_dip(p: SystemParams, lo: float, hi: float) -> float:
     return float(res.x)
 
 
+def range_grid(start: float, stop: float, count: int) -> tuple[float, ...]:
+    """The sweep grid of a ``start``/``stop``/``count`` range, built as the CLI builds it."""
+    return tuple(np.linspace(float(start), float(stop), count).tolist())
+
+
 def fresh_env(**variables: str) -> dict:
     """Environment for a fresh interpreter that imports the polariton under
     test, with ``variables`` set."""

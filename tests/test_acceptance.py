@@ -19,7 +19,8 @@ from polariton import (DensityMatrix, SweepSpec, SystemParams,
                        preset_params, run_sweep, solve_point, steady_state,
                        tau_to_us)
 from helpers import (FockLabel, basis_state, closed_form_g2_b_dip, evolve, expect,
-                     hermiticity_defect, random_composite_density, random_params, trace)
+                     hermiticity_defect, random_composite_density, random_params,
+                     range_grid, trace)
 
 THREADS = int(os.environ.get("POLARITON_THREADS", "2"))
 CUTOFF5 = TruncationConfig(5, 5)
@@ -49,8 +50,9 @@ def test_criterion_1_manifold_eigenvalues():
 
 def test_criterion_2_hybrid_blockade_region():
     kappa_max = preset_params("A2").kappa_max  # 7.5 gamma
-    spec = SweepSpec(swept="g", preset="A2", start=0.2, stop=1.2 * kappa_max,
-                     count=45, truncation=CUTOFF5, modes=("a", "b", "c"), orders=(2,))
+    spec = SweepSpec(swept="g", grid=range_grid(0.2, 1.2 * kappa_max, 45),
+                     base=preset_params("A2"), truncation=CUTOFF5, modes=("a", "b", "c"),
+                     orders=(2,))
     result = run_sweep(spec, threads=THREADS)
     cases = [None if stat is None else stat.case for stat in result.statistics()]
     best_run, current = 0, 0
@@ -71,8 +73,8 @@ def test_criterion_3_eight_case_coverage():
     for preset, g in (("A2", 4.5), ("A3", 9.5)):
         # step ~0.89 gamma: every sign-pattern region is at least 1.2 gamma
         # wide in one of the two sweeps, so each case lands on a grid point
-        spec = SweepSpec(swept="delta_smr", preset=preset, overrides={"g": g},
-                         start=-16.0, stop=16.0, count=37, resonant=True,
+        spec = SweepSpec(swept="delta_smr", grid=range_grid(-16.0, 16.0, 37),
+                         base=preset_params(preset, g=g), resonant=True,
                          truncation=CUTOFF5, modes=("a", "b", "c"), orders=(2,))
         found |= run_sweep(spec, threads=THREADS).cases()
     ok = found == set(range(1, 9))
@@ -83,9 +85,8 @@ def test_criterion_3_eight_case_coverage():
 
 def test_criterion_4_oracle_agreement():
     step = 0.05
-    spec = SweepSpec(swept="delta_smr", preset="A2",
-                     overrides={"g": 4.5, "kappa_a": 6.0, "kappa_b": 6.0},
-                     start=-7.5, stop=7.5, count=301, resonant=True,
+    spec = SweepSpec(swept="delta_smr", grid=range_grid(-7.5, 7.5, 301),
+                     base=preset_params("A2", g=4.5, kappa_a=6.0, kappa_b=6.0), resonant=True,
                      truncation=CUTOFF5, modes=("a", "b", "c"), orders=(2,))
     result = compare_oracle(spec, threads=THREADS)
     tol = step + 1e-9
@@ -106,8 +107,8 @@ def test_criterion_4_oracle_agreement():
         problems.append("g2_b minima of the two methods disagree")
     # the closed-form weak-drive amplitudes fix the dip location off the grid
     p = bundle_params("oracle-comparison")
-    dip_neg = closed_form_g2_b_dip(p, spec.start, 0.0)
-    dip_pos = closed_form_g2_b_dip(p, 0.0, spec.stop)
+    dip_neg = closed_form_g2_b_dip(p, spec.grid[0], 0.0)
+    dip_pos = closed_form_g2_b_dip(p, 0.0, spec.grid[-1])
     quoted = 1.2 * p.g
     detail.append(f"closed-form dips x* = ({dip_neg:+.4f}, {dip_pos:+.4f}) "
                   f"= ({dip_neg / p.g:+.4f}, {dip_pos / p.g:+.4f}) g; quoted +/-1.2 g "

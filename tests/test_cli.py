@@ -466,6 +466,12 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
     ("g2sweep", G_SWEEP_BASE + "modes: []"),
     ("g2sweep", G_SWEEP_BASE + "orders: []"),
     ("g2tau", G2TAU_BASE + "tau: {stop: 0.3, count: 4}\nmodes: []"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, values: [4.5], start: 0, stop: 9, count: 5}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, start: 0.2, stop: 1.0, count: 1}"),
+    ("g2sweep", "preset: A2\nsweep: {variable: g, values: [4.5, 5.0], resonant: true}"),
+    ("spectrum --override g=3", MANIFOLDS_BASE + "[1, 2, 3]}"),
+    ("g2sweep", "params: {g: 4.5}\n" + G_SWEEP_BASE),
+    ("g2sweep", "sweep: {variable: g, values: [4.0, 4.5]}"),
 ], ids=["tau.count=x", "no-tau.stop", "tau.count=2.7", "tau.stop<0", "tau.count=0",
         "sweep.count=x", "spectrum.sweep.count=x", "truncation.n_a_max=1",
         "truncation.n_a_max=five", "orders=2", "modes=5", "points.g=x", "sweep.values=[a,b]",
@@ -477,7 +483,8 @@ MANIFOLDS_BASE = ("preset: A1\nspectrum: {kind: manifolds, g: 7.5, "
         "distances.frequencies", "distances.manifolds", 'sweep.resonant="false"',
         "sweep.resonant=maybe", "sweep.resonant=[1]", "modes=[a,a]", "orders=[2,2]",
         "spectrum.threads=3", "points.g=nan", "sweep.values=[nan,4]", "--override=g=inf",
-        "modes=[]", "orders=[]", "g2tau.modes=[]"])
+        "modes=[]", "orders=[]", "g2tau.modes=[]", "sweep.values+range", "sweep.count=1",
+        "g-sweep.resonant", "spectrum--override=g=3", "preset+params", "no-preset-or-params"])
 def test_bad_counts_and_tau_stop_are_config_errors(tmp_path, capsys, command, body):
     """``command`` is the subcommand and any flags before ``--config``."""
     out = tmp_path / "out"

@@ -15,7 +15,7 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SteadyStateErr
 from polariton import scenarios
 from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
                                  _openblas_thread_counts, build_hamiltonian, run_g2tau)
-from helpers import fresh_env
+from helpers import fresh_env, range_grid
 
 CFG3 = TruncationConfig(3, 3)
 
@@ -55,20 +55,18 @@ def test_hamiltonian_follows_the_nonzero_drive():
 
 
 def test_sweepspec_validation():
+    """Grid counts and the preset-or-params choice are config checks (test_cli)."""
+    grid = range_grid(0, 1, 5)
     with pytest.raises(ParameterError):
-        SweepSpec(swept="g", preset="A2", start=0, stop=1, count=1)
-    with pytest.raises(ParameterError):
-        SweepSpec(swept="g", start=0, stop=1, count=5)  # no preset/params
-    with pytest.raises(ParameterError):
-        SweepSpec(swept="g", preset="A2", params=SystemParams(), start=0, stop=1, count=5)
-    with pytest.raises(ParameterError):
-        SweepSpec(swept="eta_a", preset="A2", start=0, stop=1, count=5)  # QD-driven preset
+        SweepSpec(swept="eta_a", grid=grid, base=preset_params("A2"))  # QD-driven preset
     with pytest.raises(ParameterError, match="drive one mode only"):
-        SweepSpec(swept="g", preset="A2", overrides={"eta_a": 0.5}, start=0, stop=1, count=5)
+        SweepSpec(swept="g", grid=grid, base=preset_params("A2", eta_a=0.5))
     with pytest.raises(ParameterError):
-        SweepSpec(swept="nothing", preset="A2", start=0, stop=1, count=5)
+        SweepSpec(swept="nothing", grid=grid, base=preset_params("A2"))
     with pytest.raises(ParameterError):
-        SweepSpec(swept="g", preset="A2", values=())
+        SweepSpec(swept="g", grid=(), base=preset_params("A2"))
+    with pytest.raises(ParameterError, match="delta_smr sweep only"):
+        SweepSpec(swept="g", grid=(4.5, 5.0), base=preset_params("A2"), resonant=True)
 
 
 @pytest.mark.parametrize("changes", [{"orders": (2, 5)}, {"orders": (1,)}, {"orders": ()},
@@ -77,11 +75,11 @@ def test_sweepspec_validation():
 def test_sweepspec_rejects_modes_and_orders_outside_the_layout(changes):
     """A point's g^(k) array has cells for orders 2-4 and modes a-d only."""
     with pytest.raises(ParameterError, match="non-empty subsets"):
-        SweepSpec(swept="g", preset="A2", values=(4.5,), **changes)
+        SweepSpec(swept="g", grid=(4.5,), base=preset_params("A2"), **changes)
 
 
 def test_single_point_sweep_matches_direct_calls():
-    spec = SweepSpec(swept="g", preset="A2", values=(4.5,), truncation=CFG3,
+    spec = SweepSpec(swept="g", grid=(4.5,), base=preset_params("A2"), truncation=CFG3,
                      modes=("a", "b", "c"), orders=(2,))
     result = run_sweep(spec)
     assert result.x.tolist() == [4.5] and result.g.shape == (1, 3, 4)
@@ -94,7 +92,7 @@ def test_single_point_sweep_matches_direct_calls():
 
 
 def test_point_values_land_in_the_fixed_layout():
-    spec = SweepSpec(swept="g", preset="A2", values=(4.5,), truncation=CFG3,
+    spec = SweepSpec(swept="g", grid=(4.5,), base=preset_params("A2"), truncation=CFG3,
                      modes=("d", "b"), orders=(3,))
     g = run_sweep(spec, threads=1).g[0]
     rho, _ = solve_point(preset_params("A2", g=4.5), CFG3)
@@ -112,20 +110,20 @@ def assert_same_points(result, reference):
 
 def test_determinism_and_row_independence():
     values = (3.0, 5.0, 4.0, 4.5)
-    spec = SweepSpec(swept="g", preset="A2", values=values, truncation=CFG3,
+    spec = SweepSpec(swept="g", grid=values, base=preset_params("A2"), truncation=CFG3,
                      modes=("a", "b"), orders=(2,))
     r1 = run_sweep(spec)
     r2 = run_sweep(spec)
     assert_same_points(r1, r2)
-    sorted_spec = SweepSpec(swept="g", preset="A2", values=tuple(sorted(values)),
+    sorted_spec = SweepSpec(swept="g", grid=tuple(sorted(values)), base=preset_params("A2"),
                             truncation=CFG3, modes=("a", "b"), orders=(2,))
     r3 = run_sweep(sorted_spec)
     assert_same_points(r1, r3)  # shuffled grid, same sorted points
 
 
 def test_threaded_sweep_matches_serial():
-    spec = SweepSpec(swept="g", preset="A2", values=(4.0, 4.5, 5.0), truncation=CFG3,
-                     modes=("a", "c"), orders=(2,))
+    spec = SweepSpec(swept="g", grid=(4.0, 4.5, 5.0), base=preset_params("A2"),
+                     truncation=CFG3, modes=("a", "c"), orders=(2,))
     serial = run_sweep(spec, threads=1)
     threaded = run_sweep(spec, threads=2)
     assert_same_points(serial, threaded)
@@ -135,7 +133,7 @@ def test_sweep_records_point_errors_without_aborting():
     # zero drive: the steady state is vacuum, so every correlation cell is
     # below the occupancy floor
     params = SystemParams(kappa_a=1.0, kappa_b=1.0, gamma=1.0)
-    spec = SweepSpec(swept="g", params=params, values=(0.5, 1.0),
+    spec = SweepSpec(swept="g", grid=(0.5, 1.0), base=params,
                      truncation=TruncationConfig(2, 2), modes=("a",), orders=(2,))
     result = run_sweep(spec)
     assert len(result.x) == 2
@@ -144,18 +142,18 @@ def test_sweep_records_point_errors_without_aborting():
 
 
 def test_resonant_and_offset_detuning_sweeps():
-    spec = SweepSpec(swept="delta_smr", preset="A2", values=(1.0,), resonant=True)
+    spec = SweepSpec(swept="delta_smr", grid=(1.0,), base=preset_params("A2"), resonant=True)
     p = spec.point_params(1.0)
     assert (p.delta_a, p.delta_b, p.delta_q) == (1.0, 1.0, 1.0)
-    spec = SweepSpec(swept="delta_smr", preset="A2", values=(1.0,), resonant=False)
+    spec = SweepSpec(swept="delta_smr", grid=(1.0,), base=preset_params("A2"), resonant=False)
     p = spec.point_params(1.0)
     assert (p.delta_a, p.delta_b, p.delta_q) == (1.0, -9.0, -1.0)
 
 
 def test_compare_oracle_linear_limit():
     # g = 0 sweep: both methods give Poissonian phonons
-    spec = SweepSpec(swept="delta_smr", preset="A2", values=(1.5, 2.5),
-                     overrides={"g": 0.0, "kappa_a": 6.0, "kappa_b": 6.0},
+    spec = SweepSpec(swept="delta_smr", grid=(1.5, 2.5),
+                     base=preset_params("A2", g=0.0, kappa_a=6.0, kappa_b=6.0),
                      resonant=True, truncation=TruncationConfig(5, 5))
     result = compare_oracle(spec)
     assert result.sweep.errors == result.oracle_errors == ["", ""]
@@ -165,8 +163,8 @@ def test_compare_oracle_linear_limit():
 
 
 def test_compare_oracle_reports_precondition_violations_per_point():
-    spec = SweepSpec(swept="delta_smr", preset="A2", values=(1.0, 2.0),
-                     overrides={"g": 4.5}, resonant=True, truncation=CFG3)
+    spec = SweepSpec(swept="delta_smr", grid=(1.0, 2.0),
+                     base=preset_params("A2", g=4.5), resonant=True, truncation=CFG3)
     result = compare_oracle(spec)  # A2 has unequal kappas: oracle must refuse
     assert np.isnan(result.oracle).all()
     for oracle_error, me_error, me in zip(result.oracle_errors, result.sweep.errors,
@@ -177,8 +175,8 @@ def test_compare_oracle_reports_precondition_violations_per_point():
 
 
 def test_compare_oracle_extrema_summary():
-    spec = SweepSpec(swept="delta_smr", preset="A2", start=4.6, stop=5.6, count=21,
-                     overrides={"g": 4.5, "kappa_a": 6.0, "kappa_b": 6.0, "eta_b": 0.1},
+    spec = SweepSpec(swept="delta_smr", grid=range_grid(4.6, 5.6, 21),
+                     base=preset_params("A2", g=4.5, kappa_a=6.0, kappa_b=6.0, eta_b=0.1),
                      resonant=True, truncation=CFG3)
     result = compare_oracle(spec, threads=2)
     assert result.summary["grid_step"] == pytest.approx(0.05)
@@ -190,12 +188,12 @@ def test_compare_oracle_extrema_summary():
 
 def test_empty_grid_rejected():
     with pytest.raises(ParameterError):
-        SweepSpec(swept="delta_smr", preset="A2", values=(), resonant=True)
+        SweepSpec(swept="delta_smr", grid=(), base=preset_params("A2"), resonant=True)
 
 
 def test_run_sweep_rejects_omega_m():
     with pytest.raises(ParameterError):
-        spec = SweepSpec(swept="omega_m", preset="A1", values=(1560.0, 1561.0))
+        spec = SweepSpec(swept="omega_m", grid=(1560.0, 1561.0), base=preset_params("A1"))
         run_sweep(spec)
 
 
@@ -298,13 +296,13 @@ def test_fresh_interpreter_runs_g2tau_points_on_one_blas_thread(tmp_path):
     assert seen["env_after"] == seen["env"] == "2"
 
 
-A2_RESONANT = dict(swept="delta_smr", preset="A2", overrides={"g": 4.5}, resonant=True,
+A2_RESONANT = dict(swept="delta_smr", base=preset_params("A2", g=4.5), resonant=True,
                    truncation=CFG3, modes=("a", "b", "c", "d"), orders=(2, 3))
 
 
 def direct_points(spec: SweepSpec) -> scenarios.SweepResult:
     """Every grid point from its own solve, in ascending order."""
-    xs = sorted(spec.grid().tolist())
+    xs = sorted(spec.grid)
     values = [scenarios._values(scenarios._solve(spec.point_params(x), spec.truncation),
                                 spec.modes, spec.orders) for x in xs]
     return scenarios.SweepResult(spec, np.array(xs), np.array([g for g, _ in values]),
@@ -328,7 +326,7 @@ def mirrors(spec: SweepSpec) -> list[tuple]:
 
 
 def test_mirror_pairs_take_values_a_few_ulps_off(caplog):
-    spec = SweepSpec(values=(3.0, -0.7, 2.0, 0.7000000000000001, -2.0000000000000004),
+    spec = SweepSpec(grid=(3.0, -0.7, 2.0, 0.7000000000000001, -2.0000000000000004),
                      **A2_RESONANT)
     assert mirrors(spec) == [(0.7000000000000001, -0.7), (2.0, -2.0000000000000004), (3.0, None)]
     with caplog.at_level("DEBUG", logger="polariton.scenarios"):
@@ -364,7 +362,7 @@ def test_mirror_partners_match_a_loop_over_every_pair():
 
 
 def test_odd_mirrored_grid_solves_zero_alone():
-    spec = SweepSpec(start=-1.0, stop=1.0, count=5, **A2_RESONANT)
+    spec = SweepSpec(grid=range_grid(-1.0, 1.0, 5), **A2_RESONANT)
     assert mirrors(spec) == [(0.0, None), (0.5, -0.5), (1.0, -1.0)]
     result, reference = run_sweep(spec), direct_points(spec)
     assert np.array_equal(result.g[2], reference.g[2], equal_nan=True)
@@ -373,9 +371,9 @@ def test_odd_mirrored_grid_solves_zero_alone():
 
 
 @pytest.mark.parametrize("changes", [
-    {"values": (-1.3, 0.4, 2.2)},  # resonant, but no value has a mirror
-    {"values": (-1.0, 1.0), "resonant": False},  # keeps A2's detuning offsets
-    {"values": (-1.0, 1.0), "swept": "g", "resonant": False},
+    {"grid": (-1.3, 0.4, 2.2)},  # resonant, but no value has a mirror
+    {"grid": (-1.0, 1.0), "resonant": False},  # keeps A2's detuning offsets
+    {"grid": (-1.0, 1.0), "swept": "g", "resonant": False},
 ], ids=["asymmetric", "offset-detunings", "g"])
 def test_sweeps_without_mirrors_solve_every_point(changes):
     spec = SweepSpec(**{**A2_RESONANT, **changes})
@@ -384,7 +382,7 @@ def test_sweeps_without_mirrors_solve_every_point(changes):
 
 
 def test_failed_solve_leaves_the_mirror_point_its_own_solve(monkeypatch, caplog):
-    spec = SweepSpec(values=(-1.0, 1.0), **A2_RESONANT)
+    spec = SweepSpec(grid=(-1.0, 1.0), **A2_RESONANT)
     reference = direct_points(spec)
     real_solve_point = scenarios.solve_point
 
@@ -405,7 +403,7 @@ def test_failed_solve_leaves_the_mirror_point_its_own_solve(monkeypatch, caplog)
 
 
 def test_failed_certificate_falls_back_to_a_direct_solve(monkeypatch, caplog):
-    spec = SweepSpec(values=(-1.0, 1.0), **A2_RESONANT)
+    spec = SweepSpec(grid=(-1.0, 1.0), **A2_RESONANT)
 
     def reject(L, mat):
         raise SteadyStateError("rejected")
@@ -419,8 +417,8 @@ def test_failed_certificate_falls_back_to_a_direct_solve(monkeypatch, caplog):
 
 
 def test_compare_oracle_runs_the_oracle_at_each_mirrored_row():
-    spec = SweepSpec(swept="delta_smr", preset="A2", values=(-1.5, -0.5, 0.5, 1.5),
-                     overrides={"g": 4.5, "kappa_a": 6.0, "kappa_b": 6.0}, resonant=True,
+    spec = SweepSpec(swept="delta_smr", grid=(-1.5, -0.5, 0.5, 1.5),
+                     base=preset_params("A2", g=4.5, kappa_a=6.0, kappa_b=6.0), resonant=True,
                      truncation=CFG3)
     assert mirrors(spec) == [(0.5, -0.5), (1.5, -1.5)]
     result = compare_oracle(spec)
