@@ -33,8 +33,7 @@ import yaml
 
 from . import __version__
 from .correlations import dominant_period, sign_pattern
-from .errors import (ConfigError, DimensionError, InsufficientDataError, ParameterError,
-                     PolaritonError)
+from .errors import ConfigError, InsufficientDataError, ParameterError, PolaritonError
 from .hilbert import TruncationConfig
 from .model import MODES, SystemParams, tau_to_us
 from .scenarios import (DEFAULT_ORDERS, PRESETS, SweepSpec, check_one_drive, compare_oracle,
@@ -175,7 +174,7 @@ def _validate(config: dict, command: str):
     if "truncation" in config:
         _check_keys(config["truncation"], _TRUNCATION_KEYS, "truncation")
         for key, val in config["truncation"].items():
-            _check_count(val, f"truncation.{key}")
+            _check_count(val, f"truncation.{key}", minimum=2)
     if "sweep" in config:
         sweep = config["sweep"]
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
@@ -251,13 +250,6 @@ def _validate(config: dict, command: str):
     _check_count(config.get("threads", 1), "threads")
 
 
-def _truncation(config: dict) -> TruncationConfig:
-    try:
-        return TruncationConfig(**config.get("truncation", {}))
-    except DimensionError as exc:
-        raise ConfigError(f"truncation: {exc}")
-
-
 def _base_params(config: dict) -> SystemParams:
     """The preset's parameters, or else the explicit params, with the overrides applied."""
     base = (PRESETS[config["preset"]].params if "preset" in config
@@ -272,7 +264,7 @@ def _sweep_spec(config: dict) -> SweepSpec:
     try:
         return SweepSpec(swept=str(s["variable"]), grid=tuple(float(x) for x in grid),
                          base=_base_params(config), resonant=s.get("resonant", False),
-                         truncation=_truncation(config),
+                         truncation=TruncationConfig(**config.get("truncation", {})),
                          modes=tuple(config.get("modes", MODES)),
                          orders=tuple(config.get("orders", DEFAULT_ORDERS)))
     except ParameterError as exc:
@@ -391,7 +383,8 @@ def _cmd_g2tau(config: dict) -> int:
             check_one_drive(p)
     except ParameterError as exc:
         raise ConfigError(str(exc))
-    results = run_g2tau(points, _truncation(config), grid_inv_gamma, modes, config.get("threads"))
+    results = run_g2tau(points, TruncationConfig(**config.get("truncation", {})), grid_inv_gamma,
+                        modes, config.get("threads"))
     writer = _OutputWriter(config, "g2tau")
     summary_points = []
     warnings: list[str] = []

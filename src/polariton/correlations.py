@@ -90,6 +90,17 @@ def _resolve_mode(mode: ModeLike, cfg: TruncationConfig,
             mode_moment(mode, cfg, k))
 
 
+def _mean_occupation(rho: DensityMatrix, name: str, n_op: np.ndarray, k: int) -> float:
+    """<z'z> of a mode in ``rho``; raises :class:`UndefinedCorrelationError`,
+    as g^(k) is undefined, when it is at or below the occupancy floor."""
+    n_mean = float(np.einsum("ij,ji->", rho.matrix, n_op).real)
+    if n_mean <= OCCUPANCY_FLOOR:
+        raise UndefinedCorrelationError(
+            f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor "
+            f"{OCCUPANCY_FLOOR:.0e}; g^({k})(0) is undefined")
+    return n_mean
+
+
 def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> float:
     """k-th order zero-delay intensity correlation of the selected mode.
 
@@ -100,11 +111,7 @@ def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> float:
     if k < 2:
         raise ValueError(f"correlation order must be >= 2, got {k}")
     name, _, n_op, moment = _resolve_mode(mode, rho.cfg, k)
-    n_mean = float(np.einsum("ij,ji->", rho.matrix, n_op).real)
-    if n_mean <= OCCUPANCY_FLOOR:
-        raise UndefinedCorrelationError(
-            f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor "
-            f"{OCCUPANCY_FLOOR:.0e}; g^({k})(0) is undefined")
+    n_mean = _mean_occupation(rho, name, n_op, k)
     if not moment.any():  # z'^k z^k vanishes exactly when z^k does
         raise UndefinedCorrelationError(
             f"mode {name}: the k={k} moment is identically zero at this truncation; "
@@ -129,10 +136,7 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
     name, z, n_op, _ = _resolve_mode(mode, rho_ss.cfg, 1)
-    n_mean = float(np.einsum("ij,ji->", rho_ss.matrix, n_op).real)
-    if n_mean <= OCCUPANCY_FLOOR:
-        raise UndefinedCorrelationError(
-            f"mode {name}: mean occupation {n_mean:.3e} is at or below the floor")
+    n_mean = _mean_occupation(rho_ss, name, n_op, 2)
     dressed = z @ rho_ss.matrix @ z.conj().T
     # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n).  The
     # dressed state is propagated unnormalised, so that _propagate rejects a

@@ -224,19 +224,19 @@ def build_liouvillian(H: np.ndarray, p: SystemParams, cfg: TruncationConfig) -> 
                        unique_steady_state=min(rates) > 0)
 
 
-def _count_zero_modes(L: Liouvillian, k: int = 2) -> tuple[int, np.ndarray]:
-    """Count eigenvalues of L with magnitude below the zero-mode tolerance."""
+def _count_zero_modes(L: Liouvillian) -> int:
+    """Count the eigenvalues of L, of the two nearest zero, with magnitude
+    below the zero-mode tolerance."""
     import scipy.sparse.linalg as spla
     scale = max(L.norm, 1e-300)
     sigma = 1e-6 * scale / L.cfg.dim  # small positive shift; L has no eigenvalue there
     try:
-        vals = spla.eigs(L.matrix, k=k, sigma=sigma, which="LM",
+        vals = spla.eigs(L.matrix, k=2, sigma=sigma, which="LM",
                          return_eigenvectors=False)
     except Exception:  # ARPACK failure on tiny/degenerate problems
         vals = np.linalg.eigvals(L.matrix.toarray())
-        vals = vals[np.argsort(np.abs(vals))][:k]
-    n_zero = int(np.sum(np.abs(vals) < ZERO_MODE_RTOL * scale))
-    return n_zero, np.asarray(vals)
+        vals = vals[np.argsort(np.abs(vals))][:2]
+    return int(np.sum(np.abs(vals) < ZERO_MODE_RTOL * scale))
 
 
 def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, str, int, int]:
@@ -405,7 +405,7 @@ def _lu_steady_state(L: Liouvillian, suspect: bool = False) -> tuple[DensityMatr
         except SteadyStateError as exc:
             failure = f"the LU solve failed its certificate: {exc}"
     if result is None or suspicious:
-        n_zero, _ = _count_zero_modes(L)
+        n_zero = _count_zero_modes(L)
         if n_zero >= 2:
             raise NonUniqueSteadyStateError(
                 f"{n_zero} near-zero modes: the steady state is not unique")

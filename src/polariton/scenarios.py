@@ -292,22 +292,14 @@ def _cap_blas_threads() -> Callable[[], None]:
     function that restores the previous counts and OPENBLAS_NUM_THREADS."""
     env = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import threadpoolctl
-    except ImportError:
-        controls = _openblas_thread_controls()
-        before = [get() for get, _ in controls]
-        for _, set_threads in controls:
-            set_threads(1)
-
-        def restore_libraries():
-            for (_, set_threads), n in zip(controls, before):
-                set_threads(n)
-    else:
-        restore_libraries = threadpoolctl.threadpool_limits(1).restore_original_limits
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
 
     def restore():
-        restore_libraries()
+        for (_, set_threads), n in zip(controls, before):
+            set_threads(n)
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
         if env is not None:
             os.environ["OPENBLAS_NUM_THREADS"] = env
@@ -333,21 +325,20 @@ def pool_workers(threads: Optional[int], points: int) -> int:
 def _map_points(worker, work_items: list, threads: Optional[int]) -> list:
     """``worker(*item)`` for every item, in order, on :func:`pool_workers`
     processes.  Each task runs on one BLAS thread: more only spin, and
-    nearly double a point's CPU time."""
+    nearly double a point's CPU time.  The cap is taken here, before the
+    pool forks, so its workers start under it."""
     workers = pool_workers(threads, len(work_items))
-    debug = "%d tasks on %d worker(s); OpenBLAS threads after the cap: %s"
-    if workers == 1:
-        restore_blas_threads = _cap_blas_threads()
-        try:
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug(debug, len(work_items), 1, _openblas_thread_counts())
-            return [worker(*item) for item in work_items]
-        finally:
-            restore_blas_threads()
-    with Pool(processes=workers, initializer=_cap_blas_threads) as pool:
+    restore_blas_threads = _cap_blas_threads()
+    try:
         if _log.isEnabledFor(logging.DEBUG):
-            _log.debug(debug, len(work_items), workers, pool.apply(_openblas_thread_counts))
-        return pool.starmap(worker, work_items)
+            _log.debug("%d tasks on %d worker(s); OpenBLAS threads after the cap: %s",
+                       len(work_items), workers, _openblas_thread_counts())
+        if workers == 1:
+            return [worker(*item) for item in work_items]
+        with Pool(processes=workers) as pool:
+            return pool.starmap(worker, work_items)
+    finally:
+        restore_blas_threads()
 
 
 @dataclass

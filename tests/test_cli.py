@@ -537,6 +537,13 @@ def test_load_config_rejects_tau_unit(tmp_path):
         load_config(cfg, "g2tau", [], None)
 
 
+@pytest.mark.parametrize("truncation", ["{n_a_max: 1}", "{n_b_max: 0}"])
+def test_load_config_rejects_cutoffs_below_two(tmp_path, truncation):
+    cfg = write(tmp_path / "cfg.yaml", G_SWEEP_BASE + f"truncation: {truncation}\n")
+    with pytest.raises(ConfigError, match="truncation.n_._max: expected an integer >= 2"):
+        load_config(cfg, "g2sweep", [], None)
+
+
 def _fresh_run(code: str) -> tuple[set, str]:
     """The scipy modules a fresh interpreter has loaded after running
     ``code``, and its standard error."""

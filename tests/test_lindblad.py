@@ -397,7 +397,7 @@ def test_one_start_only_where_every_channel_is_damped(rates, unique):
 def test_damped_bundles_have_one_zero_mode(bundle):
     L = bundle_liouvillian(bundle)
     assert L.unique_steady_state
-    assert _count_zero_modes(L)[0] == 1
+    assert _count_zero_modes(L) == 1
 
 
 def random_damped_params(rng: np.random.Generator) -> tuple[SystemParams, str]:

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from polariton import (OVERRIDE_BUNDLES, PRESETS, ParameterError, SteadyStateErr
                        hamiltonian_smr_driven, oracle_g2, preset_params, run_sweep,
                        solve_point, steady_amplitudes)
 from polariton import scenarios
-from polariton.scenarios import (_cap_blas_threads, _extrema, _openblas_thread_controls,
+from polariton.scenarios import (_extrema, _map_points, _openblas_thread_controls,
                                  _openblas_thread_counts, build_hamiltonian, run_g2tau)
 from helpers import fresh_env, range_grid
 
@@ -197,12 +196,26 @@ def test_run_sweep_rejects_omega_m():
         run_sweep(spec)
 
 
+def _blas_and_os_threads(_) -> tuple[list[int], int]:
+    """A task's OpenBLAS thread counts and its process's OS threads (0 where
+    /proc/self/task does not exist)."""
+    try:
+        os_threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        os_threads = 0
+    return _openblas_thread_counts(), os_threads
+
+
 def test_pool_workers_run_one_blas_thread():
-    if not _openblas_thread_counts():
-        pytest.skip("no OpenBLAS library is mapped into this process")
-    with Pool(processes=1, initializer=_cap_blas_threads) as pool:
-        counts = pool.apply(_openblas_thread_counts)
-    assert counts and all(n == 1 for n in counts)
+    """Workers start under the runner's cap, so no worker restarts OpenBLAS's
+    thread server: each task sees every OpenBLAS at one thread, and one OS
+    thread in its process."""
+    seen = _map_points(_blas_and_os_threads, [(i,) for i in range(4)], threads=2)
+    if not any(counts or os_threads for counts, os_threads in seen):
+        pytest.skip("neither OpenBLAS thread counts nor /proc/self/task can be read")
+    for counts, os_threads in seen:
+        assert all(n == 1 for n in counts), seen
+        assert os_threads in (0, 1), seen
 
 
 def test_g2tau_point_runs_one_blas_thread(monkeypatch):
