@@ -13,9 +13,11 @@ Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
 Liouvillian and its occupation read out along the grid.  The dressed state
 is Hermitian, so it is propagated on its real form R = Re X + Im X (see
-:mod:`polariton.lindblad`) by adaptive Taylor steps, and read out as
-c . vec R(tau) with c = vec(Re n + Im n) for n = z'z from each step's
-terms, so memory does not grow with the delays.
+:mod:`polariton.lindblad`) by Chebyshev steps on an ellipse around the
+Liouvillian's spectrum (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+(1984)), and read out as c . vec R(tau) with c = vec(Re n + Im n) for
+n = z'z from each step's terms, so memory does not grow with the delays.
+The modes of one call share the steps.
 """
 
 from __future__ import annotations
@@ -124,25 +126,28 @@ def g_k_zero(rho: DensityMatrix, mode: ModeLike, k: int = 2) -> float:
     return num / n_mean**k
 
 
-def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, mode: ModeLike,
+def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, modes: Sequence[ModeLike],
            tau_grid: Sequence[float]) -> np.ndarray:
-    """Delay-time g^(2)(tau) on a grid in units of 1/gamma, via the quantum
-    regression theorem.
+    """Delay-time g^(2)(tau) of each mode, a (modes, delays) array on a grid
+    in units of 1/gamma, via the quantum regression theorem.
 
-    ``rho_ss`` must be the steady state of ``L``.  The grid must start at
-    tau = 0 so the zero-delay consistency invariant is meaningful.
+    ``modes`` is a sequence of modes, each a letter of MODES or an operator;
+    a string such as "abcd" names one mode per letter.  Their curves are
+    propagated in lockstep.  ``rho_ss`` must be the steady state of ``L``.
+    The grid must start at tau = 0 so the zero-delay consistency invariant
+    is meaningful.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
-    name, z, n_op, _ = _resolve_mode(mode, rho_ss.cfg, 1)
-    n_mean = _mean_occupation(rho_ss, name, n_op, 2)
-    dressed = z @ rho_ss.matrix @ z.conj().T
+    resolved = [_resolve_mode(mode, rho_ss.cfg, 1) for mode in modes]
+    n_means = np.array([_mean_occupation(rho_ss, name, n_op, 2) for name, _, n_op, _ in resolved])
+    dressed = np.array([z @ rho_ss.matrix @ z.conj().T for _, z, _, _ in resolved])
     # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n).  The
-    # dressed state is propagated unnormalised, so that _propagate rejects a
+    # dressed states are propagated unnormalised, so that _propagate rejects a
     # non-finite one before anything divides by its trace
-    c = _real_form(n_op).reshape(1, -1)
-    return _propagate(dressed, L, tau_grid, c)[0] / n_mean**2
+    readouts = np.array([_real_form(n_op).reshape(-1) for _, _, n_op, _ in resolved])
+    return _propagate(dressed, L, tau_grid, readouts) / n_means[:, None] ** 2
 
 
 def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase:
@@ -211,6 +216,7 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
     Evaluates the detection identities that reconstruct the hybrid-mode
     occupation from four local moments and the two-boson moment from nine,
     using f_kl = a'^k a^l and g_mn = b'^m b^n.  Both identities are exact.
+    Every product is normally ordered, its lowering operators applied first.
     """
     a = hybrid_mode_operator("a", rho.cfg)
     b = hybrid_mode_operator("b", rho.cfg)
@@ -220,19 +226,19 @@ def hybrid_moments_from_local(rho: DensityMatrix) -> tuple[float, float]:
         return complex(np.einsum("ij,ji->", rho.matrix, mat))
 
     f11, g11 = ad @ a, bd @ b
-    first = 0.5 * (ev(f11) + ev(g11) + ev(a @ bd) + ev(ad @ b))
+    first = 0.5 * (ev(f11) + ev(g11) + ev(bd @ a) + ev(ad @ b))
     f22 = ad @ ad @ a @ a
     g22 = bd @ bd @ b @ b
     second = 0.25 * (
         ev(f22)
-        + 4.0 * ev(f11 @ g11)
+        + 4.0 * ev(ad @ bd @ a @ b)
         + ev(g22)
-        + 2.0 * ev(a @ (bd @ bd @ b))
-        + 2.0 * ev(ad @ (bd @ b @ b))
-        + ev(ad @ ad @ (b @ b))
-        + ev(a @ a @ (bd @ bd))
-        + 2.0 * ev((ad @ ad @ a) @ b)
-        + 2.0 * ev((ad @ a @ a) @ bd)
+        + 2.0 * ev(bd @ bd @ a @ b)
+        + 2.0 * ev(ad @ bd @ b @ b)
+        + ev(ad @ ad @ b @ b)
+        + ev(bd @ bd @ a @ a)
+        + 2.0 * ev(ad @ ad @ a @ b)
+        + 2.0 * ev(ad @ bd @ a @ a)
     )
     return float(first.real), float(second.real)
 

@@ -75,10 +75,14 @@ def _hermitian_pair(op: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
-    """The fixed operator of each Hamiltonian term (read-only, cached per config)."""
+    """The fixed operator of each Hamiltonian term (read-only, cached per config).
+
+    Every product applies its lowering operators first, so that no product
+    passes through a state above the truncation on its way.
+    """
     a, b, sm = lowering(cfg)
     ad, bd = a.conj().T, b.conj().T
-    hop = a @ bd
+    hop = bd @ a
     return {
         "n_a": _read_only(ad @ a),
         "n_b": _read_only(bd @ b),
@@ -86,7 +90,7 @@ def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
         "qubit_photon": _hermitian_pair(ad @ sm),
         "hop_plus": _hermitian_pair(hop),
         # H_-: the hopping enters through the anti-Hermitian combination
-        # i*(a'b - a b') with real f, which keeps H exactly Hermitian.  This
+        # i*(a'b - b'a) with real f, which keeps H exactly Hermitian.  This
         # phase choice is the one under which photon/phonon number
         # correlations match H_+ with the hybrid mode taken as (-i a + b)/sqrt2.
         "hop_minus": _read_only(hop.conj().T - hop),

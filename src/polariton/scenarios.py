@@ -523,7 +523,7 @@ def g2tau_point(p: SystemParams, cfg: TruncationConfig, tau_grid: Sequence[float
     in units of 1/gamma, and each curve's dynamics label (None where it
     cannot be classified)."""
     rho, L = solve_point(p, cfg)
-    curves = np.array([g2_tau(rho, L, mode, tau_grid) for mode in modes])
+    curves = g2_tau(rho, L, modes, tau_grid)
     labels = []
     for curve in curves:
         try:

@@ -97,7 +97,7 @@ def random_composite_density(rng: np.random.Generator, cfg: TruncationConfig) ->
 def evolve(rho0: DensityMatrix, L: Liouvillian, t_grid) -> list[DensityMatrix]:
     """States on ``t_grid`` from the propagator that g2_tau uses, not re-normalised."""
     d = L.cfg.dim
-    Rs = _propagate(rho0.matrix, L, t_grid).T.reshape(-1, d, d)
+    Rs = _propagate(rho0.matrix[None], L, t_grid)[0].T.reshape(-1, d, d)
     return [DensityMatrix(0.5 * (R + R.T) + 0.5j * (R - R.T), L.cfg) for R in Rs]
 
 

@@ -140,7 +140,7 @@ def test_criterion_5_dynamics_cases():
     for ratio, expected in ((3.0, "I"), (2.1, "II"), (3.8, "III"), (2.2, "IV")):
         p = p3.with_(g=ratio * p3.kappa_a)
         rho, L = solve_point(p, CUTOFF5)
-        curve = g2_tau(rho, L, "b", grid)
+        curve = g2_tau(rho, L, "b", grid)[0]
         label = classify_dynamics(grid, curve, p)
         outcomes[ratio] = (label.case, expected)
     ok = all(case == expected for case, expected in outcomes.values())
@@ -154,7 +154,7 @@ def test_criterion_6_oscillation_period():
     p = bundle_params("weak-coupling-oscillation")
     rho, L = solve_point(p, CUTOFF5)
     grid = np.linspace(0.0, 6.0, 1201)
-    curve = g2_tau(rho, L, "c", grid)
+    curve = g2_tau(rho, L, "c", grid)[0]
     period = dominant_period(grid, curve)
     period_us = tau_to_us(period)
     target_us = tau_to_us(2 * np.pi / p.f)
@@ -220,8 +220,7 @@ def test_criterion_7_property_suite():
     for preset, g in (("A1", 7.5), ("A2", 4.5), ("A3", 9.5)):
         p = preset_params(preset, g=g)
         rho, L = solve_point(p, CUTOFF5)
-        for mode in ("a", "b", "c", "d"):
-            curve = g2_tau(rho, L, mode, [0.0, 0.02, 0.05])
+        for mode, curve in zip("abcd", g2_tau(rho, L, "abcd", [0.0, 0.02, 0.05])):
             ref = g_k_zero(rho, mode, 2)
             if abs(curve[0] - ref) > 1e-8 * abs(ref):
                 failures.append(f"regression consistency {preset}/{mode}")

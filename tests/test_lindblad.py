@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
 from polariton import (OVERRIDE_BUNDLES, DensityMatrix, IntegrationError,
@@ -19,8 +19,8 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, IntegrationError,
                        hamiltonian_qd_driven, hamiltonian_smr_driven,
                        hybrid_mode_operator, preset_params, solve_point, steady_state)
 from polariton.lindblad import (MAX_EIGENBASIS_COND, ZERO_MODE_RTOL, Liouvillian,
-                                _count_zero_modes, _lu_steady_state, _propagate, _real_form,
-                                _real_generator, _sum_jump_orders)
+                                _bessel_series, _count_zero_modes, _lu_steady_state,
+                                _propagate, _real_form, _real_generator, _sum_jump_orders)
 from polariton.scenarios import build_hamiltonian
 from helpers import (FockLabel, basis_state, evolve, expect, fresh_env,
                      hermiticity_defect, kron_liouvillian, random_composite_density,
@@ -511,7 +511,7 @@ def test_cavity_decay_oracle(caplog):
     num = n_op.conj().T @ n_op
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         states = evolve(rho0, L, times)
-    assert f"propagated 9 samples on the real form: G nnz {_real_generator(L).nnz}," in caplog.text
+    assert f"propagated 9 samples on the real form: G nnz {_real_generator(L)[0].nnz}," in caplog.text
     for t, rho_t in zip(times, states):
         n_mean = np.einsum("ij,ji->", rho_t.matrix, num).real
         assert n_mean == pytest.approx(np.exp(-kappa * t), abs=1e-8)
@@ -587,12 +587,13 @@ def test_real_generator_maps_real_forms(bundle):
     p = bundle_params(bundle)
     cfg = TruncationConfig(3, 3)
     L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
-    G = _real_generator(L)
+    W, centre, focal = _real_generator(L)
     rng = np.random.default_rng(5)
     A = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
     X = A + A.conj().T
     expected = _real_form(L.apply(X)).reshape(-1)
-    got = G @ _real_form(X).reshape(-1)
+    R = _real_form(X).reshape(-1)
+    got = focal / 2 * (W @ R) + centre * R  # G = c + (f/2) W
     assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
@@ -606,10 +607,16 @@ def test_evolve_rejects_non_hermitian_start():
 
 
 TIGHT_POINTS = [("A3", {"g": 10.5}), ("A1", {"f": 5.5, "g": 1.2})]
+# Points where the enclosure is tested hardest: the first two steady states
+# take the LU path, and at the first L's real extent reaches -40.3 where
+# that of the coherence frequencies D_ij of H_eff reaches only -30.3; the
+# third has an undamped phonon; the fourth a strong phonon drive.
+STRESS_POINTS = [("A2", {"g": 4.5, "eta_b": 10.0}), ("A1", {"g": 7.5, "eta_a": 5.0}),
+                 ("A2", {"g": 4.5, "kappa_b": 0.0}), ("A2", {"g": 4.5, "eta_b": 3.0})]
 TIGHT_GRID = np.linspace(0.0, 6.0, 1201)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=len(TIGHT_POINTS) + len(STRESS_POINTS))
 def tight_reference(preset_name, point_items):
     """Steady state, L and the reference curves of modes a-d at cutoff 3:
     the quantum regression theorem integrated on the complex vec(X) with
@@ -632,18 +639,53 @@ def tight_reference(preset_name, point_items):
 @pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
 def test_g2_tau_matches_tight_complex_reference(preset_name, point):
     rho, L, refs = tight_reference(preset_name, tuple(point.items()))
-    for mode, ref in zip("abcd", refs):
-        values = g2_tau(rho, L, mode, TIGHT_GRID)
+    for values, ref in zip(g2_tau(rho, L, "abcd", TIGHT_GRID), refs):
         assert np.abs(values - ref).max() <= 1e-6 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
-def test_g2_tau_matches_tight_taylor_bound(preset_name, point):
-    # each Taylor step is accurate to 1e-12 of the state; against an
-    # rtol-1e-13 run of the reference these curves lie within 6.3e-12
+@pytest.mark.parametrize("preset_name,point", TIGHT_POINTS + STRESS_POINTS)
+def test_g2_tau_matches_tight_chebyshev_bound(preset_name, point):
+    # each Chebyshev step stops at terms below 1e-12 of the state; against a
+    # dense-exponential reference these curves lie within 1.3e-12 of their
+    # largest value at all six points
     rho, L, refs = tight_reference(preset_name, tuple(point.items()))
-    for mode, ref in zip("abcd", refs):
-        values = g2_tau(rho, L, mode, TIGHT_GRID)
+    for values, ref in zip(g2_tau(rho, L, "abcd", TIGHT_GRID), refs):
+        assert np.abs(values - ref).max() <= 1e-9 * np.abs(ref).max()
+
+
+def test_bessel_recurrence_matches_scipy():
+    from scipy.special import jv
+    x = np.array([0.0, 0.5, 10.0, 160.0, 300.0])
+    table = _bessel_series(x, 401)
+    assert np.abs(table - jv(np.arange(401), x[:, None])).max() <= 1e-13
+    # the sums taken on the way down are the table's products
+    terms = np.random.default_rng(7).normal(size=(401, 3))
+    sums = _bessel_series(x, 401, terms)
+    assert np.abs(sums - table @ terms).max() <= 1e-13 * np.abs(terms).max()
+
+
+def test_chebyshev_steps_take_fewer_products_than_taylor_steps(caplog):
+    # A3 g = 10.5 at cutoff 3, tau <= 6/gamma at 1201 samples: Taylor steps
+    # took 1197-1403 products a curve, these take 699
+    rho, L, _ = tight_reference("A3", (("g", 10.5),))
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        g2_tau(rho, L, "abcd", TIGHT_GRID)
+    products = int(re.search(r"(\d+) matrix-vector products", caplog.text)[1])
+    assert products / 4 <= 900
+
+
+def test_guard_halves_steps_when_the_enclosure_misses_eigenvalues(monkeypatch, caplog):
+    # an ellipse of half the height leaves L's fastest eigenvalues outside;
+    # the guard halves the steps until their terms stay small, and the curves
+    # keep their accuracy
+    _, _, refs = tight_reference("A3", (("g", 10.5),))
+    rho, L = solve_point(preset_params("A3", g=10.5), TruncationConfig(3, 3))
+    monkeypatch.setattr("polariton.lindblad.ENCLOSURE_MARGIN", 0.5)
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        curves = g2_tau(rho, L, "abcd", TIGHT_GRID)
+    rejected = int(re.search(r"(\d+) rejected steps", caplog.text)[1])
+    assert rejected > 0
+    for values, ref in zip(curves, refs):
         assert np.abs(values - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
@@ -660,8 +702,8 @@ def test_streamed_readout_matches_the_full_trajectory(preset_name, point, caplog
         c = _real_form(z.conj().T @ z).reshape(1, -1)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
-            curve = _propagate(X, L, TIGHT_GRID, c)
-            trajectory = _propagate(X, L, TIGHT_GRID)
+            curve = _propagate(X[None], L, TIGHT_GRID, c)
+            trajectory = _propagate(X[None], L, TIGHT_GRID)[0]
         steps = re.findall(r"(\d+) matrix-vector products, (\d+) accepted and (\d+) rejected",
                            caplog.text)
         assert len(steps) == 2 and steps[0] == steps[1]
@@ -674,7 +716,7 @@ def test_propagate_rejects_non_finite_generator():
     L = make_L(SystemParams(kappa_a=1.0))
     L.matrix.data[0] = np.nan
     with pytest.raises(IntegrationError, match="no step size"):
-        _propagate(density_from_label(0, 0, "g").matrix, L, [0.0, 1.0])
+        _propagate(density_from_label(0, 0, "g").matrix[None], L, [0.0, 1.0])
 
 
 def test_g2_tau_rejects_non_finite_start_at_once(caplog):
@@ -687,18 +729,19 @@ def test_g2_tau_rejects_non_finite_start_at_once(caplog):
     assert "propagated" not in caplog.text
 
 
-def test_g2_tau_leaves_no_solver_for_the_cyclic_collector():
+def test_g2_tau_leaves_nothing_for_the_cyclic_collector():
     cfg = TruncationConfig(2, 2)
     rho, L = solve_point(preset_params("A3", g=10.5), cfg)
+    grid = np.linspace(0.0, 1.0, 11)
     gc.collect()
     gc.disable()
     try:
-        for mode in "abcd":
-            g2_tau(rho, L, mode, np.linspace(0.0, 1.0, 11))
-        alive = [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+        g2_tau(rho, L, "a", grid)
+        g2_tau(rho, L, "abcd", grid)
+        unreachable = gc.collect()
     finally:
         gc.enable()
-    assert not alive
+    assert unreachable == 0
 
 
 def test_g2_tau_memory_does_not_hold_the_trajectory():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from polariton import (ParameterError, SystemParams,
-                       TruncationConfig, hamiltonian_qd_driven,
+from polariton import (OVERRIDE_BUNDLES, ParameterError, SystemParams,
+                       TruncationConfig, bundle_params, hamiltonian_qd_driven,
                        hamiltonian_smr_driven, hamiltonian_undriven,
                        hybrid_mode_operator, linear_coupler, tau_to_us)
 from polariton.hilbert import lowering, occupations
 from polariton.model import _hamiltonian_terms, mode_moment
+from polariton.scenarios import build_hamiltonian
 from helpers import FockLabel, basis_state, labels, random_params
 
 CFG = TruncationConfig(3, 3)
@@ -237,3 +238,34 @@ def test_bs_hamiltonian_identity():
 
 def test_time_unit_conversion():
     assert tau_to_us(2 * np.pi / 5.5) == pytest.approx(0.036360, abs=5e-6)
+
+
+def _raise_first_terms(cfg: TruncationConfig) -> dict:
+    """The Hamiltonian terms with the hopping written raise-first, a b'."""
+    terms = dict(_hamiltonian_terms(cfg))
+    a, b, _ = lowering(cfg)
+    hop = a @ b.conj().T
+    terms["hop_plus"] = hop + hop.conj().T
+    terms["hop_minus"] = hop.conj().T - hop
+    return terms
+
+
+@pytest.mark.parametrize("cutoff", [3, 5])
+def test_lowering_first_terms_build_the_same_hamiltonians(monkeypatch, cutoff):
+    # a and b' act on different modes, so a b' = b'a; inside the box the two
+    # orders must give the same bytes, driven and undriven H(+/-) alike
+    cfg = TruncationConfig(cutoff, cutoff)
+
+    def hamiltonians():
+        out = []
+        for bundle in sorted(OVERRIDE_BUNDLES):
+            p = bundle_params(bundle)
+            undriven = p.with_(eta_a=0.0, eta_b=0.0)
+            out += [build_hamiltonian(p, cfg), hamiltonian_undriven(undriven, +1, cfg),
+                    hamiltonian_undriven(undriven, -1, cfg)]
+        return out
+    lowered = hamiltonians()
+    monkeypatch.setattr("polariton.model._hamiltonian_terms", _raise_first_terms)
+    raised = hamiltonians()
+    assert len(lowered) == 3 * len(OVERRIDE_BUNDLES) == 33
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(lowered, raised))

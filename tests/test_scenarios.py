@@ -237,7 +237,7 @@ def test_g2tau_point_runs_one_blas_thread(monkeypatch):
             set_threads(2)
         run_g2tau([preset_params("A2", g=4.5)], TruncationConfig(2, 2), [0.0, 0.5],
                   ("a", "b"), threads=1)
-        assert seen == [[1] * len(controls)] * 2
+        assert seen == [[1] * len(controls)]
         assert _openblas_thread_counts() == [2] * len(controls)
     finally:
         for (_, set_threads), n in zip(controls, original):
