@@ -12,12 +12,11 @@ d x d array on the same composite space, whose side is checked against it.
 Delay-time curves g^(2)(tau) follow from the quantum regression theorem:
 the operator-dressed steady state z rho z' is propagated under the same
 Liouvillian and its occupation read out along the grid.  The dressed state
-is Hermitian, so it is propagated on its real form R = Re X + Im X (see
-:mod:`polariton.lindblad`) by Chebyshev steps on an ellipse around the
-Liouvillian's spectrum (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
-(1984)), and read out as c . vec R(tau) with c = vec(Re n + Im n) for
-n = z'z from each step's terms, so memory does not grow with the delays.
-The modes of one call share the steps.
+is Hermitian, so :mod:`polariton.lindblad` propagates it on its real form
+by Chebyshev steps on an ellipse around the Liouvillian's spectrum
+(Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), and reads
+Tr(z'z X(tau)) from each step's terms, so memory does not grow with the
+delays.  The modes of one call share the steps.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (ClassificationError, InsufficientDataError,
+from .errors import (ClassificationError, DimensionError, InsufficientDataError,
                      UndefinedCorrelationError)
 from .hilbert import TruncationConfig
-from .lindblad import DensityMatrix, Liouvillian, _propagate, _real_form
+from .lindblad import DensityMatrix, Liouvillian, _propagate
 from .model import SystemParams, hybrid_mode_operator, mode_moment
 
 #: Mean occupations, and the weak-drive oracle's |C|^2 denominators, at or
@@ -133,20 +132,21 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, modes: Sequence[ModeLike],
 
     ``modes`` is a sequence of modes, each a letter of MODES or an operator;
     a string such as "abcd" names one mode per letter.  Their curves are
-    propagated in lockstep.  ``rho_ss`` must be the steady state of ``L``.
+    propagated in lockstep.  ``rho_ss`` must be the steady state of ``L``,
+    and a :class:`DimensionError` is raised when their truncations differ.
     The grid must start at tau = 0 so the zero-delay consistency invariant
     is meaningful.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
+    if rho_ss.cfg != L.cfg:
+        raise DimensionError(f"steady state on {rho_ss.cfg} but Liouvillian on {L.cfg}")
     resolved = [_resolve_mode(mode, rho_ss.cfg, 1) for mode in modes]
     n_means = np.array([_mean_occupation(rho_ss, name, n_op, 2) for name, _, n_op, _ in resolved])
     dressed = np.array([z @ rho_ss.matrix @ z.conj().T for _, z, _, _ in resolved])
-    # Tr(n X) = c . vec R(X) for Hermitian n and X, with c = vec R(n).  The
-    # dressed states are propagated unnormalised, so that _propagate rejects a
-    # non-finite one before anything divides by its trace
-    readouts = np.array([_real_form(n_op).reshape(-1) for _, _, n_op, _ in resolved])
+    # unnormalised, so that _propagate rejects a non-finite one before any division
+    readouts = [n_op for _, _, n_op, _ in resolved]
     return _propagate(dressed, L, tau_grid, readouts) / n_means[:, None] ** 2
 
 

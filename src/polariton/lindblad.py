@@ -49,17 +49,18 @@ X = S + iK (S symmetric, K antisymmetric, both real) has d^2 real
 parameters, collected in R = S + K; L keeps X Hermitian, so dR/dt = G R
 with a real d^2 x d^2 generator G that has the spectrum of L.  That
 spectrum is a thin strip: its imaginary extent is about the largest
-coherence frequency |Im D_ij| of H_eff, while its real part lies in
-[-Gamma_max, 0], with Gamma_max the largest diagonal entry of
-sum_k kappa_k J_k'J_k.  An ellipse around the strip, with centre c and
-foci c +/- i f, turns e^{hG} into a Chebyshev series in (G - c)/f whose
-coefficients are Bessel functions J_k(hf) (Tal-Ezer and Kosloff, J. Chem.
-Phys. 81, 3967 (1984)).  A step takes about hf products, plus a tail of
-about 60 at hf = 250; a Taylor series, whose steps must cover a disk
-around the strip, took 1.5 times as many on the shipped g2(tau) points.
-The samples inside a step are read from the same terms, and several start
-states share the steps.  scipy is imported inside the functions that call
-it, so that importing the package costs no scipy start-up, and the
+coherence frequency |Im D_ij|, from the H_eff eigenvalues that the steady
+state's sum found (one eigendecomposition serves both), while its real part
+lies in [-Gamma_max, 0], Gamma_max = max -2 Im (H_eff)_ii.  An ellipse
+around the strip, with centre c and foci c +/- i f, turns e^{hG} into a
+Chebyshev series in (G - c)/f whose coefficients are Bessel functions
+J_k(hf) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  A step
+takes about hf products, plus a tail of about 60 at hf = 250; a Taylor
+series, whose steps must cover a disk around the strip, took 1.5 times as
+many on the shipped g2(tau) points.  The samples inside a step are read
+from the same terms, as Tr(n X) for Hermitian readouts n, and several
+start states share the steps.  scipy is imported inside the functions that
+call it, so that importing the package costs no scipy start-up, and the
 spectrum command and jump-free sweeps never load it.
 """
 
@@ -208,9 +209,48 @@ class Liouvillian:
         return L
 
     @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, V), H_eff = V diag(lam) V^-1, for the jump-order sum and the enclosure."""
+        return np.linalg.eig(self.h_eff)
+
+    @cached_property
     def real_generator(self) -> tuple["scipy.sparse.csr_matrix", float, float]:
-        """:func:`_real_generator` of this Liouvillian, built once."""
-        return _real_generator(self)
+        """The real form's generator G, dR/dt = G R, as (W, c, f) with
+        W = 2(G - c)/f, the operator of the Chebyshev recurrence in
+        :func:`_propagate`.
+
+        With vec X = A vec R for A = (I + P)/2 + i(I - P)/2 and P the
+        transposition of row-major vec, G = Re(L A) + Im(L A) = Re L + (Im L) P.
+        Its spectrum, that of L, lies in the rectangle [-Gamma_max, 0] x [-F, F]
+        with F = ENCLOSURE_MARGIN max |Im D_ij|, read off :attr:`eigen`, and
+        Gamma_max = max -2 Im (H_eff)_ii, the largest diagonal entry of
+        sum_k kappa_k J_k'J_k.  The ellipse around it passes through the
+        rectangle's corners with real semi-axis Gamma_max, twice the
+        rectangle's, so its imaginary semi-axis is 2F / sqrt(3), its centre
+        c = -Gamma_max / 2 and its foci c +/- i f with f^2 = 4F^2/3 - Gamma_max^2.
+        A wider ellipse costs more products per unit time; on the shipped
+        bundles a narrower one lets slow, fast-rotating eigenvalues of L escape
+        it and sets off the step guard of :func:`_propagate`.  Where damping
+        outweighs the coherent frequencies, F is raised to Gamma_max, which
+        keeps the foci on the imaginary axis.  W is written in one pass.
+        """
+        import scipy.sparse as sp
+        d = self.cfg.dim
+        lam = self.eigen[0]
+        gamma_max = float((-2 * self.h_eff.diagonal().imag).max())
+        # D_ij = -i(lam_i - conj(lam_j)) has imaginary part Re lam_j - Re lam_i
+        half_height = max(ENCLOSURE_MARGIN * float(np.ptp(lam.real)), gamma_max, 1e-12)
+        centre = -gamma_max / 2
+        focal = float(np.sqrt(4 * half_height ** 2 / 3 - gamma_max ** 2))
+        M = self.matrix.tocoo()
+        diag = np.arange(d * d, dtype=M.col.dtype)
+        swap = diag.reshape(d, d).T.ravel()
+        data = np.concatenate([M.data.real, M.data.imag, np.full(d * d, -centre)])
+        data *= 2 / focal
+        W = sp.csr_matrix((data, (np.concatenate([M.row, M.row, diag]),
+                                  np.concatenate([M.col, swap[M.col], diag]))), shape=M.shape)
+        W.eliminate_zeros()
+        return W, centre, focal
 
 
 def _kron_entries(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,7 +328,7 @@ def _sum_jump_orders(L: Liouvillian) -> tuple[Optional[np.ndarray], int, float, 
     sweeps, starts run), with no start run when it gives way before sweeping.
     """
     try:
-        lam, V = np.linalg.eig(L.h_eff)
+        lam, V = L.eigen
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         return None, 0, np.nan, "H_eff not diagonalisable", 0, 0
@@ -473,47 +513,6 @@ def _real_form(X: np.ndarray) -> np.ndarray:
     return X.real + X.imag
 
 
-def _real_generator(L: Liouvillian) -> tuple["scipy.sparse.csr_matrix", float, float]:
-    """The real form's generator G, dR/dt = G R, as (W, c, f) with
-    W = 2(G - c)/f, the operator of the Chebyshev recurrence in
-    :func:`_propagate`.
-
-    With vec X = A vec R for A = (I + P)/2 + i(I - P)/2 and P the
-    transposition of row-major vec, G = Re(L A) + Im(L A) = Re L + (Im L) P.
-    Its spectrum, that of L, lies in the rectangle [-Gamma_max, 0] x [-F, F],
-    with F = ENCLOSURE_MARGIN max |Im D_ij|.  The ellipse around it passes
-    through the rectangle's corners with real semi-axis Gamma_max, twice the
-    rectangle's, so its imaginary semi-axis is 2F / sqrt(3), its centre
-    c = -Gamma_max / 2 and its foci c +/- i f with f^2 = 4F^2/3 - Gamma_max^2.
-    A wider ellipse costs more products per unit time; on the shipped
-    bundles a narrower one lets slow, fast-rotating eigenvalues of L escape
-    it and sets off the step guard of :func:`_propagate`.  Where damping
-    outweighs the coherent frequencies, F is raised to Gamma_max, which keeps
-    the foci on the imaginary axis.  W is written in one pass, with no G
-    beside it.
-    """
-    import scipy.sparse as sp
-    d = L.cfg.dim
-    lam = np.linalg.eigvals(L.h_eff)
-    loss = np.zeros(d)  # the diagonal of sum_k kappa_k J_k'J_k
-    for rate, J, _ in L._jumps:
-        loss += rate * np.einsum("ij,ij->j", J.conj(), J).real
-    gamma_max = float(loss.max())
-    # D_ij = -i(lam_i - conj(lam_j)) has imaginary part Re lam_j - Re lam_i
-    half_height = max(ENCLOSURE_MARGIN * float(np.ptp(lam.real)), gamma_max, 1e-12)
-    centre = -gamma_max / 2
-    focal = float(np.sqrt(4 * half_height ** 2 / 3 - gamma_max ** 2))
-    M = L.matrix.tocoo()
-    diag = np.arange(d * d, dtype=M.col.dtype)
-    swap = diag.reshape(d, d).T.ravel()
-    data = np.concatenate([M.data.real, M.data.imag, np.full(d * d, -centre)])
-    data *= 2 / focal
-    W = sp.csr_matrix((data, (np.concatenate([M.row, M.row, diag]),
-                              np.concatenate([M.col, swap[M.col], diag]))), shape=M.shape)
-    W.eliminate_zeros()
-    return W, centre, focal
-
-
 def _bessel_series(x: np.ndarray, n_terms: int, terms: Optional[np.ndarray] = None) -> np.ndarray:
     """J_k(x_s) for k < n_terms and each x_s >= 0, a (len(x), n_terms) table,
     or with ``terms`` (n_terms rows) the sums sum_k J_k(x_s) terms[k], a
@@ -563,14 +562,14 @@ def _bessel_series(x: np.ndarray, n_terms: int, terms: Optional[np.ndarray] = No
 
 
 def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
-               readouts: Optional[np.ndarray] = None) -> np.ndarray:
+               readouts: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
     """Integrate dX/dt = L[X] from t=0 for a stack of Hermitian X, in lockstep,
     on their real form.
 
-    With G = c + (f/2) W from :func:`_real_generator`, a step of length h
-    sums e^{hG} v = e^{hc} [J_0(hf) v + sum_{k>=1} J_k(hf) Q_k] with Q_0 = 2v,
-    Q_1 = Wv and Q_{k+1} = W Q_k + Q_{k-1} (Tal-Ezer and Kosloff).  The
-    starts share the steps and the Bessel coefficients; each takes one
+    With G = c + (f/2) W from :attr:`Liouvillian.real_generator`, a step of
+    length h sums e^{hG} v = e^{hc} [J_0(hf) v + sum_{k>=1} J_k(hf) Q_k] with
+    Q_0 = 2v, Q_1 = Wv and Q_{k+1} = W Q_k + Q_{k-1} (Tal-Ezer and Kosloff).
+    The starts share the steps and the Bessel coefficients; each takes one
     product per term.  Past k = hf the sum stops once two consecutive terms
     e^{hc} |J_k(hf)| max|Q_k| fall below PROPAGATION_RTOL of max|v|, and a
     term above CHEBYSHEV_GUARD max|v| halves the step, for good.  A sample
@@ -578,11 +577,12 @@ def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     from the terms projected onto each start's readout
     (:func:`_bessel_series`), so memory does not grow with the grid.
 
-    Returns the (starts, samples) array readouts[j] . vec R_j(t), with R_j
-    the :func:`_real_form` of X_j, or without readouts the (starts, d^2,
-    samples) array vec R_j(t), for which the step's unprojected terms are
-    held.  One debug line on this module's logger gives the nonzeros of W,
-    samples, products, accepted and rejected steps and time.
+    Returns the (starts, samples) array Tr(n_j X_j(t)) for Hermitian d x d
+    readouts n_j, read as vec R(n_j) . vec R(X_j(t)) with R the
+    :func:`_real_form`, or without readouts the (starts, d^2, samples) array
+    vec R(X_j(t)), for which the step's unprojected terms are held.  One
+    debug line on this module's logger gives the nonzeros of W, samples,
+    products, accepted and rejected steps and time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -602,9 +602,9 @@ def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     if readouts is None:
         project = lambda v: v  # noqa: E731
     else:  # a number operator's real form has about one nonzero per basis state
-        readouts = np.asarray(readouts, dtype=float)
-        rows = np.flatnonzero(readouts.any(axis=0))
-        weights = np.ascontiguousarray(readouts[:, rows].T)
+        forms = np.array([_real_form(n).ravel() for n in readouts])
+        rows = np.flatnonzero(forms.any(axis=0))
+        weights = np.ascontiguousarray(forms[:, rows].T)
         project = lambda v: (weights * v[rows]).sum(axis=0)  # noqa: E731
     out = np.empty(project(y).shape + (t_grid.size,))
     if t_grid[-1] == 0.0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polariton import (DensityMatrix, InsufficientDataError,
+from polariton import (DensityMatrix, DimensionError, InsufficientDataError,
                        ClassificationError, SystemParams, TruncationConfig,
                        UndefinedCorrelationError,
                        build_liouvillian, bundle_params, classify_dynamics,
@@ -12,7 +12,7 @@ from polariton import (DensityMatrix, InsufficientDataError,
                        steady_state, solve_point)
 from polariton.correlations import POISSONIAN_BAND, sign_pattern
 from polariton.hilbert import lowering
-from polariton.lindblad import _propagate, _real_form
+from polariton.lindblad import _propagate
 from polariton.model import mode_moment
 from polariton.scenarios import _mirror_parity
 from helpers import (FockLabel, basis_state, coherent_vector, kron_parity,
@@ -85,6 +85,17 @@ def test_g2_tau_grid_must_start_at_zero():
     rho, L = solve_point(p, CFG)
     with pytest.raises(InsufficientDataError):
         g2_tau(rho, L, "b", [0.1, 0.2])
+
+
+def test_g2_tau_rejects_a_state_of_another_truncation():
+    # (4, 3) and (3, 4) spaces share the side d = 40 but not the layout: the
+    # mixed pair gave g2_a = 2.081, 3.364, 4.062 at tau = 0, 0.1, 0.2 where
+    # the matched pair gives 2.081, 0.880, 0.256
+    p = preset_params("A3", g=10.5)
+    rho, _ = solve_point(p, TruncationConfig(4, 3))
+    _, L = solve_point(p, TruncationConfig(3, 4))
+    with pytest.raises(DimensionError, match="Liouvillian on"):
+        g2_tau(rho, L, "a", np.linspace(0.0, 1.0, 11))
 
 
 def test_g2_tau_vacuum_undefined():
@@ -327,8 +338,7 @@ def test_dressed_states_are_linear_in_the_modes(bundle):
     assert np.abs(dressed["c"] + dressed["d"] - both).max() <= 1e-13 * np.abs(both).max()
     grid = np.linspace(0.0, 6.0, 1201)
     n_d = mode_moment("d", cfg, 1)
-    readout = _real_form(n_d).reshape(1, -1)
-    X_d = sum(sign * _propagate(dressed[m][None], L, grid, readout)[0]
+    X_d = sum(sign * _propagate(dressed[m][None], L, grid, [n_d])[0]
               for sign, m in ((1, "a"), (1, "b"), (-1, "c")))
     rebuilt = X_d / np.einsum("ij,ji->", rho.matrix, n_d).real ** 2
     direct = g2_tau(rho, L, "d", grid)[0]

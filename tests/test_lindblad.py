@@ -20,8 +20,9 @@ from polariton import (OVERRIDE_BUNDLES, DensityMatrix, IntegrationError,
                        hybrid_mode_operator, preset_params, solve_point, steady_state)
 from polariton.lindblad import (MAX_EIGENBASIS_COND, ZERO_MODE_RTOL, Liouvillian,
                                 _bessel_series, _count_zero_modes, _lu_steady_state,
-                                _propagate, _real_form, _real_generator, _sum_jump_orders)
-from polariton.scenarios import build_hamiltonian
+                                _propagate, _real_form, _sum_jump_orders)
+from polariton.hilbert import lowering
+from polariton.scenarios import build_hamiltonian, g2tau_point
 from helpers import (FockLabel, basis_state, evolve, expect, fresh_env,
                      hermiticity_defect, kron_liouvillian, random_composite_density,
                      random_params, trace, validate)
@@ -124,15 +125,49 @@ def test_jump_free_steady_state_assembles_no_matrix(caplog):
 def test_g2_tau_builds_the_real_generator_once(monkeypatch):
     rho, L = solve_point(preset_params("A3", g=10.5), CFG)
     built = []
-    real_generator = _real_generator
+    build = Liouvillian.real_generator.func
 
     def counted(L):
         built.append(L)
-        return real_generator(L)
-    monkeypatch.setattr("polariton.lindblad._real_generator", counted)
+        return build(L)
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(Liouvillian, "real_generator")
+    monkeypatch.setattr(Liouvillian, "real_generator", counted_property)
     for mode in "abcd":
         g2_tau(rho, L, mode, np.linspace(0.0, 1.0, 11))
     assert built == [L]
+
+
+def test_g2tau_point_diagonalises_h_eff_once(monkeypatch):
+    # the steady state's eigendecomposition also gives the propagation enclosure
+    calls = []
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    g2tau_point(preset_params("A3", g=10.5), TruncationConfig(3, 3), np.linspace(0.0, 1.0, 11),
+                "abcd")
+    assert calls == ["eig"]
+
+
+@pytest.mark.parametrize("cutoff", [3, 5])
+@pytest.mark.parametrize("bundle", sorted(OVERRIDE_BUNDLES))
+def test_enclosure_centre_is_half_the_largest_decay_rate(bundle, cutoff):
+    # Gamma_max is read off the diagonal of H_eff; a Hamiltonian with an
+    # imaginary diagonal would move it away from the jumps' own decay rates
+    p = bundle_params(bundle)
+    cfg = TruncationConfig(cutoff, cutoff)
+    L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
+    loss = sum(rate * np.diag(J.conj().T @ J).real
+               for rate, J in zip((p.kappa_a, p.kappa_b, p.gamma), lowering(cfg)))
+    expected = -0.5 * loss.max()
+    assert abs(L.real_generator[1] - expected) <= 1e-15 * abs(expected)
 
 
 def test_non_hermitian_hamiltonian_rejected():
@@ -511,7 +546,7 @@ def test_cavity_decay_oracle(caplog):
     num = n_op.conj().T @ n_op
     with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
         states = evolve(rho0, L, times)
-    assert f"propagated 9 samples on the real form: G nnz {_real_generator(L)[0].nnz}," in caplog.text
+    assert f"propagated 9 samples on the real form: G nnz {L.real_generator[0].nnz}," in caplog.text
     for t, rho_t in zip(times, states):
         n_mean = np.einsum("ij,ji->", rho_t.matrix, num).real
         assert n_mean == pytest.approx(np.exp(-kappa * t), abs=1e-8)
@@ -587,7 +622,7 @@ def test_real_generator_maps_real_forms(bundle):
     p = bundle_params(bundle)
     cfg = TruncationConfig(3, 3)
     L = build_liouvillian(build_hamiltonian(p, cfg), p, cfg)
-    W, centre, focal = _real_generator(L)
+    W, centre, focal = L.real_generator
     rng = np.random.default_rng(5)
     A = rng.normal(size=(cfg.dim, cfg.dim)) + 1j * rng.normal(size=(cfg.dim, cfg.dim))
     X = A + A.conj().T
@@ -691,18 +726,20 @@ def test_guard_halves_steps_when_the_enclosure_misses_eigenvalues(monkeypatch, c
 
 @pytest.mark.parametrize("preset_name,point", TIGHT_POINTS)
 def test_streamed_readout_matches_the_full_trajectory(preset_name, point, caplog):
-    # the curve is projected onto c term by term before the Horner sums;
-    # the same call without a readout returns the whole trajectory, whose
-    # projection must agree up to rounding, over the same steps
+    # the curve is projected onto the real form c of n = z'z term by term,
+    # before the Bessel sums over each step's samples; the same call without
+    # a readout returns the whole trajectory, whose projection on c must
+    # agree up to rounding, over the same steps
     cfg = TruncationConfig(3, 3)
     rho, L = solve_point(preset_params(preset_name, **point), cfg)
     for mode in "abcd":
         z = hybrid_mode_operator(mode, cfg)
         X = z @ rho.matrix @ z.conj().T
-        c = _real_form(z.conj().T @ z).reshape(1, -1)
+        n = z.conj().T @ z
+        c = _real_form(n).reshape(1, -1)
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
-            curve = _propagate(X[None], L, TIGHT_GRID, c)
+            curve = _propagate(X[None], L, TIGHT_GRID, [n])
             trajectory = _propagate(X[None], L, TIGHT_GRID)[0]
         steps = re.findall(r"(\d+) matrix-vector products, (\d+) accepted and (\d+) rejected",
                            caplog.text)
@@ -746,13 +783,14 @@ def test_g2_tau_leaves_nothing_for_the_cyclic_collector():
 
 def test_g2_tau_memory_does_not_hold_the_trajectory():
     cfg = TruncationConfig(4, 4)
-    rho, L = solve_point(preset_params("A3", g=10.5), cfg)
     grid = np.linspace(0.0, 6.0, 1201)
-    L.matrix  # propagation needs the matrix; it is assembled outside the traced window
-    tracemalloc.start()
-    try:
-        g2_tau(rho, L, "c", grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cfg.dim ** 2 * grid.size * 8 / 10
+    for modes in ("c", "abcd"):  # each on a fresh Liouvillian, so each builds its generator
+        rho, L = solve_point(preset_params("A3", g=10.5), cfg)
+        L.matrix  # propagation needs the matrix; it is assembled outside the traced window
+        tracemalloc.start()
+        try:
+            g2_tau(rho, L, modes, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.dim ** 2 * grid.size * 8 / 10
