@@ -16,7 +16,12 @@ is Hermitian, so :mod:`polariton.lindblad` propagates it on its real form
 by Chebyshev steps on an ellipse around the Liouvillian's spectrum
 (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)), and reads
 Tr(z'z X(tau)) from each step's terms, so memory does not grow with the
-delays.  The modes of one call share the steps.
+delays.  The modes of one call share the steps, and every propagated state
+is read on every mode's occupation.  Since c rho c' + d rho d' =
+a rho a' + b rho b', a call that asks for all four modes propagates three
+states and reads d's curve off X_a + X_b - X_c.  Each curve's tau = 0
+sample is checked against g^(2)(0), and the propagation checks that every
+state keeps its trace.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (ClassificationError, DimensionError, InsufficientDataError,
-                     UndefinedCorrelationError)
+                     IntegrationError, UndefinedCorrelationError)
 from .hilbert import TruncationConfig
 from .lindblad import DensityMatrix, Liouvillian, _propagate
-from .model import SystemParams, hybrid_mode_operator, mode_moment
+from .model import MODES, SystemParams, hybrid_mode_operator, mode_moment
 
 #: Mean occupations, and the weak-drive oracle's |C|^2 denominators, at or
 #: below this make g^(k) undefined (0/0 guard).
@@ -41,6 +46,9 @@ POISSONIAN_BAND = 1e-2
 UNBUNCHED_BAND = 1e-3
 #: dominant_period ignores lines slower than this many full cycles per window.
 MIN_CYCLES = 4.0
+#: A g2(tau) curve's tau = 0 sample must match <z'^2 z^2> / <z'z>^2 to this
+#: fraction of max(1, |value|).
+ZERO_DELAY_RTOL = 1e-12
 
 ModeLike = Union[str, np.ndarray]
 
@@ -131,23 +139,50 @@ def g2_tau(rho_ss: DensityMatrix, L: Liouvillian, modes: Sequence[ModeLike],
     in units of 1/gamma, via the quantum regression theorem.
 
     ``modes`` is a sequence of modes, each a letter of MODES or an operator;
-    a string such as "abcd" names one mode per letter.  Their curves are
-    propagated in lockstep.  ``rho_ss`` must be the steady state of ``L``,
-    and a :class:`DimensionError` is raised when their truncations differ.
-    The grid must start at tau = 0 so the zero-delay consistency invariant
-    is meaningful.
+    a string such as "abcd" names one mode per letter.  ``rho_ss`` must be
+    the steady state of ``L``, and a :class:`DimensionError` is raised when
+    their truncations differ.  The grid must start at tau = 0 so the
+    zero-delay consistency invariant is meaningful.
+
+    One dressed state is propagated per distinct mode, all in lockstep, and
+    each is read on every mode's occupation; a custom operator keeps its own
+    start.  When a, b, c and d are all asked for, d gets no start: c rho c'
+    + d rho d' = a rho a' + b rho b', so its row is read off X_a + X_b - X_c.
+    The arithmetic runs in MODES order whatever the order asked, and rows
+    come back in the order asked.  Each curve's tau = 0 sample must match
+    <z'^2 z^2> / <z'z>^2 to ZERO_DELAY_RTOL of max(1, |value|), or an
+    :class:`IntegrationError` is raised.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or tau_grid[0] != 0.0:
         raise InsufficientDataError("tau_grid must start at 0")
     if rho_ss.cfg != L.cfg:
         raise DimensionError(f"steady state on {rho_ss.cfg} but Liouvillian on {L.cfg}")
-    resolved = [_resolve_mode(mode, rho_ss.cfg, 1) for mode in modes]
-    n_means = np.array([_mean_occupation(rho_ss, name, n_op, 2) for name, _, n_op, _ in resolved])
-    dressed = np.array([z @ rho_ss.matrix @ z.conj().T for _, z, _, _ in resolved])
+    keys = [i if isinstance(mode, np.ndarray) else mode for i, mode in enumerate(modes)]
+    resolved = {key: _resolve_mode(mode, rho_ss.cfg, 2) for key, mode in zip(keys, modes)}
+    n_means = {key: _mean_occupation(rho_ss, name, n_op, 2)
+               for key, (name, _, n_op, _) in resolved.items()}
+    distinct = sorted(resolved, key=lambda key: (1, key) if isinstance(key, int)
+                      else (0, MODES.index(key)))
+    rebuild_d = set(MODES) <= resolved.keys()
+    propagated = [key for key in distinct if not (rebuild_d and key == "d")]
+    start = {key: j for j, key in enumerate(propagated)}
+    readout = {key: r for r, key in enumerate(distinct)}
+    dressed = np.array([resolved[key][1] @ rho_ss.matrix @ resolved[key][1].conj().T
+                        for key in propagated])
     # unnormalised, so that _propagate rejects a non-finite one before any division
-    readouts = [n_op for _, _, n_op, _ in resolved]
-    return _propagate(dressed, L, tau_grid, readouts) / n_means[:, None] ** 2
+    read = _propagate(dressed, L, tau_grid, [resolved[key][2] for key in distinct])
+    rows = {key: read[start[key], readout[key]] for key in propagated}
+    if rebuild_d:
+        r = readout["d"]
+        rows["d"] = read[start["a"], r] + read[start["b"], r] - read[start["c"], r]
+    for key, (name, _, _, moment) in resolved.items():
+        rows[key] = rows[key] / n_means[key] ** 2
+        zero_delay = float(np.einsum("ij,ji->", rho_ss.matrix, moment).real) / n_means[key] ** 2
+        if not abs(rows[key][0] - zero_delay) <= ZERO_DELAY_RTOL * max(1.0, abs(zero_delay)):
+            raise IntegrationError(f"mode {name}: g2(0) of the propagated curve is "
+                                   f"{rows[key][0]:.15g} but <z'^2 z^2>/<z'z>^2 is {zero_delay:.15g}")
+    return np.array([rows[key] for key in keys])
 
 
 def classify_statistics(g2_a: float, g2_b: float, g2_c: float) -> StatisticsCase:

@@ -58,10 +58,12 @@ J_k(hf) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)).  A step
 takes about hf products, plus a tail of about 60 at hf = 250; a Taylor
 series, whose steps must cover a disk around the strip, took 1.5 times as
 many on the shipped g2(tau) points.  The samples inside a step are read
-from the same terms, as Tr(n X) for Hermitian readouts n, and several
-start states share the steps.  scipy is imported inside the functions that
-call it, so that importing the package costs no scipy start-up, and the
-spectrum command and jump-free sweeps never load it.
+from the same terms, as Tr(n X) of every start on every Hermitian readout
+n, and several start states share the steps.  Every start is also read on
+the identity, and a trace that drifts beyond the steps' truncation raises.
+scipy is imported inside the functions that call it, so that importing the
+package costs no scipy start-up, and the spectrum command and jump-free
+sweeps never load it.
 """
 
 from __future__ import annotations
@@ -111,6 +113,11 @@ CORRECTION_RTOL = 1e-6
 #: consecutive terms below this fraction of the largest entry of the state at
 #: the step's start.
 PROPAGATION_RTOL = 1e-12
+#: Tr X(t) may drift from Tr X(0) by this much per accepted propagation step,
+#: relative to the larger of |Tr X(0)| and the state's largest entry.  Measured
+#: over the test suite and the shipped g2(tau) points at cutoffs 2 to 5: at
+#: most 6.3e-13 per step, 2.6e-12 in all.
+TRACE_DRIFT_RTOL = 100 * PROPAGATION_RTOL
 #: h f of a full propagation step, the argument of its last Bessel
 #: coefficient.  Terms grow with it where eigenvalues of L lie near the
 #: ellipse: at 400 the guard below halved steps of the A2 preset at g = 4.5,
@@ -574,15 +581,22 @@ def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     e^{hc} |J_k(hf)| max|Q_k| fall below PROPAGATION_RTOL of max|v|, and a
     term above CHEBYSHEV_GUARD max|v| halves the step, for good.  A sample
     at t + s inside the step is e^{sc} [J_0(sf) v + sum_k J_k(sf) Q_k], read
-    from the terms projected onto each start's readout
-    (:func:`_bessel_series`), so memory does not grow with the grid.
+    from the terms projected onto the readouts (:func:`_bessel_series`), so
+    memory does not grow with the grid.
 
-    Returns the (starts, samples) array Tr(n_j X_j(t)) for Hermitian d x d
-    readouts n_j, read as vec R(n_j) . vec R(X_j(t)) with R the
-    :func:`_real_form`, or without readouts the (starts, d^2, samples) array
-    vec R(X_j(t)), for which the step's unprojected terms are held.  One
-    debug line on this module's logger gives the nonzeros of W, samples,
-    products, accepted and rejected steps and time.
+    Returns the (starts, readouts, samples) array Tr(n_r X_j(t)) of every
+    start on every Hermitian d x d readout n_r, read as vec R(n_r) . vec
+    R(X_j(t)) with R the :func:`_real_form`: a term's projection is one
+    (readouts, rows) @ (rows, starts) product over the rows where some
+    readout is nonzero.  Without readouts it returns the (starts, d^2,
+    samples) array vec R(X_j(t)), for which the step's unprojected terms are
+    held.  L preserves the trace, so every start is also read on the
+    identity, and an :class:`IntegrationError` is raised when Tr X_j(t)
+    drifts from Tr X_j(0) by more than TRACE_DRIFT_RTOL per accepted step,
+    relative to the larger of |Tr X_j(0)| and the largest entry of R(X_j(0)).
+    One debug line on this module's logger gives the nonzeros of W, starts,
+    readouts, samples, products, accepted and rejected steps, the worst
+    relative trace drift and time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0:
@@ -598,18 +612,24 @@ def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
     if np.any(defect > 1e-12 * np.abs(starts).max(axis=(-1, -2))):
         raise IntegrationError(f"start state is not Hermitian (defect {defect.max():.2e})")
     # columns are the starts, so one sparse product serves all of them
+    d = L.cfg.dim
     y = np.ascontiguousarray(_real_form(starts).reshape(len(starts), -1).T)
+    diagonal = np.arange(d) * (d + 1)  # vec R(I) is one on these rows
+    initial = y[diagonal].sum(axis=0)
+    reference = np.maximum(np.abs(initial), np.abs(y).max(axis=0))
+    reference[reference == 0] = 1.0
     if readouts is None:
         project = lambda v: v  # noqa: E731
     else:  # a number operator's real form has about one nonzero per basis state
-        forms = np.array([_real_form(n).ravel() for n in readouts])
+        # the last row reads the trace
+        forms = np.array([_real_form(n).ravel() for n in readouts] + [np.eye(d).ravel()])
         rows = np.flatnonzero(forms.any(axis=0))
-        weights = np.ascontiguousarray(forms[:, rows].T)
-        project = lambda v: (weights * v[rows]).sum(axis=0)  # noqa: E731
+        weights = forms[:, rows]
+        project = lambda v: weights @ v[rows]  # noqa: E731
     out = np.empty(project(y).shape + (t_grid.size,))
     if t_grid[-1] == 0.0:
         out[..., 0] = project(y)
-        return np.moveaxis(out, 0, -2) if readouts is None else out
+        return np.moveaxis(out if readouts is None else out[:-1], 0, -2)
     if not np.isfinite(W.data).all():
         raise IntegrationError("master-equation propagation found no step size: "
                                "the generator has non-finite entries")
@@ -661,7 +681,14 @@ def _propagate(starts: np.ndarray, L: Liouvillian, t_grid: Sequence[float],
             values *= np.exp(s * centre).reshape((-1,) + (1,) * (values.ndim - 1))
             out[..., done:upto], done = np.moveaxis(values, 0, -1), upto
         y, t = end, t_next
-    _log.debug("propagated %d samples on the real form: G nnz %d, %d matrix-vector products, "
-               "%d accepted and %d rejected steps, %.3f s", t_grid.size, W.nnz, products,
-               steps, rejected, time.perf_counter() - start)
-    return np.moveaxis(out, 0, -2) if readouts is None else out
+    traces = out[diagonal].sum(axis=0) if readouts is None else out[-1]
+    drift = float((np.abs(traces - initial[:, None]).max(axis=1) / reference).max())
+    _log.debug("propagated %d samples on the real form: G nnz %d, %d start%s on %s readouts, "
+               "%d matrix-vector products, %d accepted and %d rejected steps, "
+               "trace drift %.1e, %.3f s", t_grid.size, W.nnz, len(starts),
+               "" if len(starts) == 1 else "s", "no" if readouts is None else len(readouts),
+               products, steps, rejected, drift, time.perf_counter() - start)
+    if not drift <= TRACE_DRIFT_RTOL * steps:
+        raise IntegrationError(f"propagation lost the trace: Tr X(t) drifted by {drift:.2e} "
+                               f"of Tr X(0) over {steps} steps")
+    return np.moveaxis(out if readouts is None else out[:-1], 0, -2)

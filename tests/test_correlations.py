@@ -1,7 +1,11 @@
+import functools
+import logging
+import re
+
 import numpy as np
 import pytest
 
-from polariton import (DensityMatrix, DimensionError, InsufficientDataError,
+from polariton import (DensityMatrix, DimensionError, InsufficientDataError, IntegrationError,
                        ClassificationError, SystemParams, TruncationConfig,
                        UndefinedCorrelationError,
                        build_liouvillian, bundle_params, classify_dynamics,
@@ -10,6 +14,7 @@ from polariton import (DensityMatrix, DimensionError, InsufficientDataError,
                        hybrid_moments_from_local,
                        hybrid_mode_operator, preset_params,
                        steady_state, solve_point)
+from polariton import correlations
 from polariton.correlations import POISSONIAN_BAND, sign_pattern
 from polariton.hilbert import lowering
 from polariton.lindblad import _propagate
@@ -324,12 +329,12 @@ def test_negated_detunings_mirror_the_steady_state(bundle, cutoff):
                                     "dynamics-case-iv", "weak-coupling-oscillation"])
 def test_dressed_states_are_linear_in_the_modes(bundle):
     """c rho c' + d rho d' = a rho a' + b rho b', so the d-dressed state
-    evolves as X_a + X_b - X_c.  Read on n_d, that sum rebuilds g2_d(tau)
-    from three propagations; measured against the direct curve here
-    (cutoff 5, tau <= 6/gamma, 1201 samples): 3.1e-15 to 2.3e-14 of its
-    largest value with Chebyshev steps, and up to 3.1e-10 with the Taylor
-    steps that preceded them, which the bound, 3e-9, was set for.  The
-    identity itself holds to 1.3e-16 of the largest entry."""
+    evolves as X_a + X_b - X_c, and g2_tau rebuilds g2_d(tau) from three
+    propagations.  Here the three starts are read on n_d by _propagate
+    itself and compared with the one-mode curve, which propagates X_d;
+    measured (cutoff 5, tau <= 6/gamma, 1201 samples): 3.1e-15 to 4.0e-14 of
+    its largest value.  The identity itself holds to 1.3e-16 of the largest
+    entry."""
     cfg = TruncationConfig(5, 5)
     rho, L = solve_point(bundle_params(bundle), cfg)
     ops = {m: hybrid_mode_operator(m, cfg) for m in "abcd"}
@@ -338,8 +343,81 @@ def test_dressed_states_are_linear_in_the_modes(bundle):
     assert np.abs(dressed["c"] + dressed["d"] - both).max() <= 1e-13 * np.abs(both).max()
     grid = np.linspace(0.0, 6.0, 1201)
     n_d = mode_moment("d", cfg, 1)
-    X_d = sum(sign * _propagate(dressed[m][None], L, grid, [n_d])[0]
-              for sign, m in ((1, "a"), (1, "b"), (-1, "c")))
-    rebuilt = X_d / np.einsum("ij,ji->", rho.matrix, n_d).real ** 2
+    read = _propagate(np.array([dressed[m] for m in "abc"]), L, grid, [n_d])[:, 0]
+    rebuilt = (read[0] + read[1] - read[2]) / np.einsum("ij,ji->", rho.matrix, n_d).real ** 2
     direct = g2_tau(rho, L, "d", grid)[0]
-    assert np.abs(rebuilt - direct).max() <= 3e-9 * np.abs(direct).max()
+    assert np.abs(rebuilt - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+DYNAMICS_BUNDLES = ["dynamics-case-i", "dynamics-case-ii", "dynamics-case-iii",
+                    "dynamics-case-iv", "weak-coupling-oscillation"]
+DYNAMICS_GRID = np.linspace(0.0, 6.0, 1201)
+
+
+@functools.lru_cache(maxsize=len(DYNAMICS_BUNDLES))
+def dynamics_point(bundle):
+    """Steady state and Liouvillian of a dynamics bundle at cutoff 3."""
+    return solve_point(bundle_params(bundle), TruncationConfig(3, 3))
+
+
+def logged_g2_tau(caplog, bundle, modes):
+    """g2_tau at a dynamics bundle, with its propagation's debug line."""
+    rho, L = dynamics_point(bundle)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="polariton.lindblad"):
+        curves = g2_tau(rho, L, modes, DYNAMICS_GRID)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("propagated")]
+    return curves, line
+
+
+@pytest.mark.parametrize("bundle", DYNAMICS_BUNDLES)
+def test_rebuilt_d_row_matches_its_own_propagation(bundle, caplog):
+    four, four_line = logged_g2_tau(caplog, bundle, "abcd")
+    three, three_line = logged_g2_tau(caplog, bundle, "abc")
+    alone, alone_line = logged_g2_tau(caplog, bundle, "d")
+    assert "3 starts on 4 readouts" in four_line and "1 start on 1 readouts" in alone_line
+    # d takes no products of its own
+    products = [re.search(r"(\d+) matrix-vector products", line)[1]
+                for line in (four_line, three_line)]
+    assert products[0] == products[1]
+    assert np.abs(four[3] - alone[0]).max() <= 1e-12 * np.abs(alone[0]).max()
+
+
+@pytest.mark.parametrize("bundle", DYNAMICS_BUNDLES)
+def test_g2_tau_rows_do_not_depend_on_the_order_asked(bundle, caplog):
+    backward, _ = logged_g2_tau(caplog, bundle, "dcba")
+    shuffled, _ = logged_g2_tau(caplog, bundle, "bdac")
+    assert np.array_equal(backward[[3, 2, 1, 0]], shuffled[[2, 0, 3, 1]])
+
+
+@pytest.mark.parametrize("bundle", DYNAMICS_BUNDLES)
+def test_custom_operator_keeps_its_own_start(bundle, caplog):
+    d = hybrid_mode_operator("d", TruncationConfig(3, 3))
+    curves, line = logged_g2_tau(caplog, bundle, ["a", "b", "c", "d", d])
+    assert "4 starts on 5 readouts" in line
+    assert np.abs(curves[4] - curves[3]).max() <= 1e-12 * np.abs(curves[3]).max()
+
+
+def test_g2_tau_checks_each_zero_delay_sample(monkeypatch):
+    # a first sample off by 1e-10 of g2_d(0), only on the rebuilt row
+    rho, L = dynamics_point("dynamics-case-i")
+    propagate = correlations._propagate
+
+    def nudged(*args):
+        read = propagate(*args)
+        read[:, 3, 0] *= 1 + 1e-10
+        return read
+    monkeypatch.setattr(correlations, "_propagate", nudged)
+    with pytest.raises(IntegrationError, match="mode d: g2"):
+        g2_tau(rho, L, "abcd", DYNAMICS_GRID)
+
+
+def test_g2_tau_of_a_mode_without_a_two_boson_moment():
+    # sigma_- squares to zero, so g2(0) = 0 and the zero-delay check holds
+    # where g_k_zero raises
+    rho, L = dynamics_point("dynamics-case-i")
+    sm = lowering(rho.cfg)[2]
+    with pytest.raises(UndefinedCorrelationError):
+        g_k_zero(rho, sm, 2)
+    curve = g2_tau(rho, L, [sm], DYNAMICS_GRID)[0]
+    assert abs(curve[0]) <= 1e-12
