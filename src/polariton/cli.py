@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -57,6 +58,9 @@ _OUTPUT_KEYS = {"directory", "basename", "format", "gnuplot"}
 _TRUNCATION_KEYS = {"n_a_max", "n_b_max"}
 _TAU_KEYS = {"stop", "count", "unit"}
 _SPECTRUM_KEYS = {"kind", "g", "manifolds", "sweep", "frequencies"}
+#: libyaml's safe loader where PyYAML was built with it; it shares the pure
+#: Python SafeLoader's constructor and resolver, so both build the same objects.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _fmt(value) -> str:
@@ -126,7 +130,7 @@ def load_config(path: Optional[str], command: str, cli_overrides: list[str],
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
         try:
-            loaded = yaml.safe_load(text)
+            loaded = yaml.load(text, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config {path} is not valid YAML/JSON: {exc}")
         if loaded is None:
@@ -141,7 +145,7 @@ def load_config(path: Optional[str], command: str, cli_overrides: list[str],
             raise ConfigError(f"--override needs KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_YAML_LOADER)
         except yaml.YAMLError:
             value = raw
         target = config
@@ -475,7 +479,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse starts from a
+    fresh namespace, so no call's options reach the next."""
     parser = argparse.ArgumentParser(
         prog="polariton",
         description="Steady-state and correlation analysis of the driven "

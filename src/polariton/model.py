@@ -99,8 +99,12 @@ def _hamiltonian_terms(cfg: TruncationConfig) -> dict[str, np.ndarray]:
     }
 
 
-def _assemble(p: SystemParams, cfg: TruncationConfig, drive: str, sign: int) -> np.ndarray:
-    t = _hamiltonian_terms(cfg)
+def _assemble(p: SystemParams, t: dict[str, np.ndarray], drive: str, sign: int) -> np.ndarray:
+    """The one sum of the term operators ``t``: full matrices from
+    :func:`_hamiltonian_terms`, or their blocks on one polariton-number
+    manifold.  A field of ``p`` may be an array that broadcasts against the
+    operators, such as a sweep's grid shaped (points, 1, 1); every element
+    then takes the same operations as in one full matrix."""
     H = (p.delta_a * t["n_a"] + p.delta_b * t["n_b"] + p.delta_q * t["n_q"]
          + p.g * t["qubit_photon"])
     H = H + (p.f * t["hop_plus"] if sign > 0 else 1j * p.f * t["hop_minus"])
@@ -117,7 +121,7 @@ def hamiltonian_smr_driven(p: SystemParams, cfg: TruncationConfig) -> np.ndarray
     H' = d_a a'a + d_b b'b + d_q s+s- + g(a's- + a s+) + f(a'b + a b')
          + eta_a (a + a').
     """
-    return _assemble(p, cfg, drive="a", sign=+1)
+    return _assemble(p, _hamiltonian_terms(cfg), drive="a", sign=+1)
 
 
 def hamiltonian_qd_driven(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
@@ -126,7 +130,7 @@ def hamiltonian_qd_driven(p: SystemParams, cfg: TruncationConfig) -> np.ndarray:
     Identical to the SMR-driven form except the drive term is
     eta_b (b + b').
     """
-    return _assemble(p, cfg, drive="b", sign=+1)
+    return _assemble(p, _hamiltonian_terms(cfg), drive="b", sign=+1)
 
 
 def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> np.ndarray:
@@ -139,7 +143,7 @@ def hamiltonian_undriven(p: SystemParams, sign: int, cfg: TruncationConfig) -> n
         raise ParameterError("hamiltonian_undriven requires eta_a = eta_b = 0")
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    return _assemble(p, cfg, drive="", sign=sign)
+    return _assemble(p, _hamiltonian_terms(cfg), drive="", sign=sign)
 
 
 @lru_cache(maxsize=16)

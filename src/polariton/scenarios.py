@@ -37,8 +37,8 @@ from .correlations import (DynamicsLabel, StatisticsCase, classify_dynamics,
 from .errors import ParameterError, PolaritonError, SteadyStateError
 from .hilbert import TruncationConfig, occupations
 from .lindblad import DensityMatrix, build_liouvillian, certify, steady_state
-from .model import (MODES, SystemParams, hamiltonian_qd_driven, hamiltonian_smr_driven,
-                    hamiltonian_undriven)
+from .model import (MODES, SystemParams, _assemble, _hamiltonian_terms, hamiltonian_qd_driven,
+                    hamiltonian_smr_driven, hamiltonian_undriven)
 from .spectrum import manifold_blocks, manifold_spectrum, resonance_distances
 from .weakdrive import oracle_g2, steady_amplitudes
 
@@ -556,9 +556,13 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
     ascending frequencies.
 
     The photon and qubit frequencies come from the preset's absolute
-    values unless ``frequencies`` = (omega_smr, omega_q) overrides them;
-    drives are zeroed, so H(+) conserves the polariton number and each
-    manifold's blocks along the grid take one batched eigvalsh.
+    values unless ``frequencies`` = (omega_smr, omega_q) overrides them.
+    Drives are zeroed, so every term of H(+) conserves the polariton
+    number: each term operator is cut into the manifolds' blocks once, and
+    :func:`model._assemble` sums a manifold's blocks with omega_m broadcast
+    over the grid into its (grid points, m, m) stack, for one batched
+    eigvalsh.  No full Hamiltonian is built at any grid point, and the
+    frequencies are bitwise those of each point's own Hamiltonian.
     """
     pre = PRESETS[preset]
     omega_smr, _, omega_q = pre.frequencies
@@ -569,9 +573,12 @@ def spectrum_sweep(preset: str, g: float, omega_m_grid: Sequence[float],
     cfg = TruncationConfig(n_a_max=max(3, max(manifolds)), n_b_max=max(3, max(manifolds)))
     grid = np.asarray(omega_m_grid, dtype=float)
     start = time.perf_counter()
-    blocks = [manifold_blocks(hamiltonian_undriven(base.with_(delta_b=omega_m), +1, cfg),
-                              manifolds, cfg) for omega_m in grid.tolist()]
-    rows = {n: np.linalg.eigvalsh(np.stack([b[k] for b in blocks]))
+    terms = _hamiltonian_terms(cfg)  # the ones the undriven H(+) sums
+    blocks = {name: manifold_blocks(terms[name], manifolds, cfg)
+              for name in ("n_a", "n_b", "n_q", "qubit_photon", "hop_plus")}
+    p = base.with_(delta_b=grid[:, None, None])
+    rows = {n: np.linalg.eigvalsh(_assemble(p, {name: b[k] for name, b in blocks.items()},
+                                            drive="", sign=+1))
             for k, n in enumerate(manifolds)}
     _log.debug("spectrum_sweep: %d grid points, manifolds %s, dimension %d, %.4f s",
                len(grid), list(manifolds), cfg.dim, time.perf_counter() - start)

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from polariton import (ConfigError, TruncationConfig, g_k_zero, preset_params, solve_point,
-                       tau_to_us)
-from polariton.cli import _fmt, load_config, main
+from polariton import (ConfigError, TruncationConfig, cli, g_k_zero, preset_params,
+                       solve_point, tau_to_us)
+from polariton.cli import _fmt, build_parser, load_config, main
+from polariton.scenarios import spectrum_sweep
 from helpers import SHIPPED, SHIPPED_COMMANDS, fresh_env
 
 
@@ -80,6 +82,58 @@ output: {{directory: {out}, basename: bad}}
 """)
     assert main(["g2sweep", "--config", cfg]) == 1
     assert not out.exists()
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path):
+    """One parser serves every call, and each parse starts from its defaults:
+    the first call's overrides, format and directory do not reach the second."""
+    assert build_parser() is build_parser()
+    cfg = write(tmp_path / "cfg.yaml", MANIFOLDS_BASE + f"[1, 2]}}\noutput: "
+                f"{{directory: {tmp_path / 'cfg_out'}, basename: spec}}\n")
+    assert main(["spectrum", "--config", cfg, "--override", "spectrum.g=3", "--format", "json",
+                 "--out", str(tmp_path / "alt")]) == 0
+    assert main(["spectrum", "--config", cfg]) == 0
+    first = json.loads((tmp_path / "alt" / "spec.summary.json").read_text())
+    second = json.loads((tmp_path / "cfg_out" / "spec.summary.json").read_text())
+    assert first["config"]["spectrum"]["g"] == 3
+    assert second["config"]["spectrum"]["g"] == 7.5
+    assert second["config"]["output"] == {"directory": str(tmp_path / "cfg_out"),
+                                          "basename": "spec"}
+    assert sorted(p.name for p in (tmp_path / "cfg_out").iterdir()) == [
+        "spec.csv", "spec.summary.json"]
+    rows = spectrum_sweep("A1", 7.5, np.linspace(1560.0, 1561.0, 2), (1, 2))
+    lines = (tmp_path / "cfg_out" / "spec.csv").read_text().splitlines()
+    assert lines[1].split(",")[1:] == [_fmt(v) for v in np.hstack([rows[1][0], rows[2][0]])]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SHIPPED.iterdir()))
+def test_yaml_loaders_build_equal_configs(name):
+    """libyaml's loader, where there is one, and the pure Python one read
+    each shipped config to the same objects."""
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    text = (SHIPPED / name).read_text()
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+    assert isinstance(fast, dict) and fast
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_is_a_config_error_under_either_loader(tmp_path, capsys, monkeypatch,
+                                                              loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    monkeypatch.setattr(cli, "_YAML_LOADER", getattr(yaml, loader))
+    cfg = write(tmp_path / "y.yaml", "preset: [unclosed\n")
+    assert main(["spectrum", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: config {cfg} is not valid YAML")
+    # an override value that is not YAML stays a string, which spectrum.g rejects
+    cfg = write(tmp_path / "ok.yaml",
+                MANIFOLDS_BASE + f"[1]}}\noutput: {{directory: {tmp_path}}}\n")
+    assert main(["spectrum", "--config", cfg, "--override", "spectrum.g=[3"]) == 1
+    assert capsys.readouterr().err.startswith("config error: spectrum.g: expected a finite "
+                                              "number, got '[3'")
 
 
 def test_unknown_preset_and_bad_yaml(tmp_path):

@@ -8,6 +8,7 @@ from polariton import (PRESETS, ParameterError, SystemParams,
                        TruncationConfig, analytic_manifolds, hamiltonian_qd_driven,
                        hamiltonian_undriven, jc_spectrum, manifold_blocks, manifold_spectrum,
                        minimum_gap, resonance_distances)
+from polariton.model import _assemble
 from polariton.scenarios import resonance_distance_sweep, spectrum_sweep
 
 CFG = TruncationConfig(3, 3)
@@ -175,6 +176,24 @@ def test_spectrum_sweep_memory_stays_per_point():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_spectrum_sweep_assembles_once_per_manifold(monkeypatch):
+    """The terms are summed once per manifold, over the whole grid, never
+    into a Hamiltonian per grid point."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _assemble(*args, **kwargs)
+    for target in ("polariton.model._assemble", "polariton.scenarios._assemble"):
+        monkeypatch.setattr(target, counted)
+    counts = []
+    for grid in (SHIPPED_OMEGA_M[:4], SHIPPED_OMEGA_M):
+        calls.clear()
+        spectrum_sweep("A1", 7.5, grid, manifolds=(1, 2, 3))
+        counts.append(len(calls))
+    assert counts == [3, 3]
 
 
 def test_resonance_distances_array_equals_scalar_calls():
